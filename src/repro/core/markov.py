@@ -26,7 +26,7 @@ needed by the experiment harness stays cheap in pure Python/numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,6 +85,37 @@ def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def _checked_chain_stack(stack: np.ndarray) -> np.ndarray:
+    """Validate, clip and row-normalise a ``(p, 3, 3)`` stack of chains.
+
+    The one validator behind :class:`MarkovAvailabilityModel`: the
+    constructor passes a one-matrix stack, :meth:`~MarkovAvailabilityModel.
+    from_self_loop_stack` a whole scenario's.  Errors on a multi-chain
+    stack name the first offending chain.  Returns a new read-only array.
+    """
+
+    def where(bad: np.ndarray) -> str:
+        return f" (chain {int(np.argmax(bad))})" if len(stack) > 1 else ""
+
+    out_of_range = ((stack < -1e-12) | (stack > 1 + 1e-12)).any(axis=(1, 2))
+    if out_of_range.any():
+        raise ValueError(
+            "transition probabilities must lie in [0, 1]" + where(out_of_range)
+        )
+    sums = stack.sum(axis=2)
+    unbalanced = ~np.isclose(sums, 1.0, atol=1e-9).all(axis=1)
+    if unbalanced.any():
+        q = int(np.argmax(unbalanced))
+        raise ValueError(
+            f"transition matrix rows must sum to 1, got {sums[q]}"
+            + where(unbalanced)
+        )
+    m = np.clip(stack, 0.0, 1.0)
+    m = m / m.sum(axis=2, keepdims=True)
+    m.setflags(write=False)
+    return m
+
+
 @dataclass(frozen=True)
 class MarkovAvailabilityModel:
     """A single processor's 3-state availability chain.
@@ -110,16 +141,11 @@ class MarkovAvailabilityModel:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"availability matrix must be 3x3, got shape {m.shape}")
-        if np.any(m < -1e-12) or np.any(m > 1 + 1e-12):
-            raise ValueError("transition probabilities must lie in [0, 1]")
-        if not np.allclose(m.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError(
-                f"transition matrix rows must sum to 1, got {m.sum(axis=1)}"
-            )
-        m = np.clip(m, 0.0, 1.0)
-        m = m / m.sum(axis=1, keepdims=True)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        self._adopt(_checked_chain_stack(m[None])[0])
+
+    def _adopt(self, row: np.ndarray) -> None:
+        """Install an already validated, read-only ``(3, 3)`` matrix."""
+        object.__setattr__(self, "matrix", row)
         object.__setattr__(self, "_pi", None)
         object.__setattr__(self, "_cum", None)
 
@@ -445,14 +471,42 @@ class MarkovAvailabilityModel:
         """The paper's symmetric construction (Section 7).
 
         Sets :math:`P_{x,y} = (1 - P_{x,x}) / 2` for each :math:`y \\ne x`.
+        The one-row call of :meth:`from_self_loop_stack`.
         """
-        def row(self_loop: float, position: int) -> list[float]:
-            off = 0.5 * (1.0 - self_loop)
-            r = [off, off, off]
-            r[position] = self_loop
-            return r
+        return cls.from_self_loop_stack([[p_uu, p_rr, p_dd]])[0]
 
-        return cls(np.array([row(p_uu, 0), row(p_rr, 1), row(p_dd, 2)]))
+    @classmethod
+    def from_self_loop_stack(
+        cls, self_loops: np.ndarray
+    ) -> Tuple["MarkovAvailabilityModel", ...]:
+        """:meth:`from_self_loops` for ``p`` chains in one pass.
+
+        The ``(p, 3, 3)`` stack is built, validated, clipped and
+        row-normalised once, with the constructor's tolerances and
+        messages; model ``q`` then holds row ``q`` of the one read-only
+        result.  The arithmetic is the scalar construction's, so every
+        matrix is byte-identical to a lone call's — at ``p = 10,000``
+        this replaces ten thousand per-matrix validations, which
+        dominated large-grid scenario generation (DESIGN.md §12).
+
+        Args:
+            self_loops: a ``(p, 3)`` array; row ``q`` holds chain ``q``'s
+                :math:`(P_{u,u}, P_{r,r}, P_{d,d})`.
+        """
+        loops = np.asarray(self_loops, dtype=float)
+        if loops.ndim != 2 or loops.shape[1] != 3:
+            raise ValueError(
+                f"self-loop stack must have shape (p, 3), got {loops.shape}"
+            )
+        stack = np.repeat(0.5 * (1.0 - loops)[:, :, None], 3, axis=2)
+        diagonal = np.arange(3)
+        stack[:, diagonal, diagonal] = loops
+        models = []
+        for row in _checked_chain_stack(stack):
+            model = cls.__new__(cls)
+            model._adopt(row)
+            models.append(model)
+        return tuple(models)
 
 
 def paper_random_model(rng: np.random.Generator) -> MarkovAvailabilityModel:

@@ -29,6 +29,7 @@ Three commands operate the distributed campaign service (DESIGN.md §13):
 from __future__ import annotations
 
 import argparse
+import ipaddress
 import sys
 import time
 from typing import List, Optional
@@ -229,7 +230,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--bind",
         default="127.0.0.1:0",
         metavar="HOST:PORT",
-        help="listen address (port 0 picks a free port, printed on start)",
+        help=(
+            "listen address (port 0 picks a free port, printed on start); "
+            "must be loopback unless --trust-network is given"
+        ),
+    )
+    co.add_argument(
+        "--trust-network",
+        action="store_true",
+        help=(
+            "allow a non-loopback --bind: the wire protocol unpickles "
+            "what peers send, so everyone who can reach the port can run "
+            "code as this user"
+        ),
     )
     co.add_argument(
         "--checkpoint-dir",
@@ -490,10 +503,35 @@ def _parse_address(text: str):
     return host, int(port)
 
 
+def _coordinator_address(args):
+    """The coordinator's ``(host, port)``, refusing an untrusted exposure.
+
+    The wire protocol unpickles every frame it receives, so a listener
+    reachable from other machines lets any of them run code in the
+    coordinator.  Only loopback binds (``localhost`` or a loopback IP
+    literal) are allowed without ``--trust-network``; host names are not
+    resolved, so anything else counts as non-loopback.
+    """
+    host, port = _parse_address(args.bind)
+    try:
+        loopback = host == "localhost" or ipaddress.ip_address(host).is_loopback
+    except ValueError:
+        loopback = False
+    if not loopback and not args.trust_network:
+        raise SystemExit(
+            f"refusing to bind the coordinator to non-loopback address "
+            f"{host!r}: workers' messages are unpickled, so anyone who "
+            "can reach the port can execute code as this user. Bind to "
+            "127.0.0.1, or pass --trust-network if every machine that "
+            "can reach it is trusted."
+        )
+    return host, port
+
+
 def _run_coordinator(args) -> int:
     from .distributed import DistributedBackend, LocalCluster
 
-    host, port = _parse_address(args.bind)
+    host, port = _coordinator_address(args)
     clusters = []
 
     def announce(address):

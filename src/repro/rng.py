@@ -112,6 +112,23 @@ class RngFactory:
         """
         return np.random.default_rng(self.seed_sequence(*key))
 
+    def generators(self, *prefix, count: int) -> List[np.random.Generator]:
+        """The generators for keys ``(*prefix, 0)`` … ``(*prefix, count - 1)``.
+
+        Stream-for-stream equal to ``[self.generator(*prefix, q) for q in
+        range(count)]``, but the prefix is hashed once rather than once
+        per key — the per-processor availability streams of a platform
+        share everything but the processor index.
+        """
+        head = tuple(_key_to_ints(prefix))
+        entropy = self._root.entropy
+        return [
+            np.random.default_rng(
+                np.random.SeedSequence(entropy=entropy, spawn_key=head + (q,))
+            )
+            for q in range(count)
+        ]
+
 
 class RunStreams(NamedTuple):
     """The per-run stream bundle of one simulation run.

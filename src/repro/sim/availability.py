@@ -683,6 +683,69 @@ class TraceSource:
         return len(self._trace) * _DENSE_BYTES_PER_SLOT
 
 
+def _checked_jump_rows(
+    embedded: np.ndarray,
+    sojourn_samplers: Sequence[dict],
+    initials: Sequence[int],
+) -> list:
+    """Validate ``p`` semi-Markov sources' inputs in one pass.
+
+    ``embedded`` is a ``(p, 3, 3)`` stack of jump matrices, with one
+    sampler set and one starting state per source.  Checks zero
+    diagonals, entries in ``[0, 1]`` and rows summing to 1 for the whole
+    stack at once, then that every source has a sampler per state and
+    starts in UP, RECLAIMED or DOWN.  Errors on a multi-source batch
+    name the first offending source's position.
+
+    Returns:
+        Per source, per state, the two cumulative jump thresholds as
+        plain floats: the jump draw is then two scalar compares instead
+        of a cumsum + searchsorted pair per run (bit-identical —
+        ``side="right"`` on a 3-element cumulative row *is* "count of
+        thresholds <= u").
+    """
+    if embedded.ndim != 3 or embedded.shape[1:] != (3, 3):
+        raise ValueError("embedded matrix must be 3x3")
+    if not len(sojourn_samplers) == len(initials) == len(embedded):
+        raise ValueError(
+            f"got {len(embedded)} embedded matrices, {len(sojourn_samplers)} "
+            f"sampler sets and {len(initials)} initial states"
+        )
+
+    def where(position: int) -> str:
+        return f" (processor {position})" if len(embedded) > 1 else ""
+
+    diagonal = np.arange(3)
+    nonzero_diagonal = (np.abs(embedded[:, diagonal, diagonal]) > 1e-12).any(axis=1)
+    if nonzero_diagonal.any():
+        raise ValueError(
+            "embedded matrix diagonal must be zero"
+            + where(int(np.argmax(nonzero_diagonal)))
+        )
+    out_of_range = ((embedded < -1e-12) | (embedded > 1 + 1e-12)).any(axis=(1, 2))
+    if out_of_range.any():
+        raise ValueError(
+            "embedded jump probabilities must lie in [0, 1]"
+            + where(int(np.argmax(out_of_range)))
+        )
+    unbalanced = ~np.isclose(embedded.sum(axis=2), 1.0, atol=1e-9).all(axis=1)
+    if unbalanced.any():
+        raise ValueError(
+            "embedded matrix rows must sum to 1" + where(int(np.argmax(unbalanced)))
+        )
+    for position, (samplers, initial) in enumerate(zip(sojourn_samplers, initials)):
+        for s in (0, 1, 2):
+            if s not in samplers:
+                raise ValueError(
+                    f"missing sojourn sampler for state {s}" + where(position)
+                )
+        if initial not in (0, 1, 2):
+            raise ValueError(
+                f"initial state must be 0, 1 or 2, got {initial!r}" + where(position)
+            )
+    return np.cumsum(embedded, axis=2)[:, :, :2].tolist()
+
+
 class SemiMarkovSource(_RleTraceSource):
     """Sojourn-time-driven availability (non-memoryless future work).
 
@@ -712,26 +775,55 @@ class SemiMarkovSource(_RleTraceSource):
         initial: int = int(ProcState.UP),
     ):
         embedded = np.asarray(embedded, dtype=float)
-        if embedded.shape != (3, 3):
-            raise ValueError("embedded matrix must be 3x3")
-        if np.any(np.abs(np.diag(embedded)) > 1e-12):
-            raise ValueError("embedded matrix diagonal must be zero")
-        if not np.allclose(embedded.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("embedded matrix rows must sum to 1")
-        for s in (0, 1, 2):
-            if s not in sojourn_samplers:
-                raise ValueError(f"missing sojourn sampler for state {s}")
-        self._embedded = embedded
-        self._samplers = sojourn_samplers
+        [jump_cum] = _checked_jump_rows(
+            embedded[None], [sojourn_samplers], [initial]
+        )
+        self._start(jump_cum, sojourn_samplers, rng, initial)
+
+    @classmethod
+    def batch(
+        cls,
+        embedded: np.ndarray,
+        sojourn_samplers: Sequence[dict[int, Callable[[np.random.Generator], int]]],
+        rngs: Sequence[np.random.Generator],
+        *,
+        initials: Sequence[int],
+    ) -> list["SemiMarkovSource"]:
+        """``p`` sources from a ``(p, 3, 3)`` stack of jump matrices.
+
+        The whole stack is validated and turned into cumulative jump rows
+        in one vectorised pass, so a 10k-worker platform does not pay ten
+        thousand per-matrix checks (DESIGN.md §12).  Source ``q`` draws
+        from ``rngs[q]`` only, exactly as the constructor would, so the
+        result is bit-identical to ``p`` constructor calls.
+        """
+        embedded = np.asarray(embedded, dtype=float)
+        jump_rows = _checked_jump_rows(embedded, sojourn_samplers, initials)
+        if len(rngs) != len(embedded):
+            raise ValueError(
+                f"got {len(embedded)} embedded matrices but {len(rngs)} generators"
+            )
+        sources = []
+        for jump_cum, samplers, rng, initial in zip(
+            jump_rows, sojourn_samplers, rngs, initials
+        ):
+            source = cls.__new__(cls)
+            source._start(jump_cum, samplers, rng, initial)
+            sources.append(source)
+        return sources
+
+    def _start(
+        self,
+        jump_cum: list,
+        samplers: dict[int, Callable[[np.random.Generator], int]],
+        rng: np.random.Generator,
+        initial: int,
+    ) -> None:
+        """Adopt validated inputs and generate the first ``_GROW`` slots."""
+        self._jump_cum = jump_cum
+        self._samplers = samplers
         self._rng = rng
         self._state = int(initial)
-        # Per-state cumulative jump rows as plain floats: the jump draw
-        # below is then two scalar compares instead of a cumsum +
-        # searchsorted pair per run (bit-identical — ``side="right"`` on
-        # a 3-element cumulative row *is* "count of thresholds <= u").
-        self._jump_cum = [
-            (float(c[0]), float(c[1])) for c in np.cumsum(embedded, axis=1)
-        ]
         self._init_rle()
         self._grow_to(self._GROW)
 

@@ -118,29 +118,66 @@ class Processor:
         The draw protocol differs from :meth:`from_markov` (run lengths
         vs per-slot uniforms), so the two are distributionally equal,
         not bit-identical, for the same ``rng`` stream.
+
+        The one-element call of :meth:`from_semi_markov_batch`.
         """
-        matrix = model.matrix
-        embedded = np.zeros((3, 3))
-        samplers = {}
-        for s in range(3):
-            leave = 1.0 - float(matrix[s, s])
-            if leave <= 0.0:
-                raise ValueError(
-                    f"state {s} is absorbing (self-loop 1); the run-length "
-                    "form needs a positive leave probability"
-                )
-            embedded[s] = matrix[s] / leave
-            embedded[s, s] = 0.0
-            samplers[s] = _geometric_sojourn(leave)
-        start = int(ProcState.UP) if initial is None else int(initial)
-        return cls(
-            index=index,
-            speed_w=speed_w,
-            availability=SemiMarkovSource(
-                embedded, samplers, rng, initial=start
-            ),
-            belief=model,
+        return cls.from_semi_markov_batch(
+            [index], [speed_w], [model], [rng], initials=[initial]
+        )[0]
+
+    @classmethod
+    def from_semi_markov_batch(
+        cls,
+        indices: Sequence[int],
+        speeds: Sequence[int],
+        models: Sequence[MarkovAvailabilityModel],
+        rngs: Sequence[np.random.Generator],
+        *,
+        initials: Optional[Sequence[Optional[int]]] = None,
+    ) -> List["Processor"]:
+        """:meth:`from_semi_markov` for ``p`` processors in one pass.
+
+        Every processor's embedded jump matrix and leave probabilities
+        are derived for all ``p`` at once, and the sources are validated
+        as one stack (:meth:`~repro.sim.availability.SemiMarkovSource.
+        batch`): the per-processor work left is the sources' own first
+        draws.  Processor ``q`` draws from ``rngs[q]`` only, in the order
+        a lone :meth:`from_semi_markov` call would, so the platform is
+        bit-identical to ``p`` such calls.
+        """
+        if initials is None:
+            initials = [None] * len(models)
+        if not len(indices) == len(speeds) == len(models) == len(rngs) == len(initials):
+            raise ValueError(
+                "indices, speeds, models, rngs and initials must have equal lengths"
+            )
+        matrices = np.stack([model.matrix for model in models])
+        diagonal = np.arange(3)
+        leave = 1.0 - matrices[:, diagonal, diagonal]
+        absorbing = np.argwhere(leave <= 0.0)
+        if len(absorbing):
+            q, s = (int(v) for v in absorbing[0])
+            raise ValueError(
+                f"state {s} of processor {indices[q]} is absorbing (self-loop "
+                "1); the run-length form needs a positive leave probability"
+            )
+        embedded = matrices / leave[:, :, None]
+        embedded[:, diagonal, diagonal] = 0.0
+        samplers = [
+            {s: _geometric_sojourn(p_leave) for s, p_leave in enumerate(row)}
+            for row in leave.tolist()
+        ]
+        up = int(ProcState.UP)
+        sources = SemiMarkovSource.batch(
+            embedded,
+            samplers,
+            rngs,
+            initials=[up if initial is None else initial for initial in initials],
         )
+        return [
+            cls(index=index, speed_w=speed_w, availability=source, belief=model)
+            for index, speed_w, source, model in zip(indices, speeds, sources, models)
+        ]
 
     @classmethod
     def from_trace(

@@ -99,25 +99,23 @@ class Scenario:
         The availability sample depends only on ``(root_seed, key, trial,
         processor)`` — identical across heuristics, fresh across trials.
         """
-        factory = RngFactory(self.root_seed)
-        if self.truth == "semi-markov":
-            build = Processor.from_semi_markov
-        elif self.truth == "markov":
-            build = Processor.from_markov
-        else:
+        if self.truth not in ("markov", "semi-markov"):
             raise ValueError(
                 f"unknown ground-truth family {self.truth!r}; "
                 "expected 'markov' or 'semi-markov'"
             )
-        processors = [
-            build(
-                q,
-                self.speeds[q],
-                self.models[q],
-                factory.generator("avail", *self.key, trial, q),
+        rngs = RngFactory(self.root_seed).generators(
+            "avail", *self.key, trial, count=self.p
+        )
+        if self.truth == "semi-markov":
+            processors = Processor.from_semi_markov_batch(
+                range(self.p), self.speeds, self.models, rngs
             )
-            for q in range(self.p)
-        ]
+        else:
+            processors = [
+                Processor.from_markov(q, self.speeds[q], self.models[q], rngs[q])
+                for q in range(self.p)
+            ]
         return Platform(processors, ncom=self.ncom)
 
     def scheduler_rng(self, trial: int, heuristic: str):
@@ -345,12 +343,7 @@ class ScenarioGenerator:
         rng = self._factory.generator("scenario", *key)
         low, high = np.log(mean_sojourn / 2.0), np.log(mean_sojourn * 2.0)
         sojourns = np.exp(rng.uniform(low, high, size=(self.p, 3)))
-        models = tuple(
-            MarkovAvailabilityModel.from_self_loops(
-                1.0 - 1.0 / row[0], 1.0 - 1.0 / row[1], 1.0 - 1.0 / row[2]
-            )
-            for row in sojourns
-        )
+        models = MarkovAvailabilityModel.from_self_loop_stack(1.0 - 1.0 / sojourns)
         speeds = tuple(
             int(rng.integers(wmin, 10 * wmin, endpoint=True))
             for _ in range(self.p)

@@ -161,6 +161,61 @@ class TestSemiMarkovSource:
                 self._embedded(), source_samplers, np.random.default_rng(0)
             )
 
+    def test_rejects_initial_outside_states(self):
+        # Used to surface as a bare KeyError at the first growth.
+        with pytest.raises(ValueError, match="initial state must be 0, 1 or 2"):
+            SemiMarkovSource(
+                self._embedded(),
+                {s: self._geometric(0.5) for s in (0, 1, 2)},
+                np.random.default_rng(0),
+                initial=7,
+            )
+
+    def test_rejects_jump_probabilities_outside_unit_interval(self):
+        # Rows sum to 1 and the diagonal is zero, but 1.5 / -0.5 are not
+        # probabilities.
+        bad = np.array([[0.0, 1.5, -0.5], [0.8, 0.0, 0.2], [1.0, 0.0, 0.0]])
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            SemiMarkovSource(
+                bad, {s: self._geometric(0.5) for s in (0, 1, 2)},
+                np.random.default_rng(0),
+            )
+
+    def test_batch_error_names_offending_processor(self):
+        good = self._embedded()
+        bad = np.array([[0.0, 1.5, -0.5], [0.8, 0.0, 0.2], [1.0, 0.0, 0.0]])
+        samplers = [{s: self._geometric(0.5) for s in (0, 1, 2)}] * 3
+        rngs = [np.random.default_rng(q) for q in range(3)]
+        with pytest.raises(ValueError, match=r"\(processor 2\)"):
+            SemiMarkovSource.batch(
+                np.stack([good, good, bad]), samplers, rngs, initials=[0, 0, 0]
+            )
+        with pytest.raises(ValueError, match=r"got 4 \(processor 1\)"):
+            SemiMarkovSource.batch(
+                np.stack([good, good, good]), samplers, rngs, initials=[0, 4, 0]
+            )
+
+    def test_batch_matches_one_source_at_a_time(self):
+        embedded = np.stack([self._embedded()] * 4)
+        samplers = [
+            {s: self._geometric(0.1 + 0.1 * q) for s in (0, 1, 2)}
+            for q in range(4)
+        ]
+        initials = [0, 1, 2, 0]
+        batch = SemiMarkovSource.batch(
+            embedded,
+            samplers,
+            [np.random.default_rng(q) for q in range(4)],
+            initials=initials,
+        )
+        for q, source in enumerate(batch):
+            single = SemiMarkovSource(
+                embedded[q], samplers[q], np.random.default_rng(q),
+                initial=initials[q],
+            )
+            assert np.array_equal(source.block(0, 5000), single.block(0, 5000))
+            assert source.run_count == single.run_count
+
 
 class TestWeibullSource:
     def test_states_valid_and_all_three_reachable(self):
@@ -586,4 +641,52 @@ class TestProcessorFromSemiMarkov:
         with pytest.raises(ValueError, match="absorbing"):
             Processor.from_semi_markov(
                 0, 10, absorbing, np.random.default_rng(0)
+            )
+
+    def test_rejects_initial_outside_states(self):
+        from repro.sim.platform import Processor
+
+        with pytest.raises(ValueError, match="initial state"):
+            Processor.from_semi_markov(
+                0, 10, self._model(), np.random.default_rng(0), initial=5
+            )
+
+    def test_batch_equals_one_processor_at_a_time(self):
+        from repro.sim.platform import Processor
+
+        models = [
+            MarkovAvailabilityModel.from_self_loops(0.9, 0.8, 0.7),
+            MarkovAvailabilityModel.from_self_loops(0.95, 0.5, 0.99),
+            MarkovAvailabilityModel.from_self_loops(0.6, 0.7, 0.8),
+        ]
+        batch = Processor.from_semi_markov_batch(
+            [0, 1, 2],
+            [3, 4, 5],
+            models,
+            [np.random.default_rng(q) for q in range(3)],
+            initials=[None, int(ProcState.DOWN), None],
+        )
+        for q, proc in enumerate(batch):
+            single = Processor.from_semi_markov(
+                q, 3 + q, models[q], np.random.default_rng(q),
+                initial=int(ProcState.DOWN) if q == 1 else None,
+            )
+            assert (proc.index, proc.speed_w) == (single.index, single.speed_w)
+            assert proc.belief is models[q]
+            assert np.array_equal(
+                proc.availability.block(0, 4000), single.availability.block(0, 4000)
+            )
+
+    def test_batch_absorbing_error_names_processor(self):
+        from repro.sim.platform import Processor
+
+        absorbing = MarkovAvailabilityModel(
+            np.array([[0.6, 0.2, 0.2], [0.3, 0.6, 0.1], [0.0, 0.0, 1.0]])
+        )
+        with pytest.raises(ValueError, match="state 2 of processor 7 is absorbing"):
+            Processor.from_semi_markov_batch(
+                [6, 7],
+                [1, 1],
+                [self._model(), absorbing],
+                [np.random.default_rng(0), np.random.default_rng(1)],
             )

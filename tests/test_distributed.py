@@ -718,6 +718,31 @@ class TestCli:
         with pytest.raises(SystemExit):
             _parse_address(":1234")
 
+    def test_coordinator_refuses_non_loopback_bind(self, capsys):
+        from repro.experiments.cli import main
+
+        with pytest.raises(SystemExit, match="unpickled.*--trust-network"):
+            main(["coordinator", "--bind", "0.0.0.0:0"])
+        with pytest.raises(SystemExit, match="non-loopback"):
+            main(["coordinator", "--bind", "example.org:9000"])
+        assert "coordinator listening" not in capsys.readouterr().err
+
+    def test_coordinator_bind_loopback_and_explicit_trust(self):
+        from repro.experiments.cli import _coordinator_address, build_parser
+
+        parser = build_parser()
+
+        def address(*extra):
+            return _coordinator_address(parser.parse_args(["coordinator", *extra]))
+
+        assert address() == ("127.0.0.1", 0)
+        assert address("--bind", "localhost:7000") == ("localhost", 7000)
+        assert address("--bind", "127.0.0.2:7000") == ("127.0.0.2", 7000)
+        assert address("--bind", "0.0.0.0:7000", "--trust-network") == (
+            "0.0.0.0",
+            7000,
+        )
+
     def test_backend_choice_includes_distributed(self):
         from repro.experiments.cli import build_parser
 

@@ -91,6 +91,35 @@ class TestModelConstruction:
         with pytest.raises(ValueError):
             MarkovAvailabilityModel(bad)
 
+    def test_self_loop_stack_matches_scalar_construction(self):
+        loops = np.random.default_rng(3).uniform(0.5, 0.999, size=(50, 3))
+        stack = MarkovAvailabilityModel.from_self_loop_stack(loops)
+        assert len(stack) == 50
+        for model, (p_uu, p_rr, p_dd) in zip(stack, loops):
+            matrix = np.array(
+                [
+                    [p_uu, 0.5 * (1.0 - p_uu), 0.5 * (1.0 - p_uu)],
+                    [0.5 * (1.0 - p_rr), p_rr, 0.5 * (1.0 - p_rr)],
+                    [0.5 * (1.0 - p_dd), 0.5 * (1.0 - p_dd), p_dd],
+                ]
+            )
+            assert model.matrix.tobytes() == MarkovAvailabilityModel(
+                matrix
+            ).matrix.tobytes()
+            assert not model.matrix.flags.writeable
+
+    def test_stack_error_names_offending_chain(self):
+        with pytest.raises(ValueError, match=r"sum to 1.*\(chain 1\)"):
+            MarkovAvailabilityModel.from_self_loop_stack(
+                [[0.9, 0.9, 0.9], [0.9, np.nan, 0.9], [0.9, 0.9, 0.9]]
+            )
+        with pytest.raises(ValueError, match=r"\[0, 1\] \(chain 2\)"):
+            MarkovAvailabilityModel.from_self_loop_stack(
+                [[0.9, 0.9, 0.9], [0.9, 0.9, 0.9], [1.5, 0.9, 0.9]]
+            )
+        with pytest.raises(ValueError, match="shape"):
+            MarkovAvailabilityModel.from_self_loop_stack([0.9, 0.9, 0.9])
+
     def test_matrix_is_readonly(self):
         model = chain()
         with pytest.raises(ValueError):

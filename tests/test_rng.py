@@ -45,6 +45,17 @@ class TestRngFactory:
     def test_root_entropy_exposed(self):
         assert RngFactory(1234).root_entropy == 1234
 
+    def test_generators_match_per_key_generator(self):
+        fac = RngFactory(2024)
+        family = fac.generators("avail", "large", 7, 3, count=5)
+        assert len(family) == 5
+        for q, gen in enumerate(family):
+            expected = fac.generator("avail", "large", 7, 3, q)
+            assert gen.random(8).tobytes() == expected.random(8).tobytes()
+
+    def test_generators_empty_family(self):
+        assert RngFactory(1).generators("avail", count=0) == []
+
 
 class TestHelpers:
     def test_generator_from_int(self):

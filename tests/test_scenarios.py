@@ -3,6 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.core.markov import MarkovAvailabilityModel
+from repro.rng import RngFactory
+from repro.sim.availability import SemiMarkovSource
+from repro.sim.platform import Processor
+from repro.types import ProcState
 from repro.workload.scenarios import (
     PAPER_N_VALUES,
     PAPER_NCOM_VALUES,
@@ -121,3 +126,95 @@ class TestTrialPairing:
         platform = scenario.build_platform(0)
         for q in range(scenario.p):
             assert platform[q].belief is scenario.models[q]
+
+
+def _reference_large_grid_models(root_seed, p, key, mean_sojourn):
+    """Chains built one row at a time, as the per-model generator did."""
+    rng = RngFactory(root_seed).generator("scenario", *key)
+    low, high = np.log(mean_sojourn / 2.0), np.log(mean_sojourn * 2.0)
+    sojourns = np.exp(rng.uniform(low, high, size=(p, 3)))
+
+    def row(self_loop, position):
+        off = 0.5 * (1.0 - self_loop)
+        r = [off, off, off]
+        r[position] = self_loop
+        return r
+
+    return [
+        MarkovAvailabilityModel(
+            np.array([row(1.0 - 1.0 / loops[s], s) for s in range(3)])
+        )
+        for loops in sojourns
+    ]
+
+
+def _reference_semi_markov_source(model, rng):
+    """One worker's run-length truth, derived and validated on its own."""
+    matrix = model.matrix
+    embedded = np.zeros((3, 3))
+    samplers = {}
+    for s in range(3):
+        leave = 1.0 - float(matrix[s, s])
+        embedded[s] = matrix[s] / leave
+        embedded[s, s] = 0.0
+        samplers[s] = lambda r, leave=leave: int(r.geometric(leave))
+    return SemiMarkovSource(embedded, samplers, rng, initial=int(ProcState.UP))
+
+
+class TestBatchedConstructionIsBitIdentical:
+    """The vectorised chain and platform builders reproduce the
+    per-processor construction byte for byte (DESIGN.md §12)."""
+
+    P = 2000
+
+    def test_large_grid_matches_per_processor_loop(self):
+        root, mean_sojourn = 4242, 1000
+        scenario = ScenarioGenerator(root, p=self.P).large_grid_scenario(
+            20, 10, 3, 1, mean_sojourn=mean_sojourn
+        )
+        models = _reference_large_grid_models(
+            root, self.P, scenario.key, mean_sojourn
+        )
+        assert [m.matrix.tobytes() for m in scenario.models] == [
+            m.matrix.tobytes() for m in models
+        ]
+        factory = RngFactory(root)
+        for trial in (0, 1):
+            platform = scenario.build_platform(trial)
+            for q, proc in enumerate(platform):
+                reference = _reference_semi_markov_source(
+                    models[q], factory.generator("avail", *scenario.key, trial, q)
+                )
+                assert proc.belief is scenario.models[q]
+                assert (
+                    proc.availability.block(0, 8000).tobytes()
+                    == reference.block(0, 8000).tobytes()
+                )
+                assert proc.availability.run_count == reference.run_count
+
+    def test_paper_family_platform_unchanged(self):
+        scenario = ScenarioGenerator(11).scenario(10, 5, 2, 0)
+        factory = RngFactory(scenario.root_seed)
+        for trial in (0, 1):
+            platform = scenario.build_platform(trial)
+            for q, proc in enumerate(platform):
+                reference = Processor.from_markov(
+                    q,
+                    scenario.speeds[q],
+                    scenario.models[q],
+                    factory.generator("avail", *scenario.key, trial, q),
+                )
+                assert proc.speed_w == reference.speed_w
+                assert (
+                    proc.availability.block(0, 3000).tobytes()
+                    == reference.availability.block(0, 3000).tobytes()
+                )
+
+    def test_unknown_truth_family_rejected(self):
+        import dataclasses
+
+        scenario = dataclasses.replace(
+            ScenarioGenerator(11).scenario(5, 5, 2, 0), truth="weibull"
+        )
+        with pytest.raises(ValueError, match="unknown ground-truth family"):
+            scenario.build_platform(0)
