@@ -55,16 +55,6 @@ that explain the ratio (the sweep touches all p by construction; the
 calendar touches only the churn).  ``--largep-smoke`` swaps in a fast
 p = 2000 short-horizon cell for CI runners.
 
-A **stacked-rounds row** (DESIGN.md §14) times one R = 16 cohort on the
-paper midpoint cell with the stacked-round driver on vs off, asserting
-bit-identical reports first.  HONEST NOTE: the measured ratio sits
-*below* parity (~0.92) — the per-run incremental caches (§10 elision
-probe reuse, §12 row stores, the persistent delta cache) already absorb
-the scoring work the stacked pass fuses, and the pause/resume seam taxes
-every scheduling round; the row records ``rows_scored_stacked`` to prove
-the driver really served the cohort, and its gate bounds the seam tax
-rather than claiming a speedup.
-
 A **relaxed-policy row** (recorded, never gated) times one cell under
 ``replan_policy="sticky"`` against the event-driven default and records
 the speedup *and* the makespan deviation it buys — relaxed policies
@@ -93,9 +83,6 @@ the array instance store's body regresses below the legacy list store;
 ``--min-elision-speedup`` (default 0.95) fails it when the exact elision
 tier costs measurable wall-clock instead of being free (the probe-stash
 reuse landed the gated-cell ratio at ~0.99);
-``--min-stacked-speedup`` (default 0.85) fails it when the stacked-round
-driver regresses further below the plain cohort engine on its gated
-cell;
 ``--min-trace-compression`` (default 6.0) fails it when the RLE sources
 stop beating the dense representation on the long-horizon cell;
 ``--min-largep-speedup`` (default 1.0) fails it when the event-calendar
@@ -155,12 +142,6 @@ RELAXED_CELL: Tuple[int, int, int] = (20, 10, 5)
 #: share belief columns — the production campaign shape.
 BATCH_CELLS: Tuple[Tuple[int, int, int], ...] = ((20, 10, 5), (40, 20, 10))
 BATCH_COHORTS: Tuple[int, ...] = (4, 16)
-
-#: Stacked-round cells (DESIGN.md §14): the cohort engine with the
-#: stacked-round driver on vs off, at the paper midpoint and R=16 — the
-#: cohort shape whose rounds the driver scores in one (R, p) pass.
-STACKED_CELL: Tuple[int, int, int] = (20, 10, 5)
-STACKED_COHORT = 16
 
 #: Large-platform calendar cells (DESIGN.md §12): the platform event
 #: calendar vs the O(p)-per-boundary sweep oracle on the seed-stable
@@ -574,12 +555,7 @@ def _bench_batch_engine(
                 per_run_reports = [run_standalone(spec) for spec in specs]
                 per_run_s = time.perf_counter() - start
                 start = time.perf_counter()
-                # stack_rounds pinned off: this section measures the §11
-                # cohort engine itself; the stacked-round driver has its
-                # own section (and gate) below.
-                batch_reports = BatchCampaignRunner(
-                    specs, stack_rounds=False
-                ).run()
+                batch_reports = BatchCampaignRunner(specs).run()
                 batch_s = time.perf_counter() - start
                 for spec, ref, got in zip(specs, per_run_reports, batch_reports):
                     if (
@@ -616,79 +592,6 @@ def _bench_batch_engine(
         "per_run_seconds_total": round(per_run_total, 4),
         "batch_seconds_total": round(batch_total, 4),
         "batch_speedup": round(per_run_total / batch_total, 3),
-        "reports_identical": True,
-    }
-
-
-def _bench_stacked_rounds(
-    generator: ScenarioGenerator,
-    *,
-    repetitions: int,
-    heuristics: Sequence[str] = HEURISTICS,
-    cell: Tuple[int, int, int] = STACKED_CELL,
-    cohort: int = STACKED_COHORT,
-) -> Dict:
-    """Stacked-round driver vs. the plain cohort engine (DESIGN.md §14).
-
-    Times one R-run cohort with ``stack_rounds`` on and off; reports are
-    asserted bit-identical before timings count.  The honest ratio sits
-    *below* 1.0 (~0.92 measured): the per-run incremental round caches
-    (§10 elision, §12 row stores, the persistent delta cache) already
-    absorb the scoring work the stacked pass fuses, and the pause/resume
-    seam taxes every scheduling round — the measured decomposition (seam
-    cost vs. driver value, free-seam ceiling ~1.05x) is in DESIGN.md
-    §14.  The gate guards the seam against regressing further, and
-    ``rows_scored_stacked`` documents that the driver really served the
-    cohort (0 would mean every member fell back per-run).
-    """
-    from repro.sim.batch_engine import BatchCampaignRunner, BatchRunSpec
-
-    n, ncom, wmin = cell
-    scenario = generator.scenario(n, ncom, wmin, 0)
-    trial_count = max(1, cohort // len(heuristics))
-    specs = [
-        BatchRunSpec(scenario=scenario, trial=trial, heuristic=heuristic)
-        for trial in range(trial_count)
-        for heuristic in heuristics
-    ]
-    best = {"cohort": float("inf"), "stacked": float("inf")}
-    rows_scored = 0
-    demotions = 0
-    for _rep in range(max(1, repetitions)):
-        start = time.perf_counter()
-        base_reports = BatchCampaignRunner(specs, stack_rounds=False).run()
-        cohort_s = time.perf_counter() - start
-        runner = BatchCampaignRunner(specs, stack_rounds=True)
-        start = time.perf_counter()
-        stacked_reports = runner.run()
-        stacked_s = time.perf_counter() - start
-        rows_scored = runner.rows_scored_stacked
-        demotions = runner.demotions
-        for spec, ref, got in zip(specs, base_reports, stacked_reports):
-            if (
-                got.makespan != ref.makespan
-                or got.slots_simulated != ref.slots_simulated
-                or got.scheduler_rounds != ref.scheduler_rounds
-            ):  # pragma: no cover - would be an engine bug
-                raise AssertionError(
-                    f"stacked rounds diverged on {cell} "
-                    f"trial={spec.trial} {spec.heuristic}: "
-                    f"{got.makespan} != {ref.makespan}"
-                )
-        best["cohort"] = min(best["cohort"], cohort_s)
-        best["stacked"] = min(best["stacked"], stacked_s)
-    return {
-        "cell": {"n": n, "ncom": ncom, "wmin": wmin},
-        "cohort": len(specs),
-        "heuristics": list(heuristics),
-        "cohort_seconds": round(best["cohort"], 4),
-        "stacked_seconds": round(best["stacked"], 4),
-        "cohort_rate": round(len(specs) / best["cohort"], 3),
-        "stacked_rate": round(len(specs) / best["stacked"], 3),
-        "stacked_speedup": round(best["cohort"] / best["stacked"], 3),
-        "rows_scored_stacked": rows_scored,
-        "demotions": demotions,
-        "gated": best["cohort"] >= NOISE_FLOOR_SECONDS,
         "reports_identical": True,
     }
 
@@ -819,7 +722,6 @@ def run_benchmark(
     long_deadline: bool = True,
     relaxed_policy: bool = True,
     batch_engine: bool = True,
-    stacked_rounds: bool = True,
     large_platform: bool = True,
     largep_smoke: bool = False,
     largep_xl: bool = False,
@@ -916,15 +818,6 @@ def run_benchmark(
             heuristics=heuristics,
         )
         document["batch_speedup"] = document["batch_engine"]["batch_speedup"]
-    if stacked_rounds:
-        document["stacked_rounds"] = _bench_stacked_rounds(
-            generator,
-            repetitions=min(repetitions, 2),
-            heuristics=heuristics,
-        )
-        document["stacked_speedup"] = document["stacked_rounds"][
-            "stacked_speedup"
-        ]
     if large_platform:
         if largep_smoke:
             document["large_platform"] = _bench_large_platform(
@@ -1029,20 +922,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--min-stacked-speedup",
-        type=float,
-        default=0.85,
-        help=(
-            "exit non-zero when the stacked-round driver falls below this "
-            "ratio over the plain cohort engine on the gated stacked cell "
-            "(cohort seconds / stacked seconds).  The honest ratio is "
-            "~0.92, below parity: the per-run incremental caches already "
-            "absorb what stacking fuses and the pause seam taxes every "
-            "round (DESIGN.md §14) — the gate guards the seam against "
-            "regressing further, not a speedup claim"
-        ),
-    )
-    parser.add_argument(
         "--min-largep-speedup",
         type=float,
         default=1.0,
@@ -1091,11 +970,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="skip the >=100k-slot deadline cell (quick local runs)",
     )
     parser.add_argument(
-        "--skip-stacked",
-        action="store_true",
-        help="skip the stacked-round driver cell (quick local runs)",
-    )
-    parser.add_argument(
         "--skip-batch-engine",
         action="store_true",
         help="skip the batch cohort engine cells (quick local runs)",
@@ -1127,7 +1001,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         long_deadline=not args.skip_long_deadline,
         relaxed_policy=not args.skip_relaxed_policy,
         batch_engine=not args.skip_batch_engine,
-        stacked_rounds=not args.skip_stacked,
         large_platform=not args.skip_largep,
         largep_smoke=args.largep_smoke,
         largep_xl=args.largep_xl,
@@ -1144,12 +1017,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "body_speedup": document["body_speedup"],
                 "elision_speedup": document["elision_speedup"],
                 "batch_speedup": document.get("batch_speedup"),
-                "stacked_speedup": document.get("stacked_speedup"),
-                "rows_scored_stacked": (
-                    document["stacked_rounds"]["rows_scored_stacked"]
-                    if "stacked_rounds" in document
-                    else None
-                ),
                 # Cell parameters, so a trajectory line is interpretable
                 # without digging up the BENCH_sim.json it came from.
                 "cells": [list(cell) for cell in TABLE2_SAMPLE],
@@ -1184,7 +1051,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             for row in document["results"]
         )
         batch = document.get("batch_speedup")
-        stacked = document.get("stacked_speedup")
         largep_ratio = document.get("largep_speedup")
         print(
             f"wrote {args.out} (overall span {document['speedup']}x, "
@@ -1193,7 +1059,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"elision {document['elision_speedup']}x over "
             f"{document['rounds_elided_total']} elided rounds"
             + (f", batch {batch}x" if batch is not None else "")
-            + (f", stacked {stacked}x" if stacked is not None else "")
             + (f", large-p {largep_ratio}x" if largep_ratio is not None else "")
             + f"; per-cell span/sched/body/elision: {cells})",
             file=sys.stderr,
@@ -1239,20 +1104,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"FAIL: batch engine speedup {batch_speedup} < "
             f"{args.min_batch_speedup} (the cohort engine regressed below "
             "the per-run oracle on the gated batch cells)",
-            file=sys.stderr,
-        )
-        failed = True
-    stacked_row = document.get("stacked_rounds")
-    if (
-        stacked_row is not None
-        and stacked_row["gated"]
-        and stacked_row["stacked_speedup"] < args.min_stacked_speedup
-    ):
-        print(
-            f"FAIL: stacked-round speedup {stacked_row['stacked_speedup']} "
-            f"< {args.min_stacked_speedup} (the stacked-round pause seam "
-            "regressed further below the plain cohort engine on the "
-            f"gated R={stacked_row['cohort']} cell)",
             file=sys.stderr,
         )
         failed = True

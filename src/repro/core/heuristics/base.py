@@ -631,16 +631,11 @@ class GreedyScheduler(Scheduler):
     # -- per-round cache for the array path -------------------------------
     _round_version = None
     _round_cache: Optional[dict] = None
-    # -- cross-round persistent cache (delta-patched, DESIGN.md §8/§14) ---
+    # -- cross-round persistent cache (delta-patched, DESIGN.md §8) ------
     _persist: Optional[dict] = None
     # -- cross-round persistent score rows (DESIGN.md §11/§12) ------------
     _row_store: Optional[dict] = None
     _row_store_rs = None
-    # -- stacked-round precomputed plan (DESIGN.md §14) -------------------
-    #: ``(rs.version, n_tasks, placements)`` installed by the cohort
-    #: driver; consumed (and cleared) by the next unrestricted
-    #: ``place_array`` call against the same round-state version.
-    _stacked_plan: Optional[tuple] = None
     #: Candidate-set instrumentation (DESIGN.md §12): score evaluations
     #: actually run vs. stamped rows reused verbatim from the persistent
     #: store.  ``rows_scored`` after warm-up is the candidate-set size —
@@ -756,12 +751,6 @@ class GreedyScheduler(Scheduler):
             pinned_zero[i] = int(pinned_count[q]) == 0
         row0 = cache["row0"]
         keys_map = cache["row0_keys"]
-        # Score rows without CT coefficients (installed whole by the
-        # stacked driver) cannot be patched per position — drop them so
-        # they recompute instead of serving stale values.
-        for stale in [f for f in row0 if f not in cache["ct"]]:
-            del row0[stale]
-            keys_map.pop(stale, None)
         gathers = cache["gathers"]
         if gathers is not None:
             delay_list, speed_list = gathers
@@ -1138,116 +1127,6 @@ class GreedyScheduler(Scheduler):
         self.rows_reused += len(row) - scored
         return row
 
-    # -- stacked-round scoring (DESIGN.md §14) ----------------------------
-    def score_batch_stacked(self, stacked, rows, factors, ct0, members):
-        """Cohort-wide ``n_q = 0`` score rows in one pass, or ``None``.
-
-        The stacked-round driver calls this once per (scheduler kind,
-        contention factor profile) group with the full-width integer CT
-        matrix ``ct0`` (shape ``(K, p)``: ``Delay + factor·t_data + w``
-        per member row — exact int64, only UP positions meaningful) and
-        asks for every member's ``n_q = 0`` score row at once.
-
-        Args:
-            stacked: the cohort's
-                :class:`~repro.core.heuristics.round_state.StackedRoundState`.
-            rows: each member's stacked row index, aligned with ``ct0``.
-            factors: each member's (uniform) contention factor.
-            ct0: the ``(K, p)`` int64 CT matrix at ``n_q = 0``.
-            members: aligned ``(rs, cache)`` pairs — the member's
-                :class:`RoundState` and its current ``_round_setup`` dict.
-
-        Returns:
-            A list of K Python float lists — member ``k``'s score row
-            aligned with its ``cache["up_list"]`` — or ``None`` when the
-            heuristic has no stacked kernel (the driver then leaves that
-            group to the per-run path, bit-identically).  Every returned
-            value must be bit-identical to what :meth:`_score_ct_row`
-            would produce for the same ``(ct, position)``: elementwise
-            add/mul/max vectorise exactly, while exponentiation must stay
-            scalar ``math.pow`` (the 1-ulp rule, see :func:`pow_batch`)
-            — LW/UD therefore route through the stamped store
-            (:meth:`_stacked_rows_via_store`) rather than ``np.power``.
-        """
-        return None
-
-    def _stacked_rows_via_store(self, stacked, rows, factors, ct0, members):
-        """Stacked score rows through the cohort-wide persistent store.
-
-        The :class:`StackedRoundState` keeps ``(values, stamps)`` (C, p)
-        matrices per (scheduler kind, factor): a member's score at ``q``
-        is reused verbatim while ``col_stamp[row, q]`` has not moved —
-        the cohort twin of :meth:`_row0_stamped` — and only stamped-out
-        entries re-run the scalar :meth:`_score_ct_one` (preserving the
-        ``math.pow`` 1-ulp rule, which is why the pow-based LW/UD rows
-        cannot be a single vectorised expression).  Scores depend only on
-        the stamped columns, the member-static ``t_data``/beliefs and the
-        factor, and rows are stamp-reset on attach, so a hit can never
-        serve another occupant's (or a stale) value.
-        """
-        kind = type(self).__name__
-        out = []
-        for k, (rs, cache) in enumerate(members):
-            row = rows[k]
-            values, stamps = stacked.store(kind, factors[k])
-            value_row = values[row]
-            stamp_row = stamps[row]
-            ix = cache.get("up_ix")
-            if ix is None:
-                ix = cache["up_ix"] = np.array(cache["up_list"], dtype=np.intp)
-            cur = stacked.col_stamp[row][ix]
-            misses = np.nonzero(stamp_row[ix] != cur)[0]
-            if misses.size == 0:
-                member_row = value_row[ix].tolist()
-                self.rows_reused += len(member_row)
-            elif 2 * int(misses.size) >= ix.size:
-                # Mostly stale (fresh attach, factor flip): one hoisted
-                # full-row pass — `_score_ct_row` is the documented
-                # bit-identical twin of per-position `_score_ct_one`.
-                member_row = self._score_ct_row(rs, cache, ct0[k][ix].tolist())
-                value_row[ix] = member_row
-                stamp_row[ix] = cur
-                self.rows_scored += len(member_row)
-            else:
-                member_row = value_row[ix].tolist()
-                scorer = self._stacked_scorer(rs, cache, factors[k])
-                cts = ct0[k][ix].tolist()
-                miss_list = misses.tolist()
-                for i in miss_list:
-                    member_row[i] = scorer(cts[i], i)
-                value_row[ix[misses]] = [member_row[i] for i in miss_list]
-                stamp_row[ix[misses]] = cur[misses]
-                self.rows_scored += len(miss_list)
-                self.rows_reused += len(member_row) - len(miss_list)
-            out.append(member_row)
-        return out
-
-    def _stacked_scorer(self, rs: RoundState, cache: dict, factor):
-        """A hoisted ``(ct, i) -> score`` closure for tight re-score loops.
-
-        Bit-identical to :meth:`_score_ct_one` by construction — the
-        subclasses hoist their belief gathers out of the per-call body
-        (the values are member-static for the round), nothing else
-        changes.  Returns ``None`` when the scheduler has no scalar CT
-        hook."""
-        score_one = self._score_ct_one
-        if score_one is None:
-            return None
-        return lambda ct, i: score_one(rs, cache, ct, i)
-
-    def _extract_stacked_rows(self, scores, members):
-        """Gather each member's UP positions out of a full-width (K, p)
-        float64 score matrix (the tail shared by the vectorisable stacked
-        kernels).  ``tolist`` round-trips float64 exactly, so the lists
-        equal the scalar assemblies bit for bit."""
-        out = []
-        for k, (_rs, cache) in enumerate(members):
-            up_list = cache["up_list"]
-            row = scores[k].take(up_list).tolist() if up_list else []
-            self.rows_scored += len(row)
-            out.append(row)
-        return out
-
     def place_array(
         self,
         rs: RoundState,
@@ -1279,25 +1158,6 @@ class GreedyScheduler(Scheduler):
             # with belief-less UP processors it would raise where this
             # path returns — irrelevant to any simulated outcome.)
             return []
-        plan = self._stacked_plan
-        if plan is not None:
-            # Stacked-round precompute (DESIGN.md §14): the cohort driver
-            # already ran this exact unrestricted placement through the
-            # cohort-wide argmin loop.  The plan is a pure function of
-            # (columns at ``rs.version``, ``n_tasks``) — the same
-            # invariant the version-keyed ``_round_setup`` cache rests
-            # on — so it persists and keeps serving (relevance-gate
-            # probe, the post-gate placement, elided-round re-probes)
-            # until a column write bumps ``rs.version`` and retires it.
-            plan_version, plan_count, placed = plan
-            if (
-                allowed is None
-                and plan_version == rs.version
-                and plan_count == n_tasks
-            ):
-                return placed
-            if plan_version != rs.version:
-                self._stacked_plan = None
         cache = self._round_setup(rs)
         if n_tasks == 1:
             single = self._place_one(rs, cache, allowed)

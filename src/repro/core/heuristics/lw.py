@@ -101,12 +101,3 @@ class LwScheduler(GreedyScheduler):
         p_plus_up = self._gather_belief(rs, cache, "p_plus", "LW needs one")
         return math.pow(p_plus_up[i], ct)
 
-    def _stacked_scorer(self, rs: RoundState, cache: dict, factor):
-        p_plus_up = self._gather_belief(rs, cache, "p_plus", "LW needs one")
-        pow_ = math.pow
-        return lambda ct, i: pow_(p_plus_up[i], ct)
-
-    # The LW score ends in ``pow``, which must stay scalar libm ``pow``
-    # (the 1-ulp rule, :func:`~.base.pow_batch`) — so the stacked kernel
-    # is the stamped-store path: vectorised reuse, scalar misses.
-    score_batch_stacked = GreedyScheduler._stacked_rows_via_store

@@ -80,15 +80,6 @@ class MctScheduler(GreedyScheduler):
     def _score_ct_one(self, rs: RoundState, cache: dict, ct: int, i: int) -> float:
         return float(ct)
 
-    def _stacked_scorer(self, rs: RoundState, cache: dict, factor):
-        return lambda ct, i: float(ct)
-
-    def score_batch_stacked(self, stacked, rows, factors, ct0, members):
-        # The MCT score *is* the CT: one exact int64 → float64 cast of the
-        # whole (K, p) matrix (lossless below 2**53, the simulator's slot
-        # bound) equals the scalar ``float(ct)`` per element.
-        return self._extract_stacked_rows(ct0.astype(np.float64), members)
-
 
 class EmctScheduler(GreedyScheduler):
     """``EMCT`` / ``EMCT*``: expected completion time under Theorem 2.
@@ -171,18 +162,3 @@ class EmctScheduler(GreedyScheduler):
         e_up = self._gather_belief(rs, cache, "e_up", "EMCT needs one")
         return 1.0 + max(ct - 1.0, 0.0) * e_up[i]
 
-    def _stacked_scorer(self, rs: RoundState, cache: dict, factor):
-        e_up = self._gather_belief(rs, cache, "e_up", "EMCT needs one")
-        return lambda ct, i: 1.0 + max(ct - 1.0, 0.0) * e_up[i]
-
-    def score_batch_stacked(self, stacked, rows, factors, ct0, members):
-        # Theorem 2's E = 1 + (W-1)·E(up) is sub/max/mul/add only — every
-        # op vectorises to the identical IEEE-754 result elementwise (the
-        # 1-ulp caveat is specific to ``pow``), so the whole cohort scores
-        # in one (K, p) expression.  NaN e_up entries (missing beliefs)
-        # propagate exactly as the scalar row does; the NaN routing in
-        # ``place_array`` owns the error semantics either way.
-        e_up = np.stack([rs.belief_column("e_up") for rs, _cache in members])
-        return self._extract_stacked_rows(
-            1.0 + np.maximum(ct0 - 1.0, 0.0) * e_up, members
-        )

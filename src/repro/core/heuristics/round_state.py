@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -57,7 +57,7 @@ from ...types import ProcState
 from ..expectation import expected_next_up, p_plus
 from ..markov import MarkovAvailabilityModel
 
-__all__ = ["RoundState", "StackedRoundState", "LazyViewSequence"]
+__all__ = ["RoundState", "LazyViewSequence"]
 
 #: Process-global refresh-token source (see :attr:`RoundState.version`).
 _VERSION_COUNTER = itertools.count(1)
@@ -485,154 +485,3 @@ class RoundState:
             rs.prog_remaining[q] = view.prog_remaining
         return rs
 
-
-class StackedRoundState:
-    """(R, p) column matrices over a cohort of :class:`RoundState`\\ s.
-
-    The stacked-round engine (DESIGN.md §14) scores every cohort member's
-    ``n_q = 0`` row in one vectorised pass, which wants the per-run
-    worker columns contiguous as an (R, p) matrix.  Rather than gathering
-    R small arrays per round, the cohort driver *attaches* each member's
-    RoundState once: the member's dynamic columns are copied into a row
-    of the shared matrices and the RoundState attributes are re-bound to
-    zero-copy row views — the master's incremental refresh keeps writing
-    ``rs.delay[index] = ...`` exactly as before, and every write lands in
-    the matrix.  The per-run oracle path is untouched: a row view behaves
-    like the private array it replaced (same dtype, shape and values),
-    and :meth:`detach` restores private arrays bit-for-bit (demotion).
-
-    ``state`` is deliberately **not** stacked: the master re-binds
-    ``rs.state`` to the boundary state vector (the calendar's persistent
-    buffer) every step, so a row view could never stay authoritative.
-    ``col_stamp`` *is* stacked (as an int64 row, replacing the Python
-    list — every consumer already accepts either), giving the stacked
-    scorers one (R, p) stamp matrix for cohort-wide hit tests.
-
-    Rows are free-listed like the batch runner's cohort table; matrices
-    grow geometrically, re-binding every attached member's views after
-    reallocation.  Per-``(kind, factor)`` persistent score stores —
-    values + stamps, the cohort-wide twin of
-    ``GreedyScheduler._row_store`` — live here too, so LW/UD rows
-    survive across rounds with one vectorised miss test per round.
-    """
-
-    _COLUMNS = ("delay", "pinned_count", "has_program", "prog_remaining",
-                "speed_w")
-
-    def __init__(self, p: int, capacity: int = 4):
-        if p <= 0:
-            raise ValueError(f"p must be positive, got {p}")
-        self.p = int(p)
-        capacity = max(1, int(capacity))
-        self._capacity = capacity
-        self.delay = np.zeros((capacity, p), dtype=np.int64)
-        self.pinned_count = np.zeros((capacity, p), dtype=np.int64)
-        self.has_program = np.zeros((capacity, p), dtype=bool)
-        self.prog_remaining = np.zeros((capacity, p), dtype=np.int64)
-        self.speed_w = np.zeros((capacity, p), dtype=np.int64)
-        self.col_stamp = np.zeros((capacity, p), dtype=np.int64)
-        self._free: List[int] = list(range(capacity - 1, -1, -1))
-        self._attached: Dict[int, RoundState] = {}  # row -> member
-        self._rows: Dict[int, int] = {}  # id(rs) -> row
-        #: (kind, factor) -> (values (C, p) float64, stamps (C, p) int64)
-        self._stores: Dict[Tuple, Tuple[np.ndarray, np.ndarray]] = {}
-
-    def __len__(self) -> int:
-        return len(self._attached)
-
-    def row_of(self, rs: RoundState) -> Optional[int]:
-        """The attached row of ``rs``, or ``None``."""
-        return self._rows.get(id(rs))
-
-    def _grow(self) -> None:
-        new_capacity = self._capacity * 2
-        for name in self._COLUMNS + ("col_stamp",):
-            old = getattr(self, name)
-            grown = np.zeros((new_capacity, self.p), dtype=old.dtype)
-            grown[: self._capacity] = old
-            setattr(self, name, grown)
-        for key, (values, stamps) in list(self._stores.items()):
-            grown_values = np.zeros((new_capacity, self.p), dtype=np.float64)
-            grown_values[: self._capacity] = values
-            grown_stamps = np.full((new_capacity, self.p), -1, dtype=np.int64)
-            grown_stamps[: self._capacity] = stamps
-            self._stores[key] = (grown_values, grown_stamps)
-        self._free.extend(range(new_capacity - 1, self._capacity - 1, -1))
-        self._capacity = new_capacity
-        # Re-bind every attached member's views into the new buffers.
-        for row, rs in self._attached.items():
-            self._bind(rs, row)
-
-    def _bind(self, rs: RoundState, row: int) -> None:
-        rs.delay = self.delay[row]
-        rs.pinned_count = self.pinned_count[row]
-        rs.has_program = self.has_program[row]
-        rs.prog_remaining = self.prog_remaining[row]
-        rs.speed_w = self.speed_w[row]
-        rs.col_stamp = self.col_stamp[row]
-
-    def attach(self, rs: RoundState) -> int:
-        """Adopt ``rs``'s dynamic columns into a matrix row (idempotent).
-
-        Current values are copied in, then the attributes become row
-        views — zero-copy from here on.  Any store row is stamp-reset so
-        a recycled row can never serve a previous occupant's scores.
-        """
-        if len(rs) != self.p:
-            raise ValueError(
-                f"cannot attach a {len(rs)}-processor state to a "
-                f"p={self.p} stack"
-            )
-        row = self._rows.get(id(rs))
-        if row is not None:
-            return row
-        if not self._free:
-            self._grow()
-        row = self._free.pop()
-        self.delay[row] = rs.delay
-        self.pinned_count[row] = rs.pinned_count
-        self.has_program[row] = rs.has_program
-        self.prog_remaining[row] = rs.prog_remaining
-        self.speed_w[row] = rs.speed_w
-        self.col_stamp[row] = rs.col_stamp
-        for _values, stamps in self._stores.values():
-            stamps[row] = -1
-        self._bind(rs, row)
-        self._attached[row] = rs
-        self._rows[id(rs)] = row
-        return row
-
-    def detach(self, rs: RoundState) -> None:
-        """Restore ``rs`` to private arrays and free its row.
-
-        The demotion contract (DESIGN.md §14): a member leaving the
-        cohort must not keep views into a row the free list will hand to
-        the next admit.  Values are copied back bit-for-bit, including
-        ``col_stamp`` as a Python list again (its pre-attach form).
-        """
-        row = self._rows.pop(id(rs), None)
-        if row is None:
-            return
-        del self._attached[row]
-        rs.delay = self.delay[row].copy()
-        rs.pinned_count = self.pinned_count[row].copy()
-        rs.has_program = self.has_program[row].copy()
-        rs.prog_remaining = self.prog_remaining[row].copy()
-        rs.speed_w = self.speed_w[row].copy()
-        rs.col_stamp = self.col_stamp[row].tolist()
-        self._free.append(row)
-
-    def store(self, kind, factor: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The persistent (values, stamps) matrices for ``(kind, factor)``.
-
-        ``kind`` keys the score family (scheduler class); ``factor`` the
-        contention factor the row was scored at.  Stamps start at -1
-        (never equal to a live stamp), so fresh rows always miss.
-        """
-        key = (kind, factor)
-        pair = self._stores.get(key)
-        if pair is None:
-            values = np.zeros((self._capacity, self.p), dtype=np.float64)
-            stamps = np.full((self._capacity, self.p), -1, dtype=np.int64)
-            pair = self._stores[key] = (values, stamps)
-        return pair

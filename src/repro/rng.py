@@ -15,18 +15,16 @@ are reproducible from the root.
 
 from __future__ import annotations
 
-from typing import Iterable, List, NamedTuple, Union
+from typing import Iterable, List, Union
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_SCHEDULER_SEED",
     "RngFactory",
-    "RunStreams",
     "default_scheduler_rng",
     "generator_from",
     "derive_seed",
-    "spawn_run_streams",
 ]
 
 SeedLike = Union[int, np.random.SeedSequence, None]
@@ -128,59 +126,6 @@ class RngFactory:
             )
             for q in range(count)
         ]
-
-
-class RunStreams(NamedTuple):
-    """The per-run stream bundle of one simulation run.
-
-    Attributes:
-        scheduler: the heuristic's internal randomness.
-        bootstrap: auxiliary draws made before the simulation starts
-            (initial-state sampling, tie-break salts in future studies).
-        availability: the ground-truth state-transition stream.
-    """
-
-    scheduler: np.random.Generator
-    bootstrap: np.random.Generator
-    availability: np.random.Generator
-
-
-def spawn_run_streams(master_seed: SeedLike, n: int) -> List[RunStreams]:
-    """Derive ``n`` independent per-run stream bundles from one seed.
-
-    The single derivation rule for multi-run drivers (the batch campaign
-    engine's standalone cohorts, benchmarks, test sweeps): run ``i``
-    gets the named children ``("run", i, "sched" | "boot" | "avail")``
-    of ``master_seed``, so streams are independent across runs *and*
-    across roles, and any run can be replayed in isolation from
-    ``(master_seed, i)`` alone.  Replaces ad-hoc ``seed + i`` arithmetic,
-    which silently correlates neighbouring runs.
-
-    Campaign units keep their scenario-keyed derivation
-    (:meth:`~repro.workload.scenarios.Scenario.scheduler_rng` /
-    :meth:`~repro.workload.scenarios.Scenario.build_platform`): there the
-    availability stream must be shared across heuristics of one trial,
-    which is a different contract from the independent bundles produced
-    here.
-
-    Args:
-        master_seed: root entropy for the whole batch of runs.
-        n: number of runs.
-
-    Returns:
-        One :class:`RunStreams` per run, in run order.
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    factory = RngFactory(master_seed)
-    return [
-        RunStreams(
-            scheduler=factory.generator("run", i, "sched"),
-            bootstrap=factory.generator("run", i, "boot"),
-            availability=factory.generator("run", i, "avail"),
-        )
-        for i in range(n)
-    ]
 
 
 def generator_from(seed: SeedLike) -> np.random.Generator:

@@ -471,21 +471,12 @@ class MasterSimulator:
         #: never mutates them).  ``None`` (the default, and the per-run
         #: oracle) keeps the direct reads.
         self.states_provider: Optional[Callable[[int], list]] = None
-        # Resumable-run state (begin_run/advance_until/finish_run).
+        # Run-loop state (begin_run/advance_until/finish_run; run and
+        # run_slots drive the same three calls).
         self._resume_budget: Optional[int] = None
         self._resume_slot = 0
         self._run_over = False
         self._resume_span = False
-        #: Stacked-round cohort seam (DESIGN.md §14): when set, a step
-        #: whose scheduling round survives the triviality check *pauses*
-        #: after the round's read-only prepare phase instead of executing
-        #: it — :meth:`advance_until` returns with :attr:`round_pending`
-        #: True, the cohort driver scores the whole cohort's rounds in
-        #: one stacked pass, and :meth:`resume_round` executes the round
-        #: and finishes the interrupted step.  Off (the default) the
-        #: round runs inline exactly as before.
-        self.stack_rounds = False
-        self._round_pending: Optional[tuple] = None
 
     @property
     def round_state(self) -> RoundState:
@@ -1197,26 +1188,8 @@ class MasterSimulator:
             )
 
     def _scheduling_round(self, slot: int, states: np.ndarray) -> None:
-        pend = self._round_prepare(slot, states)
-        if pend is not None:
-            self._round_execute(slot, states, pend)
-
-    def _round_prepare(self, slot: int, states: np.ndarray) -> Optional[tuple]:
-        """The read-only first half of a scheduling round.
-
-        Runs the triviality check, the proactive pre-pass and the round
-        counters, collects the unpinned instances and (on the array API)
-        refreshes the :class:`RoundState` — everything a round does
-        *before* any scoring.  Returns ``None`` when the round was
-        trivial (nothing further to do), else the pending-round tuple
-        ``(originals, replicas, dirty_mask, rs)`` that
-        :meth:`_round_execute` consumes.  The split is the stacked-round
-        pause point (DESIGN.md §14): between prepare and execute the
-        simulation is untouched, so a cohort driver may score many runs'
-        rounds in one stacked pass and resume each bit-identically.
-        """
         if self._round_is_trivial(states):
-            return None
+            return
         if self.options.proactive:
             self._proactive_round(slot, states)
         self.report.scheduler_rounds += 1
@@ -1241,23 +1214,13 @@ class MasterSimulator:
                     (replicas if inst.replica_id else originals).append(inst)
         originals.sort(key=lambda inst: inst.task_id)
 
+        placements: Optional[List[Optional[int]]] = None
+        decisions: Optional[List[tuple]] = None
         if self.options.scheduler_api == "array":
             # With replicas dropped, the unpinned originals are exactly the
             # context's ``m - m'`` remaining tasks.
             dirty_mask = bytes(self._rs_dirty) if self._relevance else b""
             rs = self._refresh_round_state(slot, states, len(originals))
-        else:
-            dirty_mask = b""
-            rs = None
-        return (originals, replicas, dirty_mask, rs)
-
-    def _round_execute(self, slot: int, states: np.ndarray, pend: tuple) -> None:
-        """Execute a prepared scheduling round (scoring + mutation)."""
-        originals, replicas, dirty_mask, rs = pend
-        tbl = self._tbl
-        placements: Optional[List[Optional[int]]] = None
-        decisions: Optional[List[tuple]] = None
-        if rs is not None:
             scheduler = self.scheduler
 
             def place_batch(n: int, allowed=None) -> List[Optional[int]]:
@@ -2156,25 +2119,8 @@ class MasterSimulator:
 
         if self._need_replan or self.options.replan_every_slot:
             self._need_replan = False
-            if self.stack_rounds:
-                # Stacked-round pause (DESIGN.md §14): run the read-only
-                # prepare phase, then hand the step back to the cohort
-                # driver.  resume_round() executes the round and the
-                # remainder of this step; a trivial round needs no
-                # stacked scoring, so the step continues inline.
-                pend = self._round_prepare(slot, states)
-                if pend is not None:
-                    self._round_pending = (slot, states, pend)
-                    return False
-            else:
-                self._scheduling_round(slot, states)
+            self._scheduling_round(slot, states)
 
-        return self._step_tail(slot, states)
-
-    def _step_tail(self, slot: int, states: np.ndarray) -> bool:
-        """The post-round remainder of :meth:`_step` (compute, transfer,
-        audit, commit bookkeeping); shared verbatim with
-        :meth:`resume_round`."""
         self._compute_step(slot, states)
         self._transfer_step(slot, states)
 
@@ -2738,33 +2684,6 @@ class MasterSimulator:
                         "computing instance overshot its completion"
                     )
 
-    def _run_loop(self, budget: int) -> None:
-        """Advance the simulation up to ``budget`` slots (either mode)."""
-        # The calendar's heap sentinels are budget-relative, so the
-        # engine can only engage once the budget is known.
-        self._cal_last = budget - 1
-        if self._step_mode_effective() == "slot":
-            for slot in range(budget):
-                finished = self._step(slot)
-                self.report.slots_simulated = slot + 1
-                if finished:
-                    return
-            return
-        self._next_change_cache = [None] * len(self.workers)
-        self._next_up_cache = [None] * len(self.workers)
-        self._next_down_cache = [None] * len(self.workers)
-        slot = 0
-        while slot < budget:
-            finished = self._step(slot)
-            self.report.slots_simulated = slot + 1
-            if finished:
-                return
-            quiet = self._quiet_span(slot, budget)
-            if quiet > 0:
-                self._advance_quiet(slot + 1, quiet)
-                self.report.slots_simulated = slot + 1 + quiet
-            slot += 1 + quiet
-
     def run(self, max_slots: Optional[int] = None) -> SimulationReport:
         """Run until the target iterations complete (or ``max_slots``).
 
@@ -2772,11 +2691,9 @@ class MasterSimulator:
             The populated :class:`~repro.sim.metrics.SimulationReport`;
             ``report.makespan`` is ``None`` if the slot budget ran out.
         """
-        budget = max_slots if max_slots is not None else self.options.max_slots
-        budget = require_positive_int(budget, "max_slots")
-        self._run_loop(budget)
-        self._finalize()
-        return self.report
+        self.begin_run(max_slots)
+        self.advance_until(self._resume_budget)
+        return self.finish_run()
 
     def run_slots(self, n_slots: int) -> SimulationReport:
         """Simulate exactly ``n_slots`` slots (the Section 3.4 objective).
@@ -2784,38 +2701,38 @@ class MasterSimulator:
         Returns:
             The report; ``completed_iterations`` is the objective value.
         """
-        n_slots = require_positive_int(n_slots, "n_slots")
-        self._run_loop(n_slots)
-        self._finalize()
-        return self.report
+        self._start_run(require_positive_int(n_slots, "n_slots"))
+        self.advance_until(n_slots)
+        return self.finish_run()
 
     # ------------------------------------------------------------------ #
-    # Resumable runs (the batch engine's seam, DESIGN.md §11).             #
+    # Resumable runs (DESIGN.md §11).                                      #
     # ------------------------------------------------------------------ #
     def begin_run(self, max_slots: Optional[int] = None) -> None:
         """Start an incremental run.
 
-        ``begin_run`` / :meth:`advance_until` / :meth:`finish_run`
-        replay the exact work sequence of :meth:`run` — one budget
-        resolution, one span-cache reset, then the same
-        ``_step``/``_quiet_span`` loop — but pausable between loop
-        iterations, so a cohort driver can interleave several
-        simulations over one shared trace horizon.  The pause points
-        touch no simulation state; reports, event logs and audit trails
-        are bit-identical to a plain :meth:`run` regardless of where (or
-        whether) the run is paused.
+        ``begin_run`` / :meth:`advance_until` / :meth:`finish_run` are
+        the one step loop behind :meth:`run` and :meth:`run_slots`,
+        pausable between loop iterations, so a cohort driver can
+        interleave several simulations over one shared trace horizon.
+        The pause points touch no simulation state; reports, event logs
+        and audit trails are bit-identical to a plain :meth:`run`
+        regardless of where (or whether) the run is paused.
         """
         budget = max_slots if max_slots is not None else self.options.max_slots
-        self._resume_budget = require_positive_int(budget, "max_slots")
-        self._cal_last = self._resume_budget - 1
+        self._start_run(require_positive_int(budget, "max_slots"))
+
+    def _start_run(self, budget: int) -> None:
+        self._resume_budget = budget
+        # The calendar's heap sentinels are budget-relative, so the
+        # engine can only engage once the budget is known.
+        self._cal_last = budget - 1
         self._resume_slot = 0
         self._run_over = False
         # The effective mode is fixed for the whole run; resolve it once
-        # here instead of per advance_until()/resume_round() call (the
-        # stacked cohort driver makes one such call per scheduling round).
+        # here instead of per advance_until() call.
         self._resume_span = self._step_mode_effective() != "slot"
         if self._resume_span:
-            # Same reset _run_loop performs on entry.
             self._next_change_cache = [None] * len(self.workers)
             self._next_up_cache = [None] * len(self.workers)
             self._next_down_cache = [None] * len(self.workers)
@@ -2823,10 +2740,8 @@ class MasterSimulator:
     def advance_until(self, slot_limit: int) -> bool:
         """Advance until the run ends or the clock reaches ``slot_limit``.
 
-        Replicates ``_run_loop``'s stepping exactly; the only addition is
-        the pause check against ``slot_limit`` (span-mode steps may
-        overshoot the limit by their quiet span, exactly as ``_run_loop``
-        overshoots nothing — the next boundary simply lies beyond it).
+        Span-mode steps may overshoot the limit by their quiet span (the
+        next boundary simply lies beyond it).
 
         Returns:
             True when the run is over (finished its iterations or
@@ -2836,12 +2751,9 @@ class MasterSimulator:
         budget = self._resume_budget
         if budget is None:
             raise RuntimeError("advance_until() before begin_run()")
-        if self._round_pending is not None:
-            raise RuntimeError(
-                "advance_until() with a pending round; call resume_round()"
-            )
         if self._run_over:
             return True
+        span = self._resume_span
         slot = self._resume_slot
         # The finally clause persists the loop cursor even when a
         # cohort-shared hook aborts a step by raising (CohortDivergence):
@@ -2850,98 +2762,26 @@ class MasterSimulator:
         # advance_until() resumes by re-executing exactly that slot and
         # the run stays bit-identical.
         try:
-            if not self._resume_span:
-                while slot < budget:
-                    finished = self._step(slot)
-                    if self._round_pending is not None:
-                        # Paused mid-step at a scheduling round: the slot
-                        # is not yet simulated — resume_round() finishes
-                        # it and owns the cursor/report bookkeeping.
-                        return False
-                    self.report.slots_simulated = slot + 1
-                    slot += 1
-                    if finished:
-                        self._run_over = True
-                        break
-                    if slot >= slot_limit:
-                        break
-            else:
-                while slot < budget:
-                    finished = self._step(slot)
-                    if self._round_pending is not None:
-                        return False
-                    self.report.slots_simulated = slot + 1
-                    if finished:
-                        self._run_over = True
-                        break
+            while slot < budget:
+                finished = self._step(slot)
+                self.report.slots_simulated = slot + 1
+                if finished:
+                    self._run_over = True
+                    break
+                if span:
                     quiet = self._quiet_span(slot, budget)
                     if quiet > 0:
                         self._advance_quiet(slot + 1, quiet)
                         self.report.slots_simulated = slot + 1 + quiet
-                    slot += 1 + quiet
-                    if slot >= slot_limit:
-                        break
+                    slot += quiet
+                slot += 1
+                if slot >= slot_limit:
+                    break
         finally:
             self._resume_slot = slot
         if slot >= budget:
             self._run_over = True
         return self._run_over
-
-    @property
-    def round_pending(self) -> bool:
-        """True while a stacked-mode step is paused at its scheduling
-        round (between :meth:`advance_until` and :meth:`resume_round`)."""
-        return self._round_pending is not None
-
-    def pending_round(self) -> tuple:
-        """The paused round's ``(slot, states, (originals, replicas,
-        dirty_mask, rs))`` — read-only, for the stacked cohort driver."""
-        if self._round_pending is None:
-            raise RuntimeError("pending_round() without a pending round")
-        return self._round_pending
-
-    def resume_round(self, advance_to: Optional[int] = None) -> bool:
-        """Execute the paused scheduling round and finish its step.
-
-        Replays exactly what the inline path would have done from the
-        pause point on: the round's scoring + mutation phases, the step
-        tail, the report bookkeeping, and (in span mode) the quiet-span
-        glide — so a run paused and resumed at every round is
-        bit-identical to one never paused.  Returns True when the run is
-        over (like :meth:`advance_until`).
-
-        With ``advance_to`` the call continues stepping toward that slot
-        limit after the round (exactly :meth:`advance_until`), so a
-        cohort driver pays one resume call per round instead of a
-        resume + re-entered advance pair; the run may be paused at a new
-        round on return (check :attr:`round_pending`).
-        """
-        pending = self._round_pending
-        if pending is None:
-            raise RuntimeError("resume_round() without a pending round")
-        self._round_pending = None
-        slot, states, pend = pending
-        self._round_execute(slot, states, pend)
-        finished = self._step_tail(slot, states)
-        self.report.slots_simulated = slot + 1
-        if finished:
-            self._run_over = True
-            self._resume_slot = slot + 1
-            return True
-        budget = self._resume_budget
-        if self._resume_span:
-            quiet = self._quiet_span(slot, budget)
-            if quiet > 0:
-                self._advance_quiet(slot + 1, quiet)
-                self.report.slots_simulated = slot + 1 + quiet
-            slot += quiet
-        slot += 1
-        self._resume_slot = slot
-        if slot >= budget:
-            self._run_over = True
-        if self._run_over or advance_to is None or slot >= advance_to:
-            return self._run_over
-        return self.advance_until(advance_to)
 
     def finish_run(self) -> SimulationReport:
         """Finalise an incremental run and return the report."""

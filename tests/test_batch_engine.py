@@ -7,9 +7,8 @@ admission width.  Everything here compares the two paths on identical
 (scenario, trial, heuristic) instances.
 
 Also covers the engine's substrate from this PR: the batched Markov
-trace sampler, shared-trace views, the fused source extension, the
-persistent score-row cache, and the ``spawn_run_streams`` derivation
-helper.
+trace sampler, shared-trace views, the fused source extension and the
+persistent score-row cache.
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ import pytest
 
 from repro.core.heuristics.registry import available_heuristics, make_scheduler
 from repro.core.markov import MarkovAvailabilityModel
-from repro.rng import RngFactory, spawn_run_streams
 from repro.sim.availability import (
     MarkovSource,
     TraceView,
@@ -239,6 +237,35 @@ class TestBatchBitIdentity:
                 got, _reference_run(spec.scenario, spec), spec.heuristic
             )
 
+    @pytest.mark.parametrize(
+        "policy", ["event", "sticky", "debounce:4", "relevant-up"]
+    )
+    def test_replan_policies(self, policy):
+        # Relaxed policies change which events trigger a round; the
+        # cohort members must still trigger (and elide) exactly the
+        # rounds their standalone runs do.
+        scenario = ScenarioGenerator(6).scenario(8, 5, 2, 0)
+        options = SimulatorOptions(replan_policy=policy)
+        specs = [
+            BatchRunSpec(scenario=scenario, trial=trial, heuristic=name,
+                         max_slots=50_000, options=options)
+            for trial in (0, 1)
+            for name in ("mct", "emct*", "lw*", "ud")
+        ]
+        logs = {}
+
+        def log_factory(index, spec):
+            logs[index] = EventLog()
+            return logs[index]
+
+        reports = BatchCampaignRunner(specs, log_factory=log_factory).run()
+        for index, (spec, got) in enumerate(zip(specs, reports)):
+            ref_log = EventLog()
+            ref = _reference_run(scenario, spec, log=ref_log)
+            context = f"{policy}/{spec.heuristic}/trial={spec.trial}"
+            _assert_reports_equal(got, ref, context)
+            assert logs[index].events == ref_log.events, context
+
 
 class TestDemotion:
     def test_static_demotion_slot_mode_and_audit(self):
@@ -375,27 +402,3 @@ class TestPersistentScoreRows:
             sim.round_state.stamped = stamped
             reports.append(sim.run(max_slots=100_000))
         _assert_reports_equal(reports[0], reports[1], heuristic)
-
-
-class TestSpawnRunStreams:
-    def test_deterministic_and_independent(self):
-        a = spawn_run_streams(1234, 3)
-        b = spawn_run_streams(1234, 3)
-        assert len(a) == 3
-        draws = set()
-        for streams_a, streams_b in zip(a, b):
-            for name in ("scheduler", "bootstrap", "availability"):
-                x = float(getattr(streams_a, name).random())
-                assert x == float(getattr(streams_b, name).random())
-                draws.add(x)
-        # 9 distinct streams -> 9 distinct first draws.
-        assert len(draws) == 9
-
-    def test_matches_named_factory_children(self):
-        (streams,) = spawn_run_streams(77, 1)
-        want = RngFactory(77).generator("run", 0, "sched")
-        assert float(streams.scheduler.random()) == float(want.random())
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_run_streams(0, -1)

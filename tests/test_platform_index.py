@@ -137,30 +137,56 @@ class TestCompletion:
 
 
 class TestResume:
-    """begin_run / advance_until pausing must not disturb the calendar."""
+    """begin_run / advance_until pausing is invisible in either step mode.
 
-    def test_paused_run_matches_plain_run(self):
-        sc = _scenario()
-        plain = run_one(sc, "mct", "calendar", budget=500)
+    ``run`` and ``run_slots`` drive the same step loop in one call; a run
+    paused every ``stride`` slots must reproduce them exactly.
+    """
 
+    BUDGET = 500
+
+    def _paused(self, sc, platform_index, stride, **options_kwargs):
         platform = sc.build_platform(0)
         log = EventLog(enabled=True)
         sim = MasterSimulator(
             platform,
             sc.app,
             make_scheduler("mct", platform=platform),
-            options=SimulatorOptions(platform_index="calendar"),
+            options=SimulatorOptions(platform_index=platform_index,
+                                     **options_kwargs),
             rng=sc.scheduler_rng(0, "mct"),
             log=log,
         )
-        sim.begin_run(max_slots=500)
-        limit = 25
+        sim.begin_run(max_slots=self.BUDGET)
+        limit = stride
         while not sim.advance_until(limit):
-            limit += 25
+            limit += stride
         report = sim.finish_run()
-        assert report == plain[0]
-        assert log.events == plain[1]
-        assert sim.network.usage == plain[2]
+        return report, log.events, sim.network.usage
+
+    @pytest.mark.parametrize("stride", [1, 25, BUDGET])
+    @pytest.mark.parametrize("platform_index", ["calendar", "sweep"])
+    @pytest.mark.parametrize("step_mode", ["span", "slot"])
+    def test_paused_run_matches_plain_run(self, step_mode, platform_index,
+                                          stride):
+        sc = _scenario()
+        plain = run_one(sc, "mct", platform_index, budget=self.BUDGET,
+                        step_mode=step_mode)
+        paused = self._paused(sc, platform_index, stride,
+                              step_mode=step_mode)
+        assert paused[0] == plain[0]
+        assert paused[1] == plain[1]
+        assert paused[2] == plain[2]
+
+    @pytest.mark.parametrize("step_mode", ["span", "slot"])
+    def test_paused_run_matches_run_slots(self, step_mode):
+        sc = _scenario()
+        plain = run_one(sc, "mct", "calendar", objective="slots",
+                        budget=self.BUDGET, step_mode=step_mode)
+        paused = self._paused(sc, "calendar", 25, step_mode=step_mode)
+        assert paused[0] == plain[0]
+        assert paused[1] == plain[1]
+        assert paused[2] == plain[2]
 
 
 class TestChurnScaling:
