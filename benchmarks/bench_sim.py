@@ -1,4 +1,4 @@
-"""Simulator-core stepping + scheduling + body + gating benchmark (``bench-sim``).
+"""Simulator-core stepping + scheduling + body benchmark (``bench-sim``).
 
 Measures the per-run hot path of :class:`~repro.sim.master.MasterSimulator`
 on a declared sample of the paper's Table 2 grid, and emits a JSON document
@@ -6,7 +6,7 @@ so successive PRs accumulate a perf trajectory::
 
     PYTHONPATH=src python benchmarks/bench_sim.py --out BENCH_sim.json
 
-Four comparisons are timed, over the same (cell, scenario, trial,
+Three comparisons are timed, over the same (cell, scenario, trial,
 heuristic, objective) population, all within one process with the
 configurations interleaved per run (the only timing methodology that
 survives noisy shared runners):
@@ -24,20 +24,7 @@ survives noisy shared runners):
   store vs the structure-of-arrays ``InstanceTable`` with the vectorised
   body (DESIGN.md §9), both span-stepped on the array scheduler API.
   ``store_speedup`` is the end-to-end ratio; ``body_speedup`` compares
-  the *body* seconds (wall-clock minus the measured round seconds);
-* **round-relevance gating** — the exact elision tier
-  (``round_relevance="exact"``, the default) vs the always-execute oracle
-  (``"off"``), DESIGN.md §10.  Each cell reports ``rounds_elided``,
-  ``elision_share`` (elided / executed rounds) and ``elision_speedup``
-  (end-to-end off/exact ratio).  HONEST NOTE: the exact tier's proof
-  obligation *is* a placement computation — determinism means the only
-  sound proof re-scores and compares — so elision skips only the round's
-  mutation phase (queue purges, replica drop/recreate churn, table ops),
-  and the measured end-to-end ratio sits near 1.0; its value is the
-  proven round-skip count and the policy machinery it anchors.  The big
-  replan-trigger wins require *relaxed* semantics, which are not
-  bit-identical — see the ``relaxed_policy`` row below and
-  ``experiments/replan_study.py`` for their validation.
+  the *body* seconds (wall-clock minus the measured round seconds).
 
 A **long-horizon deadline cell** (``run_slots`` over ≥100k slots) rides
 along to exercise the run-length-encoded availability sources where the
@@ -60,7 +47,7 @@ A **relaxed-policy row** (recorded, never gated) times one cell under
 the speedup *and* the makespan deviation it buys — relaxed policies
 change the science, so their numbers are documentation, not a gate.
 
-Every simulated instance is asserted **bit-identical** across the five
+Every simulated instance is asserted **bit-identical** across the four
 bit-exact configurations before any number is reported; both objectives
 are covered (``run`` for the makespan protocol, ``run_slots`` for the
 Section 3.4 deadline form).  A speedup that changed the science would be
@@ -80,9 +67,6 @@ runner noise); ``--min-sched-speedup``
 (default 1.0) fails it when the batch scheduler path regresses below the
 legacy scalar path; ``--min-body-speedup`` (default 1.0) fails it when
 the array instance store's body regresses below the legacy list store;
-``--min-elision-speedup`` (default 0.95) fails it when the exact elision
-tier costs measurable wall-clock instead of being free (the probe-stash
-reuse landed the gated-cell ratio at ~0.99);
 ``--min-trace-compression`` (default 6.0) fails it when the RLE sources
 stop beating the dense representation on the long-horizon cell;
 ``--min-largep-speedup`` (default 1.0) fails it when the event-calendar
@@ -166,28 +150,25 @@ LARGEP_POLICY = "sticky"
 LARGEP_SMOKE_SIZE = 2_000
 LARGEP_SMOKE_MAX_SLOTS = 6_000
 
-#: (step_mode, scheduler_api, instance_store, round_relevance)
-#: configurations per run.  The first is the bit-identity reference; the
-#: second is the default.
-CONFIGS: Tuple[Tuple[str, str, str, str], ...] = (
-    ("slot", "array", "array", "exact"),
-    ("span", "array", "array", "exact"),
-    ("span", "legacy", "array", "exact"),
-    ("span", "array", "legacy", "exact"),
-    ("span", "array", "array", "off"),
+#: (step_mode, scheduler_api, instance_store) configurations per run.
+#: The first is the bit-identity reference; the second is the default.
+CONFIGS: Tuple[Tuple[str, str, str], ...] = (
+    ("slot", "array", "array"),
+    ("span", "array", "array"),
+    ("span", "legacy", "array"),
+    ("span", "array", "legacy"),
 )
 
-DEFAULT = ("span", "array", "array", "exact")
-LEGACY_STORE = ("span", "array", "legacy", "exact")
-LEGACY_API = ("span", "legacy", "array", "exact")
-SLOT = ("slot", "array", "array", "exact")
-RELEVANCE_OFF = ("span", "array", "array", "off")
+DEFAULT = ("span", "array", "array")
+LEGACY_STORE = ("span", "array", "legacy")
+LEGACY_API = ("span", "legacy", "array")
+SLOT = ("slot", "array", "array")
 
 
 def _simulate(scenario, trial: int, heuristic: str, config, objective: str,
               deadline_slots: int = DEADLINE_SLOTS,
               replan_policy: str = "event"):
-    mode, api, store, relevance = config
+    mode, api, store = config
     platform = scenario.build_platform(trial)
     sim = MasterSimulator(
         platform,
@@ -197,7 +178,6 @@ def _simulate(scenario, trial: int, heuristic: str, config, objective: str,
             step_mode=mode,
             scheduler_api=api,
             instance_store=store,
-            round_relevance=relevance,
             replan_policy=replan_policy,
         ),
         rng=scenario.scheduler_rng(trial, heuristic),
@@ -231,7 +211,6 @@ def _simulate(scenario, trial: int, heuristic: str, config, objective: str,
         "elapsed": elapsed,
         "steps": sim.steps_executed,
         "round_seconds": round_clock["seconds"],
-        "rounds_elided": sim.rounds_elided,
         "instance_ops": sim.instance_ops,
         "trace_bytes": trace_bytes,
         "dense_bytes": dense_bytes,
@@ -279,7 +258,6 @@ def _bench_cell(
         slots_total = 0
         boundaries_total = 0
         rounds_total = 0
-        rounds_elided_total = 0
         instance_ops_total = 0
         trace_bytes_total = 0
         dense_bytes_total = 0
@@ -293,7 +271,6 @@ def _bench_cell(
                 if config == DEFAULT:
                     boundaries_total += out["steps"]
                     rounds_total += out["report"].scheduler_rounds
-                    rounds_elided_total += out["rounds_elided"]
                     instance_ops_total += out["instance_ops"]
                     trace_bytes_total += out["trace_bytes"]
                     dense_bytes_total += out["dense_bytes"]
@@ -315,11 +292,9 @@ def _bench_cell(
     span_s = best[DEFAULT]["seconds"]
     legacy_api_s = best[LEGACY_API]["seconds"]
     legacy_store_s = best[LEGACY_STORE]["seconds"]
-    relevance_off_s = best[RELEVANCE_OFF]["seconds"]
     array_round_s = best[DEFAULT]["round_seconds"]
     legacy_api_round_s = best[LEGACY_API]["round_seconds"]
     legacy_store_round_s = best[LEGACY_STORE]["round_seconds"]
-    relevance_off_round_s = best[RELEVANCE_OFF]["round_seconds"]
     array_body_s = span_s - array_round_s
     legacy_store_body_s = legacy_store_s - legacy_store_round_s
     return {
@@ -331,20 +306,15 @@ def _bench_cell(
         "span_seconds": round(span_s, 4),
         "legacy_api_seconds": round(legacy_api_s, 4),
         "legacy_store_seconds": round(legacy_store_s, 4),
-        "relevance_off_seconds": round(relevance_off_s, 4),
         "slots_per_sec_slot": round(slots_total / slot_s, 1),
         "slots_per_sec_span": round(slots_total / span_s, 1),
         "slots_per_sec_legacy_store": round(slots_total / legacy_store_s, 1),
         "speedup": round(slot_s / span_s, 3),
         "rounds": rounds_total,
-        "rounds_elided": rounds_elided_total,
-        "elision_share": round(rounds_elided_total / max(rounds_total, 1), 3),
-        "elision_speedup": round(relevance_off_s / span_s, 3),
         "round_seconds": {
             "array": round(array_round_s, 4),
             "legacy_api": round(legacy_api_round_s, 4),
             "legacy_store": round(legacy_store_round_s, 4),
-            "relevance_off": round(relevance_off_round_s, 4),
         },
         "round_time_share": {
             "array": round(array_round_s / span_s, 3),
@@ -726,9 +696,9 @@ def run_benchmark(
     largep_smoke: bool = False,
     largep_xl: bool = False,
 ) -> Dict:
-    """Time stepping modes, scheduler APIs, instance stores and the
-    round-relevance gate over the Table 2 sample (plus the long-horizon
-    deadline cell and the relaxed-policy documentation row).
+    """Time stepping modes, scheduler APIs and instance stores over the
+    Table 2 sample (plus the long-horizon deadline cell and the
+    relaxed-policy documentation row).
 
     Returns the JSON-ready document; reports are asserted bit-identical
     between all bit-exact configurations for every simulated instance
@@ -760,7 +730,6 @@ def run_benchmark(
     legacy_api_round_total = total("round_seconds", "legacy_api")
     array_round_total = total("round_seconds", "array")
     legacy_store_total = total("legacy_store_seconds")
-    relevance_off_total = total("relevance_off_seconds")
     array_body_total = total("body_seconds", "array")
     legacy_body_total = total("body_seconds", "legacy_store")
     document = {
@@ -794,9 +763,6 @@ def run_benchmark(
         "legacy_store_seconds_total": round(legacy_store_total, 4),
         "store_speedup": round(legacy_store_total / span_total, 3),
         "body_speedup": round(legacy_body_total / array_body_total, 3),
-        "relevance_off_seconds_total": round(relevance_off_total, 4),
-        "elision_speedup": round(relevance_off_total / span_total, 3),
-        "rounds_elided_total": sum(row["rounds_elided"] for row in rows),
         "reports_identical": True,
     }
     if long_deadline:
@@ -878,22 +844,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "exit non-zero when the array instance store's simulator "
             "body falls below the legacy list store "
             "(legacy-store body seconds / array-store body seconds)"
-        ),
-    )
-    parser.add_argument(
-        "--min-elision-speedup",
-        type=float,
-        default=0.95,
-        help=(
-            "exit non-zero when the exact round-relevance tier costs "
-            "measurable wall-clock (relevance-off seconds / default "
-            "seconds on the gated cells); the tier is designed to be "
-            "free — its savings are the round mutation phase only, so "
-            "the ratio sits near 1.0 and this gate guards against it "
-            "regressing into a real cost.  The would_replan probe "
-            "stashes its placements for the round to reuse, which "
-            "restored the gated-cell ratio to ~0.99 from the 0.93 "
-            "probe-rescoring regression"
         ),
     )
     parser.add_argument(
@@ -1015,7 +965,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "sched_speedup": document["sched_speedup"],
                 "store_speedup": document["store_speedup"],
                 "body_speedup": document["body_speedup"],
-                "elision_speedup": document["elision_speedup"],
                 "batch_speedup": document.get("batch_speedup"),
                 # Cell parameters, so a trajectory line is interpretable
                 # without digging up the BENCH_sim.json it came from.
@@ -1045,8 +994,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             handle.write(text + "\n")
         cells = ", ".join(
             f"{tuple(row['cell'].values())}: {row['speedup']}x/"
-            f"{row['sched_speedup']}x/{row['body_speedup']}x/"
-            f"{row['elision_speedup']}x"
+            f"{row['sched_speedup']}x/{row['body_speedup']}x"
             + ("" if row["gated"] else " (ungated)")
             for row in document["results"]
         )
@@ -1055,12 +1003,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"wrote {args.out} (overall span {document['speedup']}x, "
             f"sched {document['sched_speedup']}x, store "
-            f"{document['store_speedup']}x, body {document['body_speedup']}x, "
-            f"elision {document['elision_speedup']}x over "
-            f"{document['rounds_elided_total']} elided rounds"
+            f"{document['store_speedup']}x, body {document['body_speedup']}x"
             + (f", batch {batch}x" if batch is not None else "")
             + (f", large-p {largep_ratio}x" if largep_ratio is not None else "")
-            + f"; per-cell span/sched/body/elision: {cells})",
+            + f"; per-cell span/sched/body: {cells})",
             file=sys.stderr,
         )
     else:
@@ -1087,14 +1033,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"FAIL: simulator body speedup {document['body_speedup']} < "
             f"{args.min_body_speedup} (array InstanceTable body regressed "
             "below the legacy list-store body)",
-            file=sys.stderr,
-        )
-        failed = True
-    if document["elision_speedup"] < args.min_elision_speedup:
-        print(
-            f"FAIL: elision speedup {document['elision_speedup']} < "
-            f"{args.min_elision_speedup} (the exact round-relevance tier "
-            "regressed into a measurable cost)",
             file=sys.stderr,
         )
         failed = True

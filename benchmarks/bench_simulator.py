@@ -37,21 +37,3 @@ def test_trace_sampling_throughput(benchmark):
 
     trace = benchmark(run)
     assert len(trace) == 50_000
-
-
-def test_des_kernel_event_throughput(benchmark):
-    from repro.sim.engine import Environment
-
-    def run():
-        env = Environment()
-
-        def ping_pong(n):
-            for _ in range(n):
-                yield env.timeout(1.0)
-
-        env.process(ping_pong(5000))
-        env.run()
-        return env.now
-
-    now = benchmark(run)
-    assert now == 5000.0

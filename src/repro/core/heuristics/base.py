@@ -82,48 +82,12 @@ __all__ = [
     "ProcessorView",
     "SchedulingContext",
     "RoundState",
-    "ReplanProbe",
     "Scheduler",
     "GreedyScheduler",
     "completion_time_estimate",
     "completion_time_batch",
     "pow_batch",
 ]
-
-
-@dataclass
-class ReplanProbe:
-    """Inputs and outputs of the round-relevance hook (DESIGN.md §10).
-
-    The master builds one probe per scheduling round it considers eliding
-    and passes it to :meth:`Scheduler.would_replan`.  The probe describes
-    the current *plan* — where every unpinned original currently sits —
-    and what changed since the last executed round; the scheduler answers
-    whether a re-plan could produce anything different.
-
-    Attributes:
-        n_tasks: number of unpinned originals the round would re-place
-            (the context's ``m - m'``).
-        hosts: current host per unpinned original, in ascending task
-            order (``None`` for originals that are currently unplaced).
-            A re-plan reproduces the plan exactly when its placement list
-            equals this list.
-        dirty_mask: snapshot of the :class:`RoundState` per-processor
-            dirty flags *before* this round's refresh — the processors
-            whose scheduler-visible columns moved since the last round.
-            Purely informational for the built-in proof (which re-scores
-            and compares), but lets cheaper heuristic-specific proofs
-            skip untouched processors.
-        placements: set by schedulers that compute the would-be placement
-            while answering (the built-in greedy proof does): the master
-            reuses it when the round must run after all, so a failed
-            proof never costs a second scoring pass.
-    """
-
-    n_tasks: int
-    hosts: List[Optional[int]]
-    dirty_mask: bytes
-    placements: Optional[List[Optional[int]]] = None
 
 
 @dataclass
@@ -368,23 +332,9 @@ class Scheduler(abc.ABC):
         """
         return self.place(rs.as_context(), n_tasks, allowed)
 
-    def would_replan(self, rs: RoundState, probe: "ReplanProbe") -> bool:
-        """Whether a scheduling round now could change the current plan.
-
-        Part of the round-relevance contract (DESIGN.md §10): the master
-        asks this before mutating any queue, and *elides* the round —
-        skipping the drop/re-place churn entirely, bit-identically — when
-        the answer is ``False``.  ``False`` is a **proof obligation**: it
-        asserts that re-placing ``probe.n_tasks`` unpinned originals
-        against ``rs`` right now would reproduce ``probe.hosts`` exactly
-        (same hosts, same one-by-one order) while consuming no scheduler
-        randomness.  The conservative default is ``True`` — always replan
-        — which is correct for every scheduler: stateful schedulers (the
-        passive baseline mutates its memory per round), randomized ones
-        (a skipped round would skip RNG draws and desynchronise the
-        stream), and any external subclass this package knows nothing
-        about.
-        """
+    # No simulator code calls this; it stays only because the end-to-end
+    # benchmark tracer wraps it by name.
+    def would_replan(self, rs: RoundState, probe: object) -> bool:
         return True
 
     def _candidates(
@@ -608,25 +558,6 @@ class GreedyScheduler(Scheduler):
                 ),
             )
         return placements
-
-    def would_replan(self, rs: RoundState, probe: "ReplanProbe") -> bool:
-        """Greedy proof: re-place and compare (DESIGN.md §10).
-
-        The greedy families are deterministic and round-stateless, so the
-        strongest valid proof is also the cheapest sound one: run the
-        batch placement (one :meth:`place_array` call — exactly the call
-        the round itself would make, sharing the per-round score cache)
-        and compare against the current plan.  The computed placements
-        are stashed on the probe, so when the answer is "must replan" the
-        round reuses them instead of scoring twice.  Heuristics that do
-        not implement batch scoring (the exact-UD ablation runs through
-        the legacy shim) keep the conservative default.
-        """
-        if not self.batch_scoring:
-            return True
-        placements = self.place_array(rs, probe.n_tasks)
-        probe.placements = placements
-        return placements != probe.hosts
 
     # -- per-round cache for the array path -------------------------------
     _round_version = None

@@ -36,6 +36,7 @@ __all__ = [
     "TABLE2_ORDER",
     "GREEDY_HEURISTICS",
     "make_scheduler",
+    "heuristic_key",
     "available_heuristics",
 ]
 
@@ -132,7 +133,7 @@ def make_scheduler(name: str, *, platform=None) -> Scheduler:
         ValueError: if a platform-aware heuristic is requested without a
             platform.
     """
-    key = name.lower()
+    key = heuristic_key(name)
     if key == "clairvoyant":
         if platform is None:
             raise ValueError(
@@ -142,12 +143,20 @@ def make_scheduler(name: str, *, platform=None) -> Scheduler:
         from .oracle import ClairvoyantScheduler
 
         return ClairvoyantScheduler(platform)
-    try:
-        factory = HEURISTIC_FACTORIES[key]
-    except KeyError:
+    return HEURISTIC_FACTORIES[key]()
+
+
+def heuristic_key(name: str) -> str:
+    """The registry key of ``name`` (case-insensitive).
+
+    Raises:
+        KeyError: with the list of known names, for unknown ``name``.
+    """
+    key = name.lower()
+    if key != "clairvoyant" and key not in HEURISTIC_FACTORIES:
         known = ", ".join(sorted(HEURISTIC_FACTORIES) + ["clairvoyant"])
-        raise KeyError(f"unknown heuristic {name!r}; known heuristics: {known}") from None
-    return factory()
+        raise KeyError(f"unknown heuristic {name!r}; known heuristics: {known}")
+    return key
 
 
 def available_heuristics() -> List[str]:

@@ -50,7 +50,8 @@ from typing import (
     Union,
 )
 
-from ..core.heuristics.registry import make_scheduler
+from .._validation import require_positive_int
+from ..core.heuristics.registry import heuristic_key, make_scheduler
 from ..sim.master import MasterSimulator, SimulatorOptions
 from ..workload.scenarios import Scenario
 from .backends import (
@@ -101,12 +102,17 @@ class CampaignConfig:
     engine: str = "per-run"
 
     def __post_init__(self) -> None:
+        if isinstance(self.heuristics, str):
+            raise TypeError(
+                "heuristics must be a sequence of registry names, got the "
+                f"string {self.heuristics!r}"
+            )
         if not self.heuristics:
             raise ValueError("campaign needs at least one heuristic")
-        if self.trials <= 0:
-            raise ValueError(f"trials must be positive, got {self.trials}")
-        if self.max_slots <= 0:
-            raise ValueError(f"max_slots must be positive, got {self.max_slots}")
+        for name in self.heuristics:
+            heuristic_key(name)  # KeyError listing the known names
+        require_positive_int(self.trials, "trials")
+        require_positive_int(self.max_slots, "max_slots")
         if self.engine not in ("per-run", "batch"):
             raise ValueError(
                 f"engine must be 'per-run' or 'batch', got {self.engine!r}"

@@ -7,7 +7,6 @@ from .availability import (
     TraceSource,
     WeibullSource,
 )
-from .engine import Environment, Event, Interrupt, Process, Timeout
 from .events import EventKind, EventLog, SimEvent
 from .instance_table import InstanceTable
 from .master import MasterSimulator, SimulatorOptions, simulate
@@ -24,11 +23,6 @@ __all__ = [
     "SemiMarkovSource",
     "WeibullSource",
     "AvailabilitySource",
-    "Environment",
-    "Event",
-    "Timeout",
-    "Process",
-    "Interrupt",
     "EventLog",
     "EventKind",
     "SimEvent",

@@ -60,17 +60,10 @@ candidate loops over a once-per-boundary state list.
 the oracle; the two stores are bit-identical (enforced by
 ``tests/test_instance_table.py``).
 
-**Round-relevance gating** (DESIGN.md §10).  When and whether those
-re-plans run is gated on two tiers: the *exact* tier
-(``round_relevance="exact"``, default) proves — via the scheduler's
-:meth:`~repro.core.heuristics.base.Scheduler.would_replan` hook and
-master-side queue/replica rules — that a round would reproduce the
-current plan, and skips its whole mutation phase bit-identically
-(``tests/test_replan_gating.py``); the *relaxed* tier
-(``replan_policy``) changes the replan-trigger semantics themselves
-(``sticky``, ``debounce:k``, ``relevant-up``) and is validated against
-the paper's shape targets by ``experiments/replan_study.py`` instead of
-by bit-identity.
+**Replan policies** (DESIGN.md §10).  ``replan_policy`` relaxes when
+those re-plans run (``sticky``, ``debounce:k``, ``relevant-up``) and is
+validated against the paper's shape targets by
+``experiments/replan_study.py`` instead of by bit-identity.
 """
 
 from __future__ import annotations
@@ -83,7 +76,6 @@ import numpy as np
 from .._validation import require_nonnegative_int, require_positive_int
 from ..core.heuristics.base import (
     ProcessorView,
-    ReplanProbe,
     RoundState,
     Scheduler,
     SchedulingContext,
@@ -136,21 +128,6 @@ class SimulatorOptions:
             ``"debounce:k"`` rate-limits churn-triggered rounds to one
             per ``k`` slots (leading edge), and ``"relevant-up"`` ignores
             exits of empty processors.
-        round_relevance: the exact elision tier (DESIGN.md §10).
-            ``"exact"`` (default) asks the scheduler's ``would_replan``
-            hook, before any queue is touched, whether the round would
-            provably reproduce the current plan, and skips the round's
-            mutation phase when it would — **bit-identical** results
-            (same reports, event logs and network audit trails; enforced
-            by ``tests/test_replan_gating.py``), with ``rounds_elided``
-            counting the skips.  ``"off"`` always executes the round (the
-            oracle arm for the elision benchmark).  Elision is active on
-            the array scheduler API + array instance store (the default
-            configuration); other configurations always execute rounds —
-            which is invisible in the results, precisely because elision
-            is exact.  In audit mode proofs are validated instead of
-            used: the round runs and the post-state is asserted equal to
-            the elision prediction.
         proactive: enable the paper's *proactive* heuristic class (Section
             6.1, described but not evaluated by the authors): during the
             end-of-iteration regime (UP processors ≥ remaining tasks), a
@@ -218,7 +195,6 @@ class SimulatorOptions:
     scheduler_api: str = "array"
     instance_store: str = "array"
     replan_policy: str = "event"
-    round_relevance: str = "exact"
     platform_index: str = "calendar"
 
     def __post_init__(self) -> None:
@@ -227,11 +203,6 @@ class SimulatorOptions:
         if self.step_mode not in ("span", "slot"):
             raise ValueError(
                 f"step_mode must be 'span' or 'slot', got {self.step_mode!r}"
-            )
-        if self.round_relevance not in ("exact", "off"):
-            raise ValueError(
-                "round_relevance must be 'exact' or 'off', "
-                f"got {self.round_relevance!r}"
             )
         policy = parse_replan_policy(self.replan_policy)  # validates
         # Keep the legacy ``replan_every_slot`` flag and the policy field
@@ -350,36 +321,18 @@ class MasterSimulator:
         self._avail = [proc.availability for proc in platform]
         self._need_replan = True
 
-        # Round-relevance gating (DESIGN.md §10).  The parsed replan
-        # policy decides which events set ``_need_replan``; the exact
-        # elision tier is active on the default array/array configuration
-        # only (it reads the InstanceTable aggregates and the batch
-        # scheduler's placement proof) — other configurations simply
-        # execute every round, which is invisible in the results.
+        # The parsed replan policy decides which events set
+        # ``_need_replan`` (DESIGN.md §10).
         self._policy = parse_replan_policy(self.options.replan_policy)
         self._policy_churn_always = self._policy.churn_always
-        self._relevance = (
-            self.options.round_relevance == "exact"
-            and self.options.scheduler_api == "array"
-            and self._tbl is not None
-            and not self.options.proactive
-            # Schedulers that keep the conservative would_replan default
-            # can never prove anything: skip even the probe construction.
-            and type(scheduler).would_replan is not Scheduler.would_replan
-        )
-        #: Rounds skipped by the exact elision tier (diagnostic, not part
-        #: of the report — elided rounds still count in
-        #: ``report.scheduler_rounds``, since the oracle executes them).
+        # No simulator code uses this; it stays only because the
+        # end-to-end benchmark tracer reads it by name.
         self.rounds_elided = 0
         #: Slot of the last *executed* (non-trivial) scheduling round;
         #: anchors the ``debounce:k`` cooldown window.  Trivial rounds do
         #: not move it, so the debounce clock is invisible at glided
         #: slots (span/slot bit-identity).
         self._last_round_slot = -(1 << 60)
-        #: Audit-mode elision validation: the predicted post-round queue
-        #: contents recorded when a proof fires under audit (the round
-        #: then runs for real and the prediction is asserted).
-        self._elision_prediction = None
 
         #: Fully simulated slots (diagnostic, not part of the report): in
         #: slot mode this equals ``report.slots_simulated``; in span mode
@@ -1195,11 +1148,9 @@ class MasterSimulator:
         self.report.scheduler_rounds += 1
         self._last_round_slot = slot
 
-        # Collect — read-only — the unpinned instances: the originals to
-        # (re)place, in ascending task order, and the replicas the round
-        # would drop and possibly recreate.  Nothing is mutated yet: the
-        # relevance gate below may prove the whole round a no-op and skip
-        # the mutation phase entirely (DESIGN.md §10).
+        # Collect the unpinned instances: the originals to (re)place, in
+        # ascending task order, and the replicas the round drops and
+        # possibly recreates.  Placement runs before any queue is touched.
         tbl = self._tbl
         originals: List[TaskInstance] = []
         replicas: List[TaskInstance] = []
@@ -1214,25 +1165,14 @@ class MasterSimulator:
                     (replicas if inst.replica_id else originals).append(inst)
         originals.sort(key=lambda inst: inst.task_id)
 
-        placements: Optional[List[Optional[int]]] = None
-        decisions: Optional[List[tuple]] = None
         if self.options.scheduler_api == "array":
             # With replicas dropped, the unpinned originals are exactly the
             # context's ``m - m'`` remaining tasks.
-            dirty_mask = bytes(self._rs_dirty) if self._relevance else b""
             rs = self._refresh_round_state(slot, states, len(originals))
             scheduler = self.scheduler
 
             def place_batch(n: int, allowed=None) -> List[Optional[int]]:
                 return scheduler.place_array(rs, n, allowed)
-
-            if self._relevance:
-                placements, decisions, elided = self._relevance_gate(
-                    rs, dirty_mask, originals, replicas
-                )
-                if elided:
-                    self.rounds_elided += 1
-                    return
         else:
             ctx = self._build_context(slot, states)
             scheduler = self.scheduler
@@ -1240,8 +1180,7 @@ class MasterSimulator:
             def place_batch(n: int, allowed=None) -> List[Optional[int]]:
                 return scheduler.place(ctx, n, allowed)
 
-        if placements is None:
-            placements = place_batch(len(originals))
+        placements = place_batch(len(originals))
 
         # Mutation phase.  Drop the unpinned replicas (the replication
         # step below recreates what is still useful — they carry no
@@ -1272,352 +1211,7 @@ class MasterSimulator:
             self._place(inst, choice, states)
 
         if self.options.replication and self.options.max_replicas > 0:
-            if decisions is not None:
-                self._apply_replication_decisions(decisions, states)
-            else:
-                self._replication_round(place_batch, states)
-
-        if self._elision_prediction is not None:
-            self._audit_elision()
-
-    # ------------------------------------------------------------------ #
-    # Round-relevance gating (exact tier, DESIGN.md §10).                  #
-    # ------------------------------------------------------------------ #
-    def _relevance_gate(
-        self,
-        rs: RoundState,
-        dirty_mask: bytes,
-        originals: List[TaskInstance],
-        replicas: List[TaskInstance],
-    ) -> tuple:
-        """Exact-tier elision attempt; returns ``(placements, decisions,
-        elided)``.
-
-        Asks the scheduler's :meth:`~repro.core.heuristics.base.Scheduler.
-        would_replan` proof hook whether re-placing the unpinned originals
-        reproduces their current hosts.  When it does, the replication
-        dry-run (:meth:`_replication_decisions`) and the in-place plan
-        check (:meth:`_plan_in_place`) extend the proof to the whole
-        round; a complete proof applies the round's counter effects (the
-        oracle's executed round launches the recreated replicas) and
-        elides everything else.  Every intermediate result is returned
-        for reuse, so a failed proof never scores anything twice: the
-        computed placements seed the mutation phase and the dry-run
-        decisions replay through :meth:`_apply_replication_decisions`.
-        """
-        probe = ReplanProbe(
-            n_tasks=len(originals),
-            hosts=[inst.worker for inst in originals],
-            dirty_mask=dirty_mask,
-        )
-        if self.scheduler.would_replan(rs, probe):
-            return probe.placements, None, False
-        # A False answer asserts the re-placement reproduces the current
-        # hosts; schedulers with a cheaper proof than re-placing (the
-        # contract allows it) may leave ``placements`` unset, in which
-        # case the hosts themselves are the proven placement list.
-        placements = probe.placements
-        if placements is None:
-            placements = list(probe.hosts)
-        # Cheap structural pre-checks before the replication dry-run: when
-        # one fails the round must run anyway, and its real replication
-        # loop scores its own decisions — nothing is computed twice.
-        if not self._plan_in_place(originals, placements, replicas):
-            return placements, None, False
-        decisions = self._replication_decisions(replicas)
-        if len(decisions) != len(replicas) or (
-            replicas
-            and {
-                (inst.task_id, inst.replica_id, inst.worker)
-                for inst in replicas
-            }
-            != set(decisions)
-        ):
-            # Replication would reshape the replica set: run the round,
-            # replaying the already-computed decisions.
-            return placements, decisions, False
-        if self.options.audit:
-            # Audit mode validates proofs instead of using them: record
-            # the predicted (no-op) outcome, run the round for real, and
-            # assert the prediction afterwards (:meth:`_audit_elision`).
-            self._elision_prediction = self._queue_snapshot()
-            return placements, decisions, False
-        if decisions:
-            # The oracle's round re-launches exactly these replicas.
-            self.report.replicas_launched += len(decisions)
-        return placements, decisions, True
-
-    def _plan_in_place(
-        self,
-        originals: List[TaskInstance],
-        placements: List[Optional[int]],
-        replicas: List[TaskInstance],
-    ) -> bool:
-        """True when applying ``placements`` — and recreating exactly the
-        current replicas — would leave every queue and every
-        commit-relevant sibling order exactly as it already is.
-
-        This is the structural half of the no-op proof; whether
-        replication really would recreate exactly the current replicas is
-        the dry-run's half (:meth:`_replication_decisions`).
-        """
-        tbl = self._tbl
-        workers = self.workers
-        for inst in replicas:
-            # The oracle re-appends each recreated replica at the end of
-            # its task's creation-order row list and at the end of its
-            # host's queue; an elided replica keeps its position, so it
-            # must already be the youngest sibling and the queue tail —
-            # otherwise commit-time cancellation events would reorder.
-            if inst.worker is None or tbl.rows_of[inst.task_id][-1] != inst.row:
-                return False
-            if workers[inst.worker].queue[-1] is not inst:
-                return False
-        # Each host's queue must already read ``[pinned…, its planned
-        # originals in ascending task order]`` — the exact shape the
-        # purge + re-place sequence rebuilds.
-        expected: Dict[int, List[TaskInstance]] = {}
-        for inst, choice in zip(originals, placements):
-            if choice is not None:
-                expected.setdefault(choice, []).append(inst)
-            elif inst.worker is not None:  # pragma: no cover - host match
-                return False  # guaranteed by placements == hosts
-        for host, planned in expected.items():
-            queue = workers[host].queue
-            offset = len(queue) - len(planned)
-            if offset < 0:
-                return False
-            for position in range(offset):
-                if not queue[position].pinned:
-                    return False
-            for position, inst in enumerate(planned):
-                if queue[offset + position] is not inst:
-                    return False
-        return True
-
-    def _replication_decisions(self, dropped: List[TaskInstance]) -> List[tuple]:
-        """Dry-run of :meth:`_replication_round` against the hypothetical
-        post-round state: ``dropped`` unpinned replicas destroyed, every
-        unpinned original re-placed on its current host.
-
-        Returns the creation decisions ``[(task_id, replica_id, host)…]``
-        the real loop would take (possibly empty).  Only called on the
-        array store after the placement proof succeeded, so the
-        hypothetical reads below mirror exactly the state the mutation
-        phase would produce — which also makes the decisions valid for
-        replay by :meth:`_apply_replication_decisions` when the round
-        runs after all; a failed elision never scores replication twice.
-        The scoring calls are the same ``place_array(rs, 1, allowed)``
-        calls the real loop performs, against the same round-state
-        version, so the chosen hosts are bit-identical.
-        """
-        options = self.options
-        tbl = self._tbl
-        if not options.replication or options.max_replicas == 0:
-            return []
-        n_uncommitted = tbl.n_uncommitted
-        if n_uncommitted <= 0:
-            return []
-        if not dropped and tbl.repl_deficit == 0:
-            return []  # saturated, nothing dropped: nothing to recreate
-        up_state = int(ProcState.UP)
-        cal = self._cal
-        slist = self._states_list
-        if cal is not None:
-            if cal.up_count <= n_uncommitted:
-                return []  # paper's trigger: more UP than remaining tasks
-        elif slist.count(up_state) <= n_uncommitted:
-            return []  # paper's trigger: more UP than remaining tasks
-        workers = self.workers
-        # Hypothetically idle: UP workers whose queue would be empty after
-        # the purge — i.e. currently empty or holding only dropped
-        # replicas (every unpinned replica is dropped by definition).
-        idle_mask = None
-        idle = None
-        if cal is not None:
-            # Calendar path: only queue hosts can be non-idle, so mask
-            # the (few) busy workers out of the UP vector instead of
-            # walking all p queues — and keep the mask so the candidate
-            # loops below build allowed sets with numpy ops.
-            idle_mask = cal.states_np == up_state
-            for q in self._queue_hosts():
-                if not dropped:
-                    idle_mask[q] = False
-                    continue
-                for inst in workers[q].queue:
-                    if inst.replica_id == 0 or inst.pinned:
-                        idle_mask[q] = False  # keeps an original or pinned
-                        break
-        elif dropped:
-            idle = []
-            for q in range(len(slist)):
-                if slist[q] != up_state:
-                    continue
-                for inst in workers[q].queue:
-                    if inst.replica_id == 0 or inst.pinned:
-                        break  # keeps a planned original or pinned work
-                else:
-                    idle.append(q)
-        else:
-            idle = [
-                q
-                for q in range(len(slist))
-                if slist[q] == up_state and not workers[q].queue
-            ]
-        if idle_mask is not None:
-            n_idle = int(np.count_nonzero(idle_mask))
-            if n_idle == 0:
-                return []
-        elif not idle:
-            return []
-        max_instances = 1 + options.max_replicas
-        live_count = tbl.live_count
-        scheduler = self.scheduler
-        rs = self._rs
-        decisions: List[tuple] = []
-
-        def allowed_for(task_hosts):
-            # Shared allowed-set builder: on the calendar path the
-            # eligibility mask itself is handed to the scheduler (the
-            # array paths consume boolean masks directly), list scan
-            # otherwise.  Returns None when no idle worker is eligible.
-            if idle_mask is not None:
-                blocked = [q for q in task_hosts if idle_mask[q]]
-                if blocked:
-                    if len(blocked) == n_idle:
-                        return None
-                    amask = idle_mask.copy()
-                    amask[blocked] = False
-                    return amask
-                return idle_mask
-            allowed = [q for q in idle if q not in task_hosts]
-            return allowed if allowed else None
-
-        def consume(choice):
-            nonlocal n_idle
-            if idle_mask is not None:
-                idle_mask[choice] = False
-                n_idle -= 1
-            else:
-                idle.remove(choice)
-
-        if not dropped:
-            # Fast path (the dominant mid-iteration shape, no replica
-            # churn): the hypothetical post-round state IS the current
-            # state, so this is the real loop's read side verbatim.
-            candidates = sorted(
-                tbl.uncommitted_tasks().tolist(),
-                key=lambda task_id: (int(live_count[task_id]), task_id),
-            )
-            for task_id in candidates:
-                exhausted = (
-                    (n_idle == 0) if idle_mask is not None else not idle
-                )
-                if exhausted:
-                    break
-                if live_count[task_id] >= max_instances:
-                    continue
-                allowed = allowed_for(tbl.hosts_of_task(task_id))
-                if allowed is None:
-                    continue
-                choice = scheduler.place_array(rs, 1, allowed)[0]
-                if choice is None:  # pragma: no cover - allowed is all-UP
-                    continue
-                decisions.append(
-                    (task_id, tbl.free_replica_id(task_id), choice)
-                )
-                consume(choice)
-            return decisions
-        live_list = live_count.tolist()
-        live_hyp: Dict[int, int] = {}
-        mask_hyp: Dict[int, int] = {}
-        for inst in dropped:
-            task_id = inst.task_id
-            live_hyp[task_id] = live_hyp.get(task_id, live_list[task_id]) - 1
-            mask_hyp[task_id] = mask_hyp.get(
-                task_id, int(tbl.replica_mask[task_id])
-            ) & ~(1 << inst.replica_id)
-        for task_id, live in live_hyp.items():
-            live_list[task_id] = live
-        candidates = sorted(
-            tbl.uncommitted_tasks().tolist(),
-            key=lambda task_id: (live_list[task_id], task_id),
-        )
-        objects = tbl.objects
-        for task_id in candidates:
-            exhausted = (n_idle == 0) if idle_mask is not None else not idle
-            if exhausted:
-                break
-            if live_list[task_id] >= max_instances:
-                continue
-            hosts = set()
-            for row in tbl.rows_of[task_id]:
-                inst = objects[row]
-                if inst.replica_id and not inst.pinned:
-                    continue  # an unpinned replica: hypothetically dropped
-                if inst.worker is not None:
-                    hosts.add(inst.worker)
-            allowed = allowed_for(hosts)
-            if allowed is None:
-                continue
-            choice = scheduler.place_array(rs, 1, allowed)[0]
-            if choice is None:  # pragma: no cover - allowed is all-UP
-                continue
-            mask = mask_hyp.get(task_id, int(tbl.replica_mask[task_id]))
-            replica_id = 1
-            while mask >> replica_id & 1:
-                replica_id += 1
-            decisions.append((task_id, replica_id, choice))
-            consume(choice)
-        return decisions
-
-    def _apply_replication_decisions(
-        self, decisions: List[tuple], states: np.ndarray
-    ) -> None:
-        """Replay dry-run replication decisions (array store only).
-
-        The decisions were computed against exactly the post-mutation
-        state the round has now produced (placements applied as computed),
-        so each creation replays without re-scoring.
-        """
-        tbl = self._tbl
-        for task_id, replica_id, choice in decisions:
-            replica = TaskInstance(
-                iteration=self.iteration,
-                task_id=task_id,
-                replica_id=replica_id,
-                data_needed=self.app.t_data,
-            )
-            tbl.add(replica)
-            self._place(replica, choice, states)
-            self.report.replicas_launched += 1
-
-    def _queue_snapshot(self) -> List[list]:
-        """Identity-free queue contents, for audit-mode proof validation."""
-        return [
-            [
-                (
-                    inst.task_id,
-                    inst.replica_id,
-                    inst.pinned,
-                    inst.data_received,
-                    inst.compute_done,
-                    inst.compute_needed,
-                )
-                for inst in worker.queue
-            ]
-            for worker in self.workers
-        ]
-
-    def _audit_elision(self) -> None:
-        """Audit-mode cross-check: a fired elision proof must describe a
-        round that really was a no-op (the round ran; compare)."""
-        predicted = self._elision_prediction
-        self._elision_prediction = None
-        assert self._queue_snapshot() == predicted, (
-            "round-relevance proof fired but the executed round changed a "
-            "queue: elision would have diverged"
-        )
+            self._replication_round(place_batch, states)
 
     def _place(
         self, inst: TaskInstance, choice: Optional[int], states: np.ndarray

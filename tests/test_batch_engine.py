@@ -242,8 +242,8 @@ class TestBatchBitIdentity:
     )
     def test_replan_policies(self, policy):
         # Relaxed policies change which events trigger a round; the
-        # cohort members must still trigger (and elide) exactly the
-        # rounds their standalone runs do.
+        # cohort members must still trigger exactly the rounds their
+        # standalone runs do.
         scenario = ScenarioGenerator(6).scenario(8, 5, 2, 0)
         options = SimulatorOptions(replan_policy=policy)
         specs = [

@@ -57,6 +57,16 @@ class TestHarness:
             CampaignConfig(heuristics=("mct",), trials=0)
         with pytest.raises(ValueError):
             CampaignConfig(heuristics=("mct",), max_slots=0)
+        # The lookup is make_scheduler's: case-insensitive and aware of
+        # the platform-aware baseline, so only "bogus" is rejected.
+        with pytest.raises(KeyError, match="unknown heuristic 'bogus'"):
+            CampaignConfig(heuristics=("EMCT*", "clairvoyant", "bogus"))
+        with pytest.raises(TypeError, match="sequence of registry names"):
+            CampaignConfig(heuristics="mct")
+        with pytest.raises(TypeError):
+            CampaignConfig(heuristics=("mct",), trials=1.5)
+        with pytest.raises(TypeError):
+            CampaignConfig(heuristics=("mct",), max_slots=10.5)
 
     def test_options_forwarded(self):
         scenario = ScenarioGenerator(3).scenario(5, 5, 1, 0)

@@ -103,7 +103,6 @@ class TestOptionVariants:
         {"audit": True},
         {"proactive": True},
         {"replication": False},
-        {"round_relevance": "off"},
         {"scheduler_api": "legacy"},
         {"instance_store": "legacy"},
         {"replan_policy": "sticky"},

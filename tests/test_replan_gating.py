@@ -1,303 +1,44 @@
-"""Round-relevance gating: exact elision bit-identity + replan policies.
+"""Replan policies (DESIGN.md §10): the ``replan_policy`` knob.
 
-The PR-5 gate (DESIGN.md §10), in two halves:
-
-* **exact tier** — for every registry heuristic, the simulator with
-  ``round_relevance="exact"`` (the default: rounds whose no-op-ness the
-  scheduler proves are skipped) must produce **bit-identical** reports,
-  event logs, and network audit trails to ``round_relevance="off"``
-  (every round executes), across both objectives and both stepping
-  modes; deterministic batch heuristics must actually elide rounds on
-  multi-worker cells, while the conservative ``would_replan`` default
-  (random family, passive, external schedulers, the shim-run exact-UD
-  ablation) must elide none.  In audit mode proofs are validated instead
-  of used: the round runs and the predicted no-op is asserted.
-
-* **relaxed tier** — the ``replan_policy`` knob: every policy must be
-  invariant across step modes and instance stores (spans may only glide
-  over what the policy provably ignores), ``debounce:1`` must equal the
-  event-driven default exactly, and ``every-slot`` must stay a faithful
-  alias of the legacy ``replan_every_slot`` flag.
+Every policy must be invariant across step modes and instance stores
+(spans may only glide over what the policy provably ignores),
+``debounce:1`` must equal the event-driven default exactly, and
+``every-slot`` must stay a faithful alias of the legacy
+``replan_every_slot`` flag.  Under the default ``event`` policy no
+counted round is skipped: each one reaches its replication step.
 """
 
-import numpy as np
 import pytest
 
-from repro.core.heuristics.base import ReplanProbe, Scheduler
-from repro.core.heuristics.registry import HEURISTIC_FACTORIES, make_scheduler
+from repro.core.heuristics.registry import available_heuristics, make_scheduler
 from repro.sim.events import EventLog
 from repro.sim.master import MasterSimulator, SimulatorOptions
 from repro.sim.relevance import ReplanPolicy, parse_replan_policy
 from repro.workload.scenarios import ScenarioGenerator
 
-ALL_HEURISTICS = sorted(HEURISTIC_FACTORIES) + ["clairvoyant"]
-
-#: Deterministic batch-scoring heuristics: the exact tier can prove
-#: elisions for these.
-PROVABLE = ["mct", "mct*", "emct", "emct*", "lw", "lw*", "ud", "ud*"]
-
-#: Heuristics that must keep the conservative default (randomised draws,
-#: cross-round state, or no batch scoring).
-CONSERVATIVE = ["random", "random2w", "passive", "ud-exact"]
+ALL_HEURISTICS = available_heuristics() + ["clairvoyant"]
 
 
 def run_one(
     scenario,
     heuristic,
     *,
-    trial=0,
-    objective="run",
     budget=40_000,
     with_log=True,
     **options_kwargs,
 ):
-    platform = scenario.build_platform(trial)
+    platform = scenario.build_platform(0)
     log = EventLog(enabled=with_log)
     sim = MasterSimulator(
         platform,
         scenario.app,
         make_scheduler(heuristic, platform=platform),
         options=SimulatorOptions(**options_kwargs),
-        rng=scenario.scheduler_rng(trial, heuristic),
+        rng=scenario.scheduler_rng(0, heuristic),
         log=log,
     )
-    if objective == "run":
-        report = sim.run(max_slots=budget)
-    else:
-        report = sim.run_slots(budget)
+    report = sim.run(max_slots=budget)
     return sim, (report, log.events, sim.network.usage)
-
-
-def run_relevance_pair(scenario, heuristic, **kwargs):
-    """Run relevance exact vs off on identical inputs."""
-    outcomes = {}
-    sims = {}
-    for relevance in ("off", "exact"):
-        sims[relevance], outcomes[relevance] = run_one(
-            scenario, heuristic, round_relevance=relevance, **kwargs
-        )
-    return sims, outcomes
-
-
-def assert_identical(outcomes, keys=("off", "exact")):
-    first, second = (outcomes[key] for key in keys)
-    assert second[0] == first[0]  # reports
-    assert second[1] == first[1]  # event logs
-    assert second[2] == first[2]  # network audit trails
-
-
-class TestExactTierBitIdentical:
-    """Every registry heuristic, both objectives, both step modes."""
-
-    @pytest.mark.parametrize("step_mode", ["span", "slot"])
-    @pytest.mark.parametrize("heuristic", ALL_HEURISTICS)
-    def test_run_objective(self, heuristic, step_mode):
-        scenario = ScenarioGenerator(12061).scenario(5, 5, 1, 0)
-        sims, outcomes = run_relevance_pair(
-            scenario, heuristic, step_mode=step_mode, budget=30_000
-        )
-        assert_identical(outcomes)
-        assert outcomes["exact"][0].makespan is not None  # sanity: finished
-        assert sims["off"].rounds_elided == 0
-
-    @pytest.mark.parametrize("step_mode", ["span", "slot"])
-    @pytest.mark.parametrize("heuristic", ALL_HEURISTICS)
-    def test_run_slots_objective(self, heuristic, step_mode):
-        scenario = ScenarioGenerator(12061).scenario(5, 5, 2, 1)
-        _sims, outcomes = run_relevance_pair(
-            scenario,
-            heuristic,
-            trial=1,
-            objective="run_slots",
-            budget=800,
-            step_mode=step_mode,
-        )
-        assert_identical(outcomes)
-
-    @pytest.mark.parametrize("heuristic", ["emct*", "mct", "ud*", "lw"])
-    def test_midpoint_cell_elides_and_matches(self, heuristic):
-        """The p=20 midpoint cell: elision must both fire and vanish."""
-        scenario = ScenarioGenerator(12061).scenario(20, 10, 5, 0)
-        sims, outcomes = run_relevance_pair(scenario, heuristic, budget=60_000)
-        assert_identical(outcomes)
-        assert sims["exact"].rounds_elided > 0
-        # Elided rounds still count as executed (the oracle executes them).
-        assert (
-            outcomes["exact"][0].scheduler_rounds
-            == outcomes["off"][0].scheduler_rounds
-        )
-
-    @pytest.mark.parametrize(
-        "options_kwargs",
-        [
-            {"replication": False},
-            {"max_replicas": 0},
-            {"proactive": True},
-            {"replan_every_slot": True},
-            {"instance_store": "legacy"},
-            {"scheduler_api": "legacy"},
-        ],
-        ids=[
-            "no-replication",
-            "zero-replicas",
-            "proactive",
-            "replan-every",
-            "legacy-store",
-            "legacy-api",
-        ],
-    )
-    def test_option_variants_bit_identical(self, options_kwargs):
-        scenario = ScenarioGenerator(7).scenario(5, 5, 2, 0)
-        _sims, outcomes = run_relevance_pair(
-            scenario, "emct", budget=50_000, **options_kwargs
-        )
-        assert_identical(outcomes)
-
-    @pytest.mark.parametrize("config_seed", range(8))
-    def test_random_config_bit_identical(self, config_seed):
-        """Randomised cells over the full registry, both relevance arms."""
-        cfg = np.random.default_rng(5200 + config_seed)
-        n = int(cfg.choice([1, 2, 5, 10, 20, 40]))
-        ncom = int(cfg.choice([1, 5, 10]))
-        wmin = int(cfg.integers(1, 6))
-        heuristic = str(cfg.choice(ALL_HEURISTICS))
-        objective = str(cfg.choice(["run", "run_slots"]))
-        budget = 25_000 if objective == "run" else int(cfg.integers(300, 1500))
-        scenario = ScenarioGenerator(900 + config_seed).scenario(
-            n, ncom, wmin, 0
-        )
-        _sims, outcomes = run_relevance_pair(
-            scenario,
-            heuristic,
-            objective=objective,
-            budget=budget,
-            step_mode=str(cfg.choice(["span", "slot"])),
-        )
-        assert_identical(outcomes)
-
-
-class TestProofValidation:
-    """The proof rules themselves, and their audit-mode cross-check."""
-
-    @pytest.mark.parametrize("heuristic", ["emct*", "mct", "ud", "lw*"])
-    def test_audit_mode_validates_instead_of_eliding(self, heuristic):
-        """Under audit every fired proof is asserted against the executed
-        round (``_audit_elision``): the run must pass its assertions and
-        still match the relevance-off oracle — while eliding nothing."""
-        scenario = ScenarioGenerator(12061).scenario(10, 5, 3, 0)
-        sims, outcomes = run_relevance_pair(
-            scenario, heuristic, budget=50_000, audit=True
-        )
-        assert_identical(outcomes)
-        assert sims["exact"].rounds_elided == 0  # validated, not used
-
-    @pytest.mark.parametrize("heuristic", PROVABLE)
-    def test_provable_heuristics_elide(self, heuristic):
-        scenario = ScenarioGenerator(12061).scenario(20, 10, 5, 0)
-        sim, _ = run_one(scenario, heuristic, budget=60_000, with_log=False)
-        assert sim.rounds_elided > 0, f"{heuristic} proved nothing"
-
-    @pytest.mark.parametrize("heuristic", CONSERVATIVE)
-    def test_conservative_heuristics_never_elide(self, heuristic):
-        """Randomised, stateful, and shim-run schedulers keep the
-        conservative would_replan default: always replan."""
-        scenario = ScenarioGenerator(12061).scenario(20, 10, 5, 0)
-        sim, _ = run_one(scenario, heuristic, budget=60_000, with_log=False)
-        assert sim.rounds_elided == 0
-
-    def test_unknown_external_scheduler_never_elides(self):
-        """An external Scheduler subclass the package knows nothing about
-        must fall back to always-replan (the conservative default)."""
-
-        class FirstUpScheduler(Scheduler):
-            name = "first-up"
-
-            def select(self, ctx, candidates, nq, n_active):
-                return candidates[0].index if candidates else None
-
-        scenario = ScenarioGenerator(12061).scenario(10, 5, 2, 0)
-        platform = scenario.build_platform(0)
-        sim = MasterSimulator(
-            platform,
-            scenario.app,
-            FirstUpScheduler(),
-            options=SimulatorOptions(),
-            rng=scenario.scheduler_rng(0, "first-up"),
-        )
-        report = sim.run(max_slots=40_000)
-        assert report.makespan is not None
-        assert sim.rounds_elided == 0
-
-    def test_cheap_proof_without_placements(self):
-        """The contract allows a proof that never fills probe.placements
-        (a False answer asserts placements == hosts); the gate must fall
-        back to the hosts instead of crashing, bit-identically."""
-        from repro.core.heuristics.mct import MctScheduler
-
-        class CheapProofMct(MctScheduler):
-            def would_replan(self, rs, probe):
-                replan = super().would_replan(rs, probe)
-                if not replan:
-                    probe.placements = None  # cheaper proofs may not place
-                return replan
-
-        scenario = ScenarioGenerator(12061).scenario(20, 10, 5, 0)
-        outcomes = {}
-        sims = {}
-        for relevance in ("off", "exact"):
-            platform = scenario.build_platform(0)
-            log = EventLog(enabled=True)
-            sim = MasterSimulator(
-                platform,
-                scenario.app,
-                CheapProofMct(),
-                options=SimulatorOptions(round_relevance=relevance),
-                rng=scenario.scheduler_rng(0, "mct"),
-                log=log,
-            )
-            report = sim.run(max_slots=60_000)
-            sims[relevance] = sim
-            outcomes[relevance] = (report, log.events, sim.network.usage)
-        assert_identical(outcomes)
-        assert sims["exact"].rounds_elided > 0
-
-    def test_would_replan_contract(self):
-        """GreedyScheduler.would_replan re-places, stashes the placements
-        on the probe, and answers by comparison; the base default answers
-        True without touching the probe."""
-        from repro.core.heuristics.base import RoundState
-        from repro.core.markov import paper_random_model
-
-        rng = np.random.default_rng(3)
-        beliefs = [paper_random_model(rng) for _ in range(4)]
-        rs = RoundState(
-            speed_w=[2, 3, 4, 5],
-            beliefs=beliefs,
-            t_prog=5,
-            t_data=1,
-            ncom=2,
-            rng=np.random.default_rng(0),
-        )
-        rs.state[:] = 0  # all UP (ProcState.UP == 0)
-        rs.invalidate()
-        scheduler = make_scheduler("mct")
-        reference = scheduler.place_array(rs, 2)
-        probe = ReplanProbe(n_tasks=2, hosts=list(reference), dirty_mask=b"")
-        assert scheduler.would_replan(rs, probe) is False
-        assert probe.placements == reference
-        moved = ReplanProbe(
-            n_tasks=2, hosts=[None, None], dirty_mask=b""
-        )
-        assert scheduler.would_replan(rs, moved) is True
-        assert moved.placements == reference  # reusable by the round
-
-        class Opaque(Scheduler):
-            def select(self, ctx, candidates, nq, n_active):  # pragma: no cover
-                return None
-
-        untouched = ReplanProbe(n_tasks=0, hosts=[], dirty_mask=b"")
-        assert Opaque().would_replan(rs, untouched) is True
-        assert untouched.placements is None
 
 
 class TestReplanPolicies:
@@ -324,8 +65,6 @@ class TestReplanPolicies:
     def test_options_validate_policy_and_relevance(self):
         with pytest.raises(ValueError):
             SimulatorOptions(replan_policy="bogus")
-        with pytest.raises(ValueError):
-            SimulatorOptions(round_relevance="sometimes")
 
     def test_every_slot_alias(self):
         """Either spelling selects the ablation arm; they stay in sync."""
@@ -409,11 +148,46 @@ class TestReplanPolicies:
             rounds[policy] = report.scheduler_rounds
         assert rounds["relevant-up"] <= rounds["event"]
 
-    @pytest.mark.parametrize("policy", ["sticky", "debounce:5", "relevant-up"])
-    def test_policies_compose_with_exact_tier(self, policy):
-        """The exact tier stays bit-identical under every relaxed policy."""
-        scenario = ScenarioGenerator(3).scenario(10, 5, 2, 0)
-        _sims, outcomes = run_relevance_pair(
-            scenario, "emct*", budget=50_000, replan_policy=policy
+
+class TestEveryRoundRuns:
+    """Under the paper's event policy every counted scheduling round runs
+    to completion — placement, queue mutation, then the replication step —
+    and the scheduler is never asked to prove a round away instead."""
+
+    @pytest.mark.parametrize("scheduler_api", ["array", "legacy"])
+    @pytest.mark.parametrize("objective", ["run", "run_slots"])
+    @pytest.mark.parametrize("heuristic", ALL_HEURISTICS)
+    def test_every_counted_round_replicates(
+        self, heuristic, objective, scheduler_api
+    ):
+        scenario = ScenarioGenerator(12061).scenario(10, 5, 3, 0)
+        platform = scenario.build_platform(0)
+        scheduler = make_scheduler(heuristic, platform=platform)
+
+        def no_proofs(*_args, **_kwargs):
+            raise AssertionError("the simulator asked for a skip proof")
+
+        scheduler.would_replan = no_proofs
+        sim = MasterSimulator(
+            platform,
+            scenario.app,
+            scheduler,
+            options=SimulatorOptions(scheduler_api=scheduler_api),
+            rng=scenario.scheduler_rng(0, heuristic),
         )
-        assert_identical(outcomes)
+        replication_steps = []
+        replication_round = sim._replication_round
+
+        def counting(*args):
+            replication_steps.append(1)
+            return replication_round(*args)
+
+        sim._replication_round = counting
+        if objective == "run":
+            report = sim.run(max_slots=60_000)
+            assert report.makespan is not None  # sanity: finished
+        else:
+            report = sim.run_slots(900)
+        assert report.scheduler_rounds > 0
+        assert len(replication_steps) == report.scheduler_rounds
+        assert sim.rounds_elided == 0

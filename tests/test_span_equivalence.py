@@ -12,7 +12,7 @@ logic skipped an observable event.
 import numpy as np
 import pytest
 
-from repro.core.heuristics.registry import make_scheduler
+from repro.core.heuristics.registry import available_heuristics, make_scheduler
 from repro.core.markov import paper_random_model
 from repro.rng import RngFactory
 from repro.sim.availability import SemiMarkovSource, WeibullSource
@@ -58,6 +58,8 @@ def assert_identical(outcomes):
 
 
 GRID_SAMPLE = [(5, 5, 1), (10, 5, 3), (20, 10, 5)]
+
+FULL_REGISTRY = available_heuristics() + ["clairvoyant"]
 
 
 class TestPaperGridOracle:
@@ -122,6 +124,51 @@ class TestPaperGridOracle:
         assert reports["span"] == reports["slot"]
         # Span mode must actually have skipped slots somewhere.
         assert reports["span"].slots_simulated > 0
+
+
+def run_modes(scenario, heuristic, *, trial, objective, budget):
+    """Run slot and span modes on one scenario trial; return both outcomes."""
+    outcomes = {}
+    for mode in ("slot", "span"):
+        platform = scenario.build_platform(trial)
+        log = EventLog(enabled=True)
+        sim = MasterSimulator(
+            platform,
+            scenario.app,
+            make_scheduler(heuristic, platform=platform),
+            options=SimulatorOptions(step_mode=mode),
+            rng=scenario.scheduler_rng(trial, heuristic),
+            log=log,
+        )
+        if objective == "run":
+            report = sim.run(max_slots=budget)
+        else:
+            report = sim.run_slots(budget)
+        outcomes[mode] = (report, log.events, sim.network.usage)
+    return outcomes
+
+
+class TestFullRegistryStepModes:
+    """Every registry heuristic, both objectives, on a multi-worker cell:
+    the grid oracle above samples three heuristics; this sweeps them all
+    (including the scheduler-state-carrying passive and exact-UD ones)."""
+
+    @pytest.mark.parametrize("heuristic", FULL_REGISTRY)
+    def test_run_objective(self, heuristic):
+        scenario = ScenarioGenerator(31061).scenario(10, 5, 3, 0)
+        outcomes = run_modes(
+            scenario, heuristic, trial=0, objective="run", budget=60_000
+        )
+        assert_identical(outcomes)
+        assert outcomes["span"][0].makespan is not None  # sanity: finished
+
+    @pytest.mark.parametrize("heuristic", FULL_REGISTRY)
+    def test_run_slots_objective(self, heuristic):
+        scenario = ScenarioGenerator(31061).scenario(10, 5, 3, 0)
+        outcomes = run_modes(
+            scenario, heuristic, trial=1, objective="run_slots", budget=900
+        )
+        assert_identical(outcomes)
 
 
 class TestOptionVariants:
