@@ -73,8 +73,8 @@ def test_replan_policy(benchmark, scale):
 
     def run():
         results = {}
-        for label, every_slot in (("events", False), ("every-slot", True)):
-            options = SimulatorOptions(replan_every_slot=every_slot)
+        for label, policy in (("events", "event"), ("every-slot", "every-slot")):
+            options = SimulatorOptions(replan_policy=policy)
             mean, reports = _mean_makespan(scenarios, 1, "emct*", options)
             rounds = sum(r.scheduler_rounds for r in reports)
             results[label] = (mean, rounds)

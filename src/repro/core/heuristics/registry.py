@@ -13,10 +13,11 @@ instances must not be shared between platforms.
 
 Every registry heuristic runs on both scheduler APIs (DESIGN.md §8): the
 batch :meth:`~repro.core.heuristics.base.Scheduler.place_array` path over
-an array-backed ``RoundState`` — natively for the greedy/random/passive
-families and the clairvoyant baseline, via the lazy compatibility shim for
-the exact-UD ablations — and the legacy scalar ``place`` path, with
-bit-identical placements (``tests/test_scheduler_api_equivalence.py``).
+an array-backed ``RoundState`` that the fast simulator drives — natively
+for the greedy/random/passive families and the clairvoyant baseline, via
+the lazy compatibility shim for the exact-UD ablations — and the scalar
+``place`` path that the reference simulator drives, with bit-identical
+placements (``tests/test_reference_equivalence.py``).
 """
 
 from __future__ import annotations

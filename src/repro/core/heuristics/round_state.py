@@ -321,7 +321,7 @@ class RoundState:
         """Materialise the legacy :class:`ProcessorView` for processor ``q``.
 
         Cached until :meth:`invalidate`; field-for-field equal to the
-        eager snapshot the legacy ``_build_context`` would have built.
+        eager snapshot :func:`repro.sim.reference.eager_context` builds.
         """
         cached = self._views.get(q)
         if cached is None:

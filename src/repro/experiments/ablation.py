@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Sequence, Tuple
 
+from .._validation import require_positive_int
 from ..analysis.plotting import format_table
 from ..core.heuristics.registry import make_scheduler
 from ..sim.master import MasterSimulator, SimulatorOptions
@@ -140,8 +141,7 @@ def _replication(scenarios, trials, backend, base_options) -> AblationResult:
 def _replanning(scenarios, trials, backend, base_options) -> AblationResult:
     """Replan-trigger semantics, on the ``replan_policy`` knob (DESIGN.md
     §10): the paper's event-driven default, the every-slot ablation arm
-    (``replan_every_slot`` remains an alias of that policy), and the
-    relaxed sticky policy in one table.  ``experiments/replan_study.py``
+    and the relaxed sticky policy in one table.  ``experiments/replan_study.py``
     is the full shape validation; this arm shows the makespan/round
     trade-off at a glance."""
     arms = {}
@@ -151,13 +151,7 @@ def _replanning(scenarios, trials, backend, base_options) -> AblationResult:
         ("every-slot", "every-slot"),
         ("sticky", "sticky"),
     ):
-        # Reset the legacy alias flag alongside the policy: replace() on a
-        # base built with replan_every_slot=True would otherwise make
-        # __post_init__ re-canonicalise the event arm back to every-slot
-        # (and reject the sticky arm as conflicting).
-        options = replace(
-            base_options, replan_policy=policy, replan_every_slot=False
-        )
+        options = replace(base_options, replan_policy=policy)
         mean, rounds, count = _mean_over(
             scenarios, trials, "emct*", options, backend
         )
@@ -221,14 +215,15 @@ def run_ablation(
     wmin: int = 5,
     backend=None,
     jobs=None,
-    step_mode: str = "span",
     replan_policy: str = "event",
 ) -> AblationResult:
     """Run one named ablation on a fresh scenario population.
 
     Raises:
         KeyError: for unknown ablation names (message lists valid ones).
+        ValueError: when ``scenarios`` is not positive.
     """
+    require_positive_int(scenarios, "scenarios")
     try:
         runner = ABLATIONS[name]
     except KeyError:
@@ -241,7 +236,7 @@ def run_ablation(
         population,
         trials,
         make_backend(backend, jobs=jobs),
-        SimulatorOptions(step_mode=step_mode, replan_policy=replan_policy),
+        SimulatorOptions(replan_policy=replan_policy),
     )
 
 

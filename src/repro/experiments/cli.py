@@ -37,6 +37,28 @@ from typing import List, Optional
 __all__ = ["main", "build_parser"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=``: a positive integer (bad values exit with 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _replan_policy(text: str) -> str:
+    """argparse ``type=``: a replan-policy spec (DESIGN.md §10)."""
+    from ..sim.relevance import parse_replan_policy
+
+    try:
+        parse_replan_policy(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for tests and docs)."""
     parser = argparse.ArgumentParser(
@@ -59,22 +81,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--jobs",
-            type=int,
+            type=_positive_int,
             default=None,
             help="parallel workers (default: CPU count; ignored by serial)",
         )
         p.add_argument(
-            "--step-mode",
-            choices=("span", "slot"),
-            default="span",
-            help=(
-                "simulator stepping mode (DESIGN.md §6): 'span' skips "
-                "ahead between events, 'slot' is the one-slot-at-a-time "
-                "oracle; results are bit-identical"
-            ),
-        )
-        p.add_argument(
             "--replan-policy",
+            type=_replan_policy,
             default="event",
             metavar="POLICY",
             help=(
@@ -89,12 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
     def add_campaign_args(p: argparse.ArgumentParser, scenarios_default: int):
         p.add_argument(
             "--scenarios",
-            type=int,
+            type=_positive_int,
             default=scenarios_default,
             help=f"scenarios per cell (default {scenarios_default}; paper: 247)",
         )
         p.add_argument(
-            "--trials", type=int, default=2, help="trials per scenario (paper: 10)"
+            "--trials",
+            type=_positive_int,
+            default=2,
+            help="trials per scenario (paper: 10)",
         )
         p.add_argument("--seed", type=int, default=12061, help="campaign seed")
         p.add_argument(
@@ -158,9 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
     dl = sub.add_parser(
         "deadline", help="Section 3.4 objective: iterations within N slots"
     )
-    dl.add_argument("--slots", type=int, default=2000, help="the deadline N")
-    dl.add_argument("--scenarios", type=int, default=4)
-    dl.add_argument("--trials", type=int, default=2)
+    dl.add_argument(
+        "--slots", type=_positive_int, default=2000, help="the deadline N"
+    )
+    dl.add_argument("--scenarios", type=_positive_int, default=4)
+    dl.add_argument("--trials", type=_positive_int, default=2)
     dl.add_argument(
         "--proactive", action="store_true",
         help="enable the proactive-termination extension",
@@ -170,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
     mm = sub.add_parser(
         "mismatch", help="Markov beliefs vs Weibull ground truth (§8 future work)"
     )
-    mm.add_argument("--trials", type=int, default=3)
-    mm.add_argument("--hosts", type=int, default=12)
+    mm.add_argument("--trials", type=_positive_int, default=3)
+    mm.add_argument("--hosts", type=_positive_int, default=12)
     add_backend_args(mm)
 
     ab = sub.add_parser("ablation", help="design-choice ablations (DESIGN.md §5)")
@@ -180,19 +198,24 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("replication", "replanning", "ud-exact", "contention",
                  "proactive"),
     )
-    ab.add_argument("--scenarios", type=int, default=3)
-    ab.add_argument("--trials", type=int, default=2)
+    ab.add_argument("--scenarios", type=_positive_int, default=3)
+    ab.add_argument("--trials", type=_positive_int, default=2)
     add_backend_args(ab)
 
     rp = sub.add_parser(
         "replan-study",
         help="relaxed replan-policy validation vs the paper's shape targets",
     )
-    rp.add_argument("--scenarios", type=int, default=2, help="scenarios/cell")
-    rp.add_argument("--trials", type=int, default=2, help="trials/scenario")
+    rp.add_argument(
+        "--scenarios", type=_positive_int, default=2, help="scenarios/cell"
+    )
+    rp.add_argument(
+        "--trials", type=_positive_int, default=2, help="trials/scenario"
+    )
     rp.add_argument("--seed", type=int, default=12061)
     rp.add_argument(
         "--policies",
+        type=_replan_policy,
         nargs="*",
         default=None,
         metavar="POLICY",
@@ -274,8 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="also run this many in-process workers (0: external only)",
     )
-    co.add_argument("--scenarios", type=int, default=1, help="scenarios/cell")
-    co.add_argument("--trials", type=int, default=2, help="trials/scenario")
+    co.add_argument(
+        "--scenarios", type=_positive_int, default=1, help="scenarios/cell"
+    )
+    co.add_argument(
+        "--trials", type=_positive_int, default=2, help="trials/scenario"
+    )
     co.add_argument("--seed", type=int, default=12061)
     co.add_argument(
         "--wmin", type=int, nargs="*", default=None,
@@ -293,7 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="coordinator address",
     )
     wk.add_argument(
-        "--jobs", type=int, default=1, help="worker threads in this process"
+        "--jobs",
+        type=_positive_int,
+        default=1,
+        help="worker threads in this process",
     )
     wk.add_argument(
         "--worker-id",
@@ -355,7 +385,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             backend=args.backend,
             jobs=args.jobs,
             checkpoint=args.checkpoint,
-            step_mode=args.step_mode,
             replan_policy=args.replan_policy,
             engine=args.engine,
             **kwargs,
@@ -373,7 +402,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             backend=args.backend,
             jobs=args.jobs,
             checkpoint=args.checkpoint,
-            step_mode=args.step_mode,
             replan_policy=args.replan_policy,
             engine=args.engine,
         )
@@ -389,7 +417,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             backend=args.backend,
             jobs=args.jobs,
             checkpoint=args.checkpoint,
-            step_mode=args.step_mode,
             replan_policy=args.replan_policy,
             engine=args.engine,
         )
@@ -431,7 +458,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             proactive=args.proactive,
             backend=args.backend,
             jobs=args.jobs,
-            step_mode=args.step_mode,
             replan_policy=args.replan_policy,
         )
         print(render_deadline_study(result))
@@ -443,7 +469,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             trials=args.trials,
             backend=args.backend,
             jobs=args.jobs,
-            step_mode=args.step_mode,
             replan_policy=args.replan_policy,
         )
         print(render_mismatch_study(result))
@@ -456,7 +481,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             trials=args.trials,
             backend=args.backend,
             jobs=args.jobs,
-            step_mode=args.step_mode,
             replan_policy=args.replan_policy,
         )
         print(render_ablation(result))

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .._validation import require_positive_int
 from ..analysis.plotting import format_table
 from ..core.heuristics.registry import make_scheduler
 from ..sim.master import MasterSimulator, SimulatorOptions
@@ -113,7 +114,6 @@ def run_deadline_study(
     seed=12061,
     backend=None,
     jobs=None,
-    step_mode: str = "span",
     replan_policy: str = "event",
 ) -> DeadlineStudyResult:
     """Run the deadline-objective comparison.
@@ -131,18 +131,19 @@ def run_deadline_study(
         backend: execution backend name or instance (DESIGN.md §4);
             results are backend-independent.
         jobs: worker count when ``backend`` is a name.
-        step_mode: simulator stepping mode (DESIGN.md §6; bit-identical
-            results either way) — this study runs :meth:`MasterSimulator.
-            run_slots`, the other objective formulation span mode covers.
+        replan_policy: the replan-trigger policy (DESIGN.md §10).
+
+    Raises:
+        ValueError: when the default population is requested with a
+            non-positive ``scenario_count``.
     """
     if scenarios is None:
+        require_positive_int(scenario_count, "scenario_count")
         generator = ScenarioGenerator(seed)
         scenarios = [
             generator.scenario(20, 5, 3, index) for index in range(scenario_count)
         ]
-    options = SimulatorOptions(
-        proactive=proactive, step_mode=step_mode, replan_policy=replan_policy
-    )
+    options = SimulatorOptions(proactive=proactive, replan_policy=replan_policy)
     units: List[DeadlineUnit] = []
     for scenario in scenarios:
         # The deadline form has no iteration target; ask for far more

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .._validation import require_positive_int
 from ..analysis.plotting import ascii_plot, format_table
 from ..sim.master import SimulatorOptions
 from ..workload.scenarios import (
@@ -77,7 +78,6 @@ def run_figure2(
     backend=None,
     jobs: Optional[int] = None,
     checkpoint=None,
-    step_mode: str = "span",
     replan_policy: str = "event",
     engine: str = "per-run",
 ) -> Figure2Result:
@@ -86,12 +86,15 @@ def run_figure2(
     The dfb here is computed *within the plotted heuristic population*
     (the paper's figure likewise shows the six-way comparison).
     ``backend``/``jobs``/``checkpoint`` configure parallel and resumable
-    execution (statistics are backend-independent); ``step_mode`` selects
-    the stepping mode (DESIGN.md §6, bit-identical results);
+    execution (statistics are backend-independent);
     ``replan_policy`` the replan-trigger policy (DESIGN.md §10 —
     relaxed policies change the results; validate with
     ``repro-experiments replan-study``).
+
+    Raises:
+        ValueError: when ``scenarios_per_cell`` is not positive.
     """
+    require_positive_int(scenarios_per_cell, "scenarios_per_cell")
     generator = ScenarioGenerator(seed)
     scenarios = list(
         generator.grid(
@@ -104,9 +107,7 @@ def run_figure2(
     config = CampaignConfig(
         heuristics=tuple(heuristics),
         trials=trials,
-        options=SimulatorOptions(
-            step_mode=step_mode, replan_policy=replan_policy
-        ),
+        options=SimulatorOptions(replan_policy=replan_policy),
         engine=engine,
     )
     campaign = run_campaign(

@@ -143,7 +143,6 @@ class MismatchUnit:
     seed: int
     p: int
     max_slots: int = 200_000
-    step_mode: str = "span"
     replan_policy: str = "event"
 
     def run(self) -> float:
@@ -156,10 +155,7 @@ class MismatchUnit:
             platform,
             app,
             make_scheduler(self.heuristic),
-            options=SimulatorOptions(
-                step_mode=self.step_mode,
-                replan_policy=self.replan_policy,
-            ),
+            options=SimulatorOptions(replan_policy=self.replan_policy),
             rng=factory.generator("sched", self.kind, self.trial, self.heuristic),
         )
         report = sim.run(max_slots=self.max_slots)
@@ -176,7 +172,6 @@ def run_mismatch_study(
     seed=2011,
     backend=None,
     jobs=None,
-    step_mode: str = "span",
     replan_policy: str = "event",
 ) -> MismatchStudyResult:
     """Run the paired mismatch comparison.
@@ -195,7 +190,6 @@ def run_mismatch_study(
             heuristic=name,
             seed=seed,
             p=p,
-            step_mode=step_mode,
             replan_policy=replan_policy,
         )
         for kind in kinds

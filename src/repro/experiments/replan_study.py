@@ -40,6 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .._validation import require_positive_int
 from ..analysis.plotting import format_table
 from ..core.heuristics.registry import make_scheduler
 from ..sim.master import MasterSimulator, SimulatorOptions
@@ -207,11 +208,17 @@ def run_replan_study(
             Figure 2 axis.
         wmin_values: wmin grid (the Figure 2 shape check).
         max_slots: per-run slot budget (truncated runs score the budget).
+
+    Raises:
+        ValueError: for an unknown policy spec, an empty policy list, or
+            a non-positive ``scenarios`` or ``trials``.
     """
     for policy in policies:
         parse_replan_policy(policy)  # fail fast on typos
     if not policies:
         raise ValueError("need at least one policy (the baseline)")
+    require_positive_int(scenarios, "scenarios")
+    require_positive_int(trials, "trials")
     generator = ScenarioGenerator(seed)
     population = [
         (wmin, generator.scenario(n, ncom, wmin, index))

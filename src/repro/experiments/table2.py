@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
+from .._validation import require_positive_int
 from ..analysis.plotting import format_table
 from ..core.heuristics.registry import PAPER_HEURISTICS
 from ..sim.master import SimulatorOptions
@@ -91,7 +92,6 @@ def run_table2(
     backend=None,
     jobs: Optional[int] = None,
     checkpoint=None,
-    step_mode: str = "span",
     replan_policy: str = "event",
     engine: str = "per-run",
 ) -> Table2Result:
@@ -101,13 +101,15 @@ def run_table2(
     ``scenarios_per_cell=247, trials=10``); the protocol is otherwise
     identical.  Restrict ``n_values``/``wmin_values`` for quicker runs;
     ``backend``/``jobs``/``checkpoint`` configure parallel and resumable
-    execution (statistics are backend-independent).  ``step_mode``
-    selects the simulator stepping mode (DESIGN.md §6; results are
-    bit-identical between ``"span"`` and ``"slot"``), and
+    execution (statistics are backend-independent), and
     ``replan_policy`` the replan-trigger policy (DESIGN.md §10 —
     relaxed policies change the results; validate with
     ``repro-experiments replan-study``).
+
+    Raises:
+        ValueError: when ``scenarios_per_cell`` is not positive.
     """
+    require_positive_int(scenarios_per_cell, "scenarios_per_cell")
     generator = ScenarioGenerator(seed)
     scenarios = list(
         generator.grid(
@@ -120,9 +122,7 @@ def run_table2(
     config = CampaignConfig(
         heuristics=tuple(heuristics or PAPER_HEURISTICS),
         trials=trials,
-        options=SimulatorOptions(
-            step_mode=step_mode, replan_policy=replan_policy
-        ),
+        options=SimulatorOptions(replan_policy=replan_policy),
         engine=engine,
     )
     campaign = run_campaign(

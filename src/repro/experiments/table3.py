@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
+from .._validation import require_positive_int
 from ..analysis.plotting import format_table
 from ..core.heuristics.registry import GREEDY_HEURISTICS
 from ..sim.master import SimulatorOptions
@@ -72,7 +73,6 @@ def run_table3(
     backend=None,
     jobs: Optional[int] = None,
     checkpoint=None,
-    step_mode: str = "span",
     replan_policy: str = "event",
     engine: str = "per-run",
 ) -> Table3Result:
@@ -80,24 +80,26 @@ def run_table3(
 
     Paper scale is ``scenarios=100, trials=10``; defaults are laptop-scale.
     ``backend``/``jobs``/``checkpoint`` configure parallel and resumable
-    execution (statistics are backend-independent); ``step_mode`` selects
-    the stepping mode (DESIGN.md §6, bit-identical results);
+    execution (statistics are backend-independent);
     ``replan_policy`` the replan-trigger policy (DESIGN.md §10 —
     relaxed policies change the results; validate with
     ``repro-experiments replan-study``).
+
+    Raises:
+        ValueError: for a ``comm_factor`` other than 5 or 10, or a
+            non-positive ``scenarios``.
     """
     if comm_factor not in (5, 10):
         raise ValueError(
             f"comm_factor must be 5 or 10 (the paper's two columns), got {comm_factor}"
         )
+    require_positive_int(scenarios, "scenarios")
     generator = ScenarioGenerator(seed)
     population = generator.contention_prone(comm_factor, scenarios)
     config = CampaignConfig(
         heuristics=tuple(heuristics or GREEDY_HEURISTICS),
         trials=trials,
-        options=SimulatorOptions(
-            step_mode=step_mode, replan_policy=replan_policy
-        ),
+        options=SimulatorOptions(replan_policy=replan_policy),
         engine=engine,
     )
     campaign = run_campaign(

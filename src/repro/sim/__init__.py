@@ -9,10 +9,12 @@ from .availability import (
 )
 from .events import EventKind, EventLog, SimEvent
 from .instance_table import InstanceTable
-from .master import MasterSimulator, SimulatorOptions, simulate
+from .master import MasterSimulator, simulate
 from .metrics import SimulationReport
 from .network import BoundedMultiportNetwork, TransferRequest
+from .options import SimulatorOptions
 from .platform import Platform, Processor
+from .reference import ReferenceSimulator
 from .relevance import ReplanPolicy, parse_replan_policy
 from .timeline import Activity, TimelineRecorder
 from .worker import TaskInstance, WorkerRuntime
@@ -28,6 +30,7 @@ __all__ = [
     "SimEvent",
     "InstanceTable",
     "MasterSimulator",
+    "ReferenceSimulator",
     "SimulatorOptions",
     "ReplanPolicy",
     "parse_replan_policy",

@@ -53,12 +53,12 @@ gates).
 Cohort membership and demotion
 ==============================
 
-Runs join the cohort only on the default array/array span-stepped
-configuration; a run needing the slot-mode oracle stepping
-(``step_mode="slot"`` or ``replan_every_slot``), audit mode, or a
-legacy store/API is *statically demoted* — executed on the untouched
-per-run path (``MasterSimulator.run``).  A cohort member that diverges
-mid-flight (a shared hook raises :class:`CohortDivergence`) is
+Runs join the cohort unless they audit or replan every slot
+(``replan_policy="every-slot"``, where every slot is a boundary and
+there is nothing to fuse across spans): those are *statically demoted*
+— executed on the untouched per-run path (``MasterSimulator.run``).  A
+cohort member that diverges mid-flight (a shared hook raises
+:class:`CohortDivergence`) is
 *dynamically demoted*: its shared hooks are stripped and the run
 finishes standalone on its own views — the result is identical either
 way, demotion only changes who pays for the boundary work.
@@ -254,20 +254,10 @@ class BatchCampaignRunner:
     # ------------------------------------------------------------------ #
     @staticmethod
     def _eligible(spec: BatchRunSpec) -> bool:
-        """Cohort membership: the default array/array span configuration.
-
-        Everything else — the slot-mode oracle stepping, audit mode, the
-        legacy instance store or scheduler API — runs per-run, where
-        those configurations are already the validated oracles.
-        """
+        """Cohort membership: everything but audit mode and the
+        ``every-slot`` policy, which run per-run."""
         options = spec.options
-        return (
-            not options.audit
-            and options.step_mode == "span"
-            and not options.replan_every_slot
-            and options.instance_store == "array"
-            and options.scheduler_api == "array"
-        )
+        return not options.audit and options.replan_policy != "every-slot"
 
     def _new_row(self) -> int:
         row = int(self._row_clock.size)

@@ -35,30 +35,27 @@ Two run modes mirror the paper's two objective formulations:
 * :meth:`MasterSimulator.run_slots` — simulate exactly ``N`` slots, report
   completed iterations (the Section 3.4 objective).
 
-**Stepping modes** (DESIGN.md §6).  The paper's chains have self-loop
+**Span stepping** (DESIGN.md §6).  The paper's chains have self-loop
 probabilities in ``[0.90, 0.99]`` (Section 7), so for tens of slots at a
 stretch nothing observable changes: states hold, transfers and
-computations tick linearly, and no scheduling decision can differ.  The
-default ``step_mode="span"`` exploits this by computing, after each fully
-simulated slot, the next slot at which *anything* can change — the
-earliest relevant availability transition, granted-transfer completion,
-compute completion, or pending re-plan — and advancing all counters
-arithmetically across the quiet gap in O(p) instead of O(p·span).  Slot
-semantics are preserved exactly: ``step_mode="slot"`` keeps the original
-one-slot-at-a-time loop as the oracle, and the two modes produce
-bit-identical reports, event logs, and audit trails (enforced by
-``tests/test_span_equivalence.py``).
+computations tick linearly, and no scheduling decision can differ.  After
+each fully simulated slot the simulator computes the next slot at which
+*anything* can change — the earliest relevant availability transition,
+granted-transfer completion, compute completion, or pending re-plan — and
+advances all counters arithmetically across the quiet gap in O(p) instead
+of O(p·span).  The live instances sit in the structure-of-arrays
+:class:`~repro.sim.instance_table.InstanceTable` (DESIGN.md §9), the
+schedulers read an incrementally maintained
+:class:`~repro.core.heuristics.base.RoundState` (§8), and, unless a
+timeline recorder or a cohort ``states_provider`` observes every state
+vector, an event calendar (§12) touches only the processors whose
+availability run ended at a boundary.
 
-**Instance stores** (DESIGN.md §9).  The default
-``instance_store="array"`` keeps the live instances in the
-structure-of-arrays :class:`~repro.sim.instance_table.InstanceTable` —
-incrementally maintained aggregates turn the body's per-boundary and
-per-round scans (crash sweep, round triviality, glide analysis,
-replication bookkeeping, sibling lookups) into O(1) reads or short
-candidate loops over a once-per-boundary state list.
-``instance_store="legacy"`` preserves the original Python-list store as
-the oracle; the two stores are bit-identical (enforced by
-``tests/test_instance_table.py``).
+**The reference** (DESIGN.md §3).  None of this machinery may change a
+result: :class:`~repro.sim.reference.ReferenceSimulator`, a plain
+slot-at-a-time implementation of the same model, must produce identical
+reports, event logs and audit trails (enforced by
+``tests/test_reference_equivalence.py``).
 
 **Replan policies** (DESIGN.md §10).  ``replan_policy`` relaxes when
 those re-plans run (``sticky``, ``debounce:k``, ``relevant-up``) and is
@@ -68,18 +65,12 @@ validated against the paper's shape targets by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .._validation import require_nonnegative_int, require_positive_int
-from ..core.heuristics.base import (
-    ProcessorView,
-    RoundState,
-    Scheduler,
-    SchedulingContext,
-)
+from .._validation import require_positive_int
+from ..core.heuristics.base import RoundState, Scheduler
 from ..rng import DEFAULT_SCHEDULER_SEED, default_scheduler_rng
 from ..types import ProcState
 from ..workload.application import IterativeApplication
@@ -87,6 +78,7 @@ from .events import EventKind, EventLog, SimEvent
 from .instance_table import InstanceTable
 from .metrics import SimulationReport
 from .network import BoundedMultiportNetwork, TransferRequest
+from .options import SimulatorOptions
 from .platform import Platform, PlatformCalendar
 from .relevance import ReplanPolicy, parse_replan_policy
 from .worker import TaskInstance, WorkerRuntime, reset_instance
@@ -98,140 +90,6 @@ __all__ = [
     "MasterSimulator",
     "simulate",
 ]
-
-
-@dataclass(frozen=True)
-class SimulatorOptions:
-    """Tunables for the simulator.
-
-    Attributes:
-        replication: enable task replication (Section 6.1; the paper's
-            experiments always replicate — disable only for ablations).
-        max_replicas: extra copies per task beyond the original.  The paper
-            uses 2 ("we limit the number of additional replicas of a task
-            to two").
-        replan_every_slot: force a scheduling round every slot instead of
-            on events only (ablation; slower, same results for the paper's
-            heuristics up to Delay-shift ties).  Alias of
-            ``replan_policy="every-slot"``; the two fields are kept in
-            sync by ``__post_init__``.
-        replan_policy: when the master re-plans (DESIGN.md §10;
-            :mod:`repro.sim.relevance`).  ``"event"`` (default) is the
-            paper's semantics — replan at every UP-set change, crash,
-            commit, program completion and iteration boundary.
-            ``"every-slot"`` is the ablation arm (alias of
-            ``replan_every_slot``).  The *relaxed* policies change the
-            trigger semantics and therefore the results — they are
-            validated against the paper's shape targets by
-            ``experiments/replan_study.py``, not by bit-identity:
-            ``"sticky"`` ignores pure UP-set churn entirely,
-            ``"debounce:k"`` rate-limits churn-triggered rounds to one
-            per ``k`` slots (leading edge), and ``"relevant-up"`` ignores
-            exits of empty processors.
-        proactive: enable the paper's *proactive* heuristic class (Section
-            6.1, described but not evaluated by the authors): during the
-            end-of-iteration regime (UP processors ≥ remaining tasks), a
-            pinned original stalled on a RECLAIMED worker is aggressively
-            terminated — its partial data and computation are discarded,
-            per the un-enrolment rule — and returned to the pool so an UP
-            processor can take it over.
-        audit: run per-slot invariant checks and network auditing.  Cheap
-            enough for tests and examples; the harness disables it.  In
-            span mode each boundary slot is checked and every quiet span
-            additionally re-verifies grant stability and milestone bounds.
-        max_slots: hard safety bound on simulated slots.
-        step_mode: ``"span"`` (default) skips ahead between events in
-            O(p) per span; ``"slot"`` is the original slot-at-a-time
-            oracle loop.  Bit-identical results either way (module
-            docstring; DESIGN.md §6).  ``replan_every_slot`` forces slot
-            stepping, since it demands per-slot work.  An attached
-            timeline recorder no longer does: quiet spans fill the
-            recorder in batch (every quiet slot repeats the boundary
-            activity row), at the cost of treating every availability
-            transition as a span boundary — the recorder observes them.
-        scheduler_api: ``"array"`` (default) maintains the structure-of-
-            arrays :class:`~repro.core.heuristics.base.RoundState`
-            incrementally across rounds and calls the scheduler's batch
-            entry point (:meth:`Scheduler.place_array`); ``"legacy"``
-            rebuilds the eager per-round ``ProcessorView`` snapshot and
-            calls the scalar :meth:`Scheduler.place`.  Bit-identical
-            placements either way (DESIGN.md §8, enforced by
-            ``tests/test_scheduler_api_equivalence.py``); the legacy path
-            is kept as the oracle for that suite and the benchmark
-            baseline.
-        instance_store: ``"array"`` (default) keeps the live instances in
-            the structure-of-arrays
-            :class:`~repro.sim.instance_table.InstanceTable` —
-            vectorised body scans, O(1) triviality/saturation checks,
-            free-list slot reuse (DESIGN.md §9); ``"legacy"`` keeps the
-            original Python-list store.  Bit-identical reports, event
-            logs and audit trails either way (enforced by
-            ``tests/test_instance_table.py``); the legacy store is the
-            oracle for that suite and the benchmark baseline.
-        platform_index: ``"calendar"`` (default) tracks the platform's
-            availability through the event-calendar engine
-            (:class:`~repro.sim.platform.PlatformCalendar`, DESIGN.md
-            §12): a min-heap of per-processor next-transition slots fed
-            by the RLE run cursors, so each span boundary touches only
-            the processors whose run actually ended (O(churn · log p))
-            instead of re-reading all ``p`` states and re-deriving all
-            ``p`` span minima.  ``"sweep"`` preserves the original O(p)
-            per-boundary sweeps as the oracle.  Bit-identical reports,
-            event logs and audit trails either way (enforced by
-            ``tests/test_platform_index.py``).  The calendar engages on
-            the array instance store without a timeline recorder or a
-            cohort states provider; other configurations fall back to
-            the sweep — which is invisible in the results, precisely
-            because the two are bit-identical.
-    """
-
-    replication: bool = True
-    max_replicas: int = 2
-    replan_every_slot: bool = False
-    proactive: bool = False
-    audit: bool = False
-    max_slots: int = 10_000_000
-    step_mode: str = "span"
-    scheduler_api: str = "array"
-    instance_store: str = "array"
-    replan_policy: str = "event"
-    platform_index: str = "calendar"
-
-    def __post_init__(self) -> None:
-        require_nonnegative_int(self.max_replicas, "max_replicas")
-        require_positive_int(self.max_slots, "max_slots")
-        if self.step_mode not in ("span", "slot"):
-            raise ValueError(
-                f"step_mode must be 'span' or 'slot', got {self.step_mode!r}"
-            )
-        policy = parse_replan_policy(self.replan_policy)  # validates
-        # Keep the legacy ``replan_every_slot`` flag and the policy field
-        # in sync: either spelling selects the every-slot ablation arm.
-        if self.replan_every_slot:
-            if policy.name == "event":
-                object.__setattr__(self, "replan_policy", "every-slot")
-            elif policy.name != "every-slot":
-                raise ValueError(
-                    "replan_every_slot=True conflicts with "
-                    f"replan_policy={self.replan_policy!r}"
-                )
-        elif policy.name == "every-slot":
-            object.__setattr__(self, "replan_every_slot", True)
-        if self.scheduler_api not in ("array", "legacy"):
-            raise ValueError(
-                "scheduler_api must be 'array' or 'legacy', "
-                f"got {self.scheduler_api!r}"
-            )
-        if self.instance_store not in ("array", "legacy"):
-            raise ValueError(
-                "instance_store must be 'array' or 'legacy', "
-                f"got {self.instance_store!r}"
-            )
-        if self.platform_index not in ("calendar", "sweep"):
-            raise ValueError(
-                "platform_index must be 'calendar' or 'sweep', "
-                f"got {self.platform_index!r}"
-            )
 
 
 class MasterSimulator:
@@ -290,32 +148,26 @@ class MasterSimulator:
             target_iterations=app.iterations, heuristic_name=scheduler.name
         )
 
-        # Iteration state.  The live-instance store is either the
-        # structure-of-arrays InstanceTable (DESIGN.md §9, the default) or
-        # the legacy Python list kept as the bit-identical oracle; exactly
-        # one of ``_tbl``/``_instances`` is in use.
+        # Iteration state: the live instances sit in the structure-of-
+        # arrays InstanceTable (DESIGN.md §9).
         self.iteration = 0
-        self._tbl: Optional[InstanceTable] = None
-        if self.options.instance_store == "array":
-            self._tbl = InstanceTable(
-                app.tasks_per_iteration,
-                len(self.workers),
-                1 + self.options.max_replicas,
-            )
-            #: Mirrors ``prog_received > 0`` per worker (crash-sweep filter).
-            self._prog_started = [False] * len(self.workers)
-            #: Per-worker reuse cache for frozen TransferRequest objects,
-            #: keyed by (kind, started, is_replica) — see _gather_requests.
-            self._request_cache: List[dict] = [{} for _ in self.workers]
-        self._instances: List[TaskInstance] = []  # legacy store only
+        self._tbl = InstanceTable(
+            app.tasks_per_iteration,
+            len(self.workers),
+            1 + self.options.max_replicas,
+        )
+        #: Mirrors ``prog_received > 0`` per worker (crash-sweep filter).
+        self._prog_started = [False] * len(self.workers)
+        #: Per-worker reuse cache for frozen TransferRequest objects,
+        #: keyed by (kind, started, is_replica) — see _gather_requests.
+        self._request_cache: List[dict] = [{} for _ in self.workers]
         self._committed: set[int] = set()  # committed task_ids, this iteration
         self._start_iteration(0)
 
         self._prev_states: Optional[np.ndarray] = None
-        # Array-store body fast path: the state vector converted once per
-        # boundary to a plain Python list (``states.tolist()`` is ~0.2µs;
-        # after that, int loops beat per-element numpy reads ~2× at the
-        # paper's p = 20 — DESIGN.md §9).  ``None`` on the legacy store.
+        # The state vector as a plain Python list, once per boundary (int
+        # loops beat per-element numpy reads ~2× at the paper's p = 20 —
+        # DESIGN.md §9).
         self._states_list: Optional[list] = None
         self._prev_states_list: Optional[list] = None
         self._avail = [proc.availability for proc in platform]
@@ -325,19 +177,19 @@ class MasterSimulator:
         # ``_need_replan`` (DESIGN.md §10).
         self._policy = parse_replan_policy(self.options.replan_policy)
         self._policy_churn_always = self._policy.churn_always
+        self._every_slot = self._policy.name == "every-slot"
         # No simulator code uses this; it stays only because the
         # end-to-end benchmark tracer reads it by name.
         self.rounds_elided = 0
         #: Slot of the last *executed* (non-trivial) scheduling round;
         #: anchors the ``debounce:k`` cooldown window.  Trivial rounds do
         #: not move it, so the debounce clock is invisible at glided
-        #: slots (span/slot bit-identity).
+        #: slots.
         self._last_round_slot = -(1 << 60)
 
-        #: Fully simulated slots (diagnostic, not part of the report): in
-        #: slot mode this equals ``report.slots_simulated``; in span mode
-        #: it counts boundaries, so ``slots_simulated / steps_executed``
-        #: is the run's mean span length.
+        #: Fully simulated slots (diagnostic, not part of the report): the
+        #: span boundaries, so ``slots_simulated / steps_executed`` is the
+        #: run's mean span length.
         self.steps_executed = 0
 
         # Span-stepping state (DESIGN.md §6): the grants of the last fully
@@ -356,9 +208,8 @@ class MasterSimulator:
 
         # Large-p platform engine (DESIGN.md §12).  The event calendar is
         # built lazily at the first boundary of a run once the budget is
-        # known (``_cal_last``); it stays ``None`` on the sweep oracle and
-        # on configurations the calendar does not cover (legacy store,
-        # timeline recorder, cohort states provider).
+        # known (``_cal_last``); it stays ``None`` when a timeline recorder
+        # or a cohort states provider needs the per-boundary sweep.
         self._cal: Optional[PlatformCalendar] = None
         self._cal_last: Optional[int] = None
         #: Net state changes of the current boundary, ``(q, old, new)``
@@ -421,15 +272,14 @@ class MasterSimulator:
         #: once per boundary per *trial* rather than per run.  The
         #: callable must return exactly ``[source.state_at(slot) for
         #: source in self._avail]`` (the lists may be shared: the master
-        #: never mutates them).  ``None`` (the default, and the per-run
-        #: oracle) keeps the direct reads.
+        #: never mutates them).  ``None`` (the default) keeps the direct
+        #: reads.
         self.states_provider: Optional[Callable[[int], list]] = None
         # Run-loop state (begin_run/advance_until/finish_run; run and
         # run_slots drive the same three calls).
         self._resume_budget: Optional[int] = None
         self._resume_slot = 0
         self._run_over = False
-        self._resume_span = False
 
     @property
     def round_state(self) -> RoundState:
@@ -456,43 +306,15 @@ class MasterSimulator:
             )
             for task_id in range(self.app.tasks_per_iteration)
         ]
-        if self._tbl is not None:
-            self._tbl.reset()
-            for inst in originals:
-                self._tbl.add(inst)
-        else:
-            self._instances = originals
-            for position, inst in enumerate(originals):
-                inst.row = position
+        self._tbl.reset()
+        for inst in originals:
+            self._tbl.add(inst)
         self._need_replan = True
-
-    def _live_instances_of(self, task_id: int) -> List[TaskInstance]:
-        return [inst for inst in self._instances if inst.task_id == task_id]
-
-    def _list_remove(self, inst: TaskInstance) -> None:
-        """Legacy-store removal: O(1) swap-remove by the instance's
-        tracked list position (order is never observable — the commit and
-        proactive paths iterate in canonical creation/task order)."""
-        instances = self._instances
-        position = inst.row
-        last = instances.pop()
-        if last is not inst:
-            instances[position] = last
-            last.row = position
-        inst.row = -1
-
-    def _uncommitted_task_ids(self) -> List[int]:
-        return [
-            task_id
-            for task_id in range(self.app.tasks_per_iteration)
-            if task_id not in self._committed
-        ]
 
     @property
     def instance_ops(self) -> int:
-        """Structural instance-store mutations so far (benchmark metric;
-        0 on the legacy store, which does not count them)."""
-        return self._tbl.ops if self._tbl is not None else 0
+        """Structural instance-store mutations so far (benchmark metric)."""
+        return self._tbl.ops
 
     @property
     def op_counts(self) -> Dict[str, int]:
@@ -509,8 +331,8 @@ class MasterSimulator:
         scheduler's persistent score-row store (score evaluations run
         vs. stamped rows reused verbatim — 0/0 for schedulers without
         the store).  The O(churn) claims of the large-p engine are
-        asserted on these in ``tests/test_platform_index.py``, not just
-        benchmarked.
+        asserted on these in ``tests/test_reference_equivalence.py``,
+        not just benchmarked.
         """
         return {
             "boundaries": self.op_boundaries,
@@ -525,16 +347,14 @@ class MasterSimulator:
     def _calendar_active(self) -> bool:
         """Whether this run uses the event-calendar platform index.
 
-        Requires the array instance store (the body fast paths the
-        calendar plugs into), no timeline recorder (a recorder observes
-        every slot's full state vector), no cohort states provider (the
-        cohort memo *is* the state gather) and a known slot budget
-        (``_cal_last`` — heap sentinels are budget-relative).
+        Requires no timeline recorder (a recorder observes every slot's
+        full state vector), no cohort states provider (the cohort memo
+        *is* the state gather) and a known slot budget (``_cal_last`` —
+        heap sentinels are budget-relative).  Otherwise every boundary
+        sweeps all ``p`` states.
         """
         return (
-            self.options.platform_index == "calendar"
-            and self._tbl is not None
-            and self.timeline is None
+            self.timeline is None
             and self.states_provider is None
             and self._cal_last is not None
         )
@@ -562,14 +382,13 @@ class MasterSimulator:
     # ------------------------------------------------------------------ #
     # Crash / state handling.                                              #
     # ------------------------------------------------------------------ #
-    def _handle_states(self, slot: int, states: np.ndarray) -> None:
-        prev = self._prev_states
+    def _handle_states(self, slot: int) -> None:
         records = self._cal_records
         if records is not None:
             # Calendar path: the records ARE the boundary snapshot diff
             # (net per-processor changes, ascending) — same re-plan
-            # trigger, same events, no O(p) pass.  ``prev`` is never None
-            # here: the calendar's first boundary takes the sweep path.
+            # trigger, same events, no O(p) pass.  The calendar's first
+            # boundary takes the sweep path below.
             slist = self._states_list
             if records:
                 up = int(ProcState.UP)
@@ -616,13 +435,12 @@ class MasterSimulator:
             ]
             self._crash(slot, candidates)
             return
-        if prev is not None and self._tbl is not None:
-            # Fused change detection (array store): one pass over the
-            # plain-list state vectors feeds the re-plan trigger and the
-            # log loop — same trigger, same events (ascending worker
-            # order) as the legacy double ``array_equal``.
-            slist = self._states_list
-            prev_list = self._prev_states_list
+        slist = self._states_list
+        prev_list = self._prev_states_list
+        if prev_list is not None:
+            # Fused change detection: one pass over the plain-list state
+            # vectors feeds the re-plan trigger and the log loop (events
+            # in ascending worker order).
             changed = [
                 q for q in range(len(slist)) if slist[q] != prev_list[q]
             ]
@@ -666,56 +484,16 @@ class MasterSimulator:
                                 ),
                             )
                         )
-        elif prev is not None and not np.array_equal(states, prev):
-            up_state = int(ProcState.UP)
-            dirty = self._rs_dirty
-            hint = self._rs_dirty_hint
-            for q in np.nonzero(states != prev)[0].tolist():
-                if states[q] == up_state and dirty[q]:
-                    hint.append(q)
-            churn = (states == int(ProcState.UP)) != (prev == int(ProcState.UP))
-            if churn.any():
-                if self._policy_churn_always:
-                    self._need_replan = True
-                else:
-                    self._churn_replan(
-                        slot, np.nonzero(churn)[0].tolist(), states
-                    )
-            if self.log.enabled:
-                for q in range(len(states)):
-                    if states[q] != prev[q]:
-                        self.log.emit(
-                            SimEvent(
-                                slot,
-                                EventKind.PROC_STATE_CHANGE,
-                                worker=q,
-                                detail=(
-                                    f"{ProcState(int(prev[q])).code}"
-                                    f"->{ProcState(int(states[q])).code}"
-                                ),
-                            )
-                        )
-        tbl = self._tbl
+        # Only workers carrying progress can crash; the filters mirror
+        # ``prog_received > 0`` / non-empty queues exactly.
         down = int(ProcState.DOWN)
-        if tbl is not None:
-            # Only workers carrying progress can crash; the filters mirror
-            # ``prog_received > 0`` / non-empty queues exactly, so this is
-            # the same sweep the legacy loop does, minus the idle workers.
-            slist = self._states_list
-            prog_started = self._prog_started
-            workers = self.workers
-            candidates = [
-                q
-                for q in range(len(slist))
-                if slist[q] == down and (prog_started[q] or workers[q].queue)
-            ]
-        else:
-            candidates = [
-                q
-                for q in range(len(self.workers))
-                if states[q] == down
-                and (self.workers[q].prog_received or self.workers[q].queue)
-            ]
+        prog_started = self._prog_started
+        workers = self.workers
+        candidates = [
+            q
+            for q in range(len(slist))
+            if slist[q] == down and (prog_started[q] or workers[q].queue)
+        ]
         self._crash(slot, candidates)
 
     def _crash(self, slot: int, candidates: List[int]) -> None:
@@ -731,21 +509,18 @@ class MasterSimulator:
                 dirty[q] = 1
                 hint.append(q)
             lost = worker.crash()
-            if tbl is not None:
-                tbl.on_crash(q)
-                self._prog_started[q] = False
-                self._prog_holders.discard(q)
+            tbl.on_crash(q)
+            self._prog_started[q] = False
+            self._prog_holders.discard(q)
             for inst in lost:
                 self.report.comm_slots_wasted += inst.data_received
                 self.report.compute_slots_wasted += inst.compute_done
                 self.report.instances_lost_to_crash += 1
                 if inst.is_replica:
                     self._destroy_instance(inst)
-                elif tbl is not None:
+                else:
                     reset_instance(inst)  # original returns to the pool
                     tbl.release(inst)
-                else:
-                    reset_instance(inst)
                 self.log.emit(
                     SimEvent(
                         slot,
@@ -760,10 +535,9 @@ class MasterSimulator:
             self._need_replan = True
 
     def _destroy_instance(self, inst: TaskInstance) -> None:
-        if self._tbl is not None:
-            # Before the queue detach below: destroy reads ``inst.worker``
-            # for the computing-row rollback.
-            self._tbl.destroy(inst)
+        # Before the queue detach below: destroy reads ``inst.worker`` for
+        # the computing-row rollback.
+        self._tbl.destroy(inst)
         if inst.worker is not None:
             # Destroying a pinned instance moves the worker's delay and
             # pinned count; marking unconditionally is cheap and idempotent.
@@ -772,8 +546,6 @@ class MasterSimulator:
                 self._rs_dirty_hint.append(inst.worker)
             self.workers[inst.worker].remove_instance(inst)
         reset_instance(inst)
-        if self._tbl is None:
-            self._list_remove(inst)
 
     def _churn_replan(self, slot: int, churned, states) -> None:
         """Apply the relaxed replan policy to an UP-set change.
@@ -781,8 +553,7 @@ class MasterSimulator:
         Called only for non-default policies (the ``event``/``every-slot``
         fast path sets ``_need_replan`` inline).  ``churned`` lists the
         processors whose UP-membership flipped this slot; ``states`` is
-        the current state vector (plain list on the array store, ndarray
-        on the legacy store).
+        the current state vector as a plain list.
         """
         policy = self._policy
         if policy.ignores_churn:
@@ -810,8 +581,6 @@ class MasterSimulator:
     # ------------------------------------------------------------------ #
     # Scheduling round.                                                    #
     # ------------------------------------------------------------------ #
-    _STATE_TABLE = (ProcState.UP, ProcState.RECLAIMED, ProcState.DOWN)
-
     def _pinned_pipeline_of(self, q: int) -> tuple:
         """The worker's pinned pipeline, for lazy ``ProcessorView`` shims."""
         return tuple(
@@ -828,9 +597,10 @@ class MasterSimulator:
         state vector, and the worker-derived columns — ``delay``,
         ``pinned_count``, ``has_program``, ``prog_remaining`` — are
         recomputed only for processors flagged dirty since the last round.
-        The per-worker recompute is the same ``delay_estimate`` the eager
-        legacy snapshot calls, so refreshed columns are bit-identical to a
-        from-scratch rebuild (cross-checked in audit mode).
+        The per-worker recompute is the same ``delay_estimate`` the
+        reference simulator's eager snapshot calls, so refreshed columns
+        are bit-identical to a from-scratch rebuild (cross-checked in
+        audit mode).
         """
         rs = self._rs
         rs.slot = slot
@@ -840,8 +610,7 @@ class MasterSimulator:
         workers = self.workers
         up = int(ProcState.UP)
         eager_all = self.options.audit  # the audit cross-check reads all p
-        # Plain-list state reads where the array store maintains the list.
-        slist = self._states_list if self._tbl is not None else states
+        slist = self._states_list
         changed: List[int] = []
         delays: List[int] = []
         pinned_counts: List[int] = []
@@ -944,66 +713,19 @@ class MasterSimulator:
                 f"worker {q}: incremental prog_remaining drifted"
             )
 
-    def _build_context(self, slot: int, states: np.ndarray) -> SchedulingContext:
-        views = []
-        state_table = self._STATE_TABLE
-        for proc, worker in zip(self.platform, self.workers):
-            pinned = worker.pinned_instances()
-            views.append(
-                ProcessorView(
-                    index=proc.index,
-                    speed_w=proc.speed_w,
-                    state=state_table[states[proc.index]],
-                    belief=proc.belief,
-                    has_program=worker.has_program,
-                    delay=worker.delay_estimate(self.app.t_data, pinned),
-                    pinned_count=len(pinned),
-                    prog_remaining=worker.prog_remaining,
-                    pinned_pipeline=tuple(
-                        (inst.data_remaining, inst.compute_remaining, inst.computing)
-                        for inst in pinned
-                    ),
-                )
-            )
-        tbl = self._tbl
-        if tbl is not None:
-            remaining = int(
-                np.count_nonzero(tbl.alive & ~tbl.pinned & (tbl.replica_id == 0))
-            )
-        else:
-            remaining = sum(
-                1
-                for inst in self._instances
-                if not inst.is_replica and not inst.pinned
-            )
-        return SchedulingContext(
-            slot=slot,
-            t_prog=self.app.t_prog,
-            t_data=self.app.t_data,
-            ncom=self.platform.ncom,
-            processors=views,
-            remaining_tasks=remaining,
-            rng=self.rng,
-        )
-
-    def _round_is_trivial(self, states: np.ndarray) -> bool:
+    def _round_is_trivial(self) -> bool:
         """True when a scheduling round could not change anything.
 
         A round matters only if there is an unpinned original to (re)place,
         an unpinned replica to reconsider, or the replication trigger can
-        fire.  Checking this first keeps event-dense runs cheap.  With the
-        array store the unpinned and saturation checks read incrementally
-        maintained counters (O(1)) instead of scanning the instances.
+        fire.  Checking this first keeps event-dense runs cheap.  The
+        unpinned and saturation checks read incrementally maintained
+        counters (O(1)) instead of scanning the instances.
         """
         tbl = self._tbl
-        if tbl is not None:
-            if tbl.n_unpinned:
-                return False  # something to place or reconsider
-        else:
-            for inst in self._instances:
-                if not inst.pinned:
-                    return False
-        if self.options.proactive and self._proactive_candidates(states):
+        if tbl.n_unpinned:
+            return False  # something to place or reconsider
+        if self.options.proactive and self._proactive_candidates():
             return False
         if not self.options.replication or self.options.max_replicas == 0:
             return True
@@ -1021,7 +743,7 @@ class MasterSimulator:
                 1 for q in self._queue_hosts() if slist[q] == up_state
             )
             idle = cal.up_count > busy_up
-        elif tbl is not None:
+        else:
             n_uncommitted = tbl.n_uncommitted
             slist = self._states_list
             if slist.count(up_state) <= n_uncommitted:
@@ -1030,16 +752,6 @@ class MasterSimulator:
             idle = any(
                 slist[q] == up_state and not workers[q].queue
                 for q in range(len(slist))
-            )
-        else:
-            n_uncommitted = self.app.tasks_per_iteration - len(self._committed)
-            up = int(np.count_nonzero(states == up_state))
-            if up <= n_uncommitted:
-                return True  # replication trigger cannot fire
-            idle = any(
-                not self.workers[q].queue
-                for q in range(len(self.workers))
-                if states[q] == up_state
             )
         if not idle:
             return True
@@ -1050,23 +762,11 @@ class MasterSimulator:
         ``1 + max_replicas`` live instances, so the replication trigger
         has no capacity left regardless of the UP set.  Shared by the
         per-round triviality check and the span glide condition
-        (:meth:`_round_glidable`), which must agree on it.  O(1) on the
-        array store (the incrementally maintained replication deficit)."""
-        if self._tbl is not None:
-            return self._tbl.replication_saturated
-        max_instances = 1 + self.options.max_replicas
-        counts: Dict[int, int] = {}
-        for inst in self._instances:
-            counts[inst.task_id] = counts.get(inst.task_id, 0) + 1
-        for task_id in range(self.app.tasks_per_iteration):
-            if (
-                task_id not in self._committed
-                and counts.get(task_id, 0) < max_instances
-            ):
-                return False
-        return True
+        (:meth:`_round_glidable`), which must agree on it.  O(1): the
+        incrementally maintained replication deficit."""
+        return self._tbl.replication_saturated
 
-    def _proactive_candidates(self, states: np.ndarray) -> List[TaskInstance]:
+    def _proactive_candidates(self) -> List[TaskInstance]:
         """Pinned originals worth terminating under the proactive policy.
 
         Conditions (conservative, to avoid thrashing): the end-of-iteration
@@ -1074,58 +774,40 @@ class MasterSimulator:
         the instance's worker is RECLAIMED, and the instance has not
         accumulated the majority of its computation (killing a nearly-done
         task is rarely worth the resent data).  Candidates are returned in
-        ascending task order (canonical on both stores: originals are
-        unique per task).
+        ascending task order (originals are unique per task).
         """
         uncommitted = self.app.tasks_per_iteration - len(self._committed)
         tbl = self._tbl
+        slist = self._states_list
         if self._cal is not None:
             up = self._cal.up_count
-        elif tbl is not None:
-            up = self._states_list.count(int(ProcState.UP))
         else:
-            up = int(np.count_nonzero(states == int(ProcState.UP)))
+            up = slist.count(int(ProcState.UP))
         if up < uncommitted or up == 0:
             return []
         candidates = []
         reclaimed = int(ProcState.RECLAIMED)
-        if tbl is not None:
-            slist = self._states_list
-            for task_id in tbl.uncommitted_tasks().tolist():
-                row = int(tbl.original_row[task_id])
-                if row < 0 or not tbl.pinned[row]:
-                    continue
-                inst = tbl.objects[row]
-                host = inst.worker
-                if host is None or slist[host] != reclaimed:
-                    continue
-                if (
-                    inst.compute_needed
-                    and inst.compute_done * 2 > inst.compute_needed
-                ):
-                    continue
-                candidates.append(inst)
-            return candidates
-        for inst in self._instances:
-            if inst.is_replica or not inst.pinned or inst.worker is None:
+        for task_id in tbl.uncommitted_tasks().tolist():
+            row = int(tbl.original_row[task_id])
+            if row < 0 or not tbl.pinned[row]:
                 continue
-            if states[inst.worker] != reclaimed:
+            inst = tbl.objects[row]
+            host = inst.worker
+            if host is None or slist[host] != reclaimed:
                 continue
             if inst.compute_needed and inst.compute_done * 2 > inst.compute_needed:
                 continue
             candidates.append(inst)
-        candidates.sort(key=lambda inst: inst.task_id)
         return candidates
 
-    def _proactive_round(self, slot: int, states: np.ndarray) -> None:
-        for inst in self._proactive_candidates(states):
+    def _proactive_round(self, slot: int) -> None:
+        for inst in self._proactive_candidates():
             self.report.comm_slots_wasted += inst.data_received
             self.report.compute_slots_wasted += inst.compute_done
             if not self._rs_dirty[inst.worker]:  # pinned work discarded
                 self._rs_dirty[inst.worker] = 1
                 self._rs_dirty_hint.append(inst.worker)
-            if self._tbl is not None:
-                self._tbl.release(inst)  # reads inst.worker: before detach
+            self._tbl.release(inst)  # reads inst.worker: before detach
             self.workers[inst.worker].remove_instance(inst)
             reset_instance(inst)  # back to the pool, progress discarded
             self.log.emit(
@@ -1141,10 +823,10 @@ class MasterSimulator:
             )
 
     def _scheduling_round(self, slot: int, states: np.ndarray) -> None:
-        if self._round_is_trivial(states):
+        if self._round_is_trivial():
             return
         if self.options.proactive:
-            self._proactive_round(slot, states)
+            self._proactive_round(slot)
         self.report.scheduler_rounds += 1
         self._last_round_slot = slot
 
@@ -1154,51 +836,32 @@ class MasterSimulator:
         tbl = self._tbl
         originals: List[TaskInstance] = []
         replicas: List[TaskInstance] = []
-        if tbl is not None:
-            objects = tbl.objects
-            for row in tbl.unpinned_rows():
-                inst = objects[row]
-                (replicas if inst.replica_id else originals).append(inst)
-        else:
-            for inst in self._instances:
-                if not inst.pinned:
-                    (replicas if inst.replica_id else originals).append(inst)
+        objects = tbl.objects
+        for row in tbl.unpinned_rows():
+            inst = objects[row]
+            (replicas if inst.replica_id else originals).append(inst)
         originals.sort(key=lambda inst: inst.task_id)
 
-        if self.options.scheduler_api == "array":
-            # With replicas dropped, the unpinned originals are exactly the
-            # context's ``m - m'`` remaining tasks.
-            rs = self._refresh_round_state(slot, states, len(originals))
-            scheduler = self.scheduler
-
-            def place_batch(n: int, allowed=None) -> List[Optional[int]]:
-                return scheduler.place_array(rs, n, allowed)
-        else:
-            ctx = self._build_context(slot, states)
-            scheduler = self.scheduler
-
-            def place_batch(n: int, allowed=None) -> List[Optional[int]]:
-                return scheduler.place(ctx, n, allowed)
-
-        placements = place_batch(len(originals))
+        # With replicas dropped, the unpinned originals are exactly the
+        # context's ``m - m'`` remaining tasks.
+        rs = self._refresh_round_state(slot, states, len(originals))
+        place_array = self.scheduler.place_array
+        placements = place_array(rs, len(originals))
 
         # Mutation phase.  Drop the unpinned replicas (the replication
         # step below recreates what is still useful — they carry no
         # progress by definition), purge each touched queue once, and
         # apply the placements.  None of this moves a RoundState column:
         # unpinned instances have zero progress, so they appear in
-        # neither Delay nor pinned_count.  On the array store the dropped
-        # rows go back to the free list instead of forcing a rebuild.
+        # neither Delay nor pinned_count.  The dropped rows go back to the
+        # table's free list.
         touched_hosts: set = set()
         for inst in replicas:
             if inst.worker is not None:
                 touched_hosts.add(inst.worker)
                 inst.worker = None
             reset_instance(inst)
-            if tbl is not None:
-                tbl.destroy(inst)
-            else:
-                self._list_remove(inst)
+            tbl.destroy(inst)
         for inst in originals:
             if inst.worker is not None:
                 touched_hosts.add(inst.worker)
@@ -1208,14 +871,12 @@ class MasterSimulator:
             worker.queue = [other for other in worker.queue if other.pinned]
 
         for inst, choice in zip(originals, placements):
-            self._place(inst, choice, states)
+            self._place(inst, choice)
 
         if self.options.replication and self.options.max_replicas > 0:
-            self._replication_round(place_batch, states)
+            self._replication_round(rs)
 
-    def _place(
-        self, inst: TaskInstance, choice: Optional[int], states: np.ndarray
-    ) -> None:
+    def _place(self, inst: TaskInstance, choice: Optional[int]) -> None:
         if choice is None:
             return
         if not 0 <= choice < len(self.workers):
@@ -1223,8 +884,7 @@ class MasterSimulator:
                 f"scheduler {self.scheduler.name!r} placed a task on unknown "
                 f"processor {choice}"
             )
-        slist = self._states_list if self._tbl is not None else states
-        if slist[choice] == int(ProcState.DOWN):
+        if self._states_list[choice] == int(ProcState.DOWN):
             # Refuse placements on DOWN processors (passive schedulers may
             # remember stale choices); leave the instance unplaced.
             return
@@ -1233,14 +893,11 @@ class MasterSimulator:
         inst.compute_needed = worker.speed_w
         worker.queue.append(inst)
 
-    def _replication_round(self, place_batch, states: np.ndarray) -> None:
+    def _replication_round(self, rs: RoundState) -> None:
         # Cheap count-based exits before any list is built: mid-iteration
         # rounds leave here on the paper's trigger nearly every time.
         tbl = self._tbl
-        if tbl is not None:
-            n_uncommitted = tbl.n_uncommitted
-        else:
-            n_uncommitted = self.app.tasks_per_iteration - len(self._committed)
+        n_uncommitted = tbl.n_uncommitted
         if n_uncommitted <= 0:
             return
         up_state = int(ProcState.UP)
@@ -1257,7 +914,10 @@ class MasterSimulator:
             idle_mask = cal.states_np == up_state
             for q in self._queue_hosts():
                 idle_mask[q] = False
-        elif tbl is not None:
+            n_idle = int(np.count_nonzero(idle_mask))
+            if n_idle == 0:
+                return
+        else:
             slist = self._states_list
             if slist.count(up_state) <= n_uncommitted:
                 return  # paper's trigger: more UP than remaining tasks
@@ -1267,172 +927,100 @@ class MasterSimulator:
                 for q in range(len(slist))
                 if slist[q] == up_state and not workers[q].queue
             ]
-        elif int(np.count_nonzero(states == up_state)) <= n_uncommitted:
-            return  # paper's trigger: more UP processors than remaining tasks
-        else:
-            idle = [
-                q
-                for q in range(len(states))
-                if states[q] == up_state and not self.workers[q].queue
-            ]
-        if idle_mask is not None:
-            n_idle = int(np.count_nonzero(idle_mask))
-            if n_idle == 0:
+            if not idle:
                 return
-        elif not idle:
-            return
         max_instances = 1 + self.options.max_replicas
-        if tbl is not None:
-            # The per-task aggregates are maintained incrementally, so no
-            # pass over the live instances is needed at all.  Reading them
-            # per visited candidate is exact: the loop below only ever
-            # *adds* replicas for the task it is visiting, and it never
-            # revisits a task.
-            live_count = tbl.live_count
-            candidates = sorted(
-                tbl.uncommitted_tasks().tolist(),
-                key=lambda task_id: (int(live_count[task_id]), task_id),
-            )
-            for task_id in candidates:
-                exhausted = (n_idle == 0) if idle_mask is not None else not idle
-                if exhausted:
-                    break
-                if live_count[task_id] >= max_instances:
-                    continue
-                task_hosts = tbl.hosts_of_task(task_id)
-                if idle_mask is not None:
-                    # Mask arithmetic: the eligibility mask itself is the
-                    # allowed form the array schedulers consume (same
-                    # candidate set as the legacy ascending list), so no
-                    # index materialisation at all per candidate task.
-                    blocked = [q for q in task_hosts if idle_mask[q]]
-                    if blocked:
-                        if len(blocked) == n_idle:
-                            continue
-                        amask = idle_mask.copy()
-                        amask[blocked] = False
-                        allowed = amask
-                    else:
-                        allowed = idle_mask
-                else:
-                    allowed = [q for q in idle if q not in task_hosts]
-                    if not allowed:
-                        continue
-                choice = place_batch(1, allowed=allowed)[0]
-                if choice is None:
-                    continue
-                replica = TaskInstance(
-                    iteration=self.iteration,
-                    task_id=task_id,
-                    replica_id=tbl.free_replica_id(task_id),
-                    data_needed=self.app.t_data,
-                )
-                tbl.add(replica)
-                self._place(replica, choice, states)
-                if replica.worker is not None:
-                    self.report.replicas_launched += 1
-                    if idle_mask is not None:
-                        idle_mask[choice] = False
-                        n_idle -= 1
-                    else:
-                        idle.remove(choice)
-                else:
-                    tbl.destroy(replica)
-            return
-        uncommitted = self._uncommitted_task_ids()
-        # One pass over the live instances replaces the per-candidate
-        # `_live_instances_of` scans: the loop below only ever *adds*
-        # replicas for other task ids, so counts/hosts/replica ids taken
-        # before the loop stay exact for every candidate it visits.
-        counts: Dict[int, int] = {}
-        hosts: Dict[int, set] = {}
-        replica_ids_of: Dict[int, set] = {}
-        for inst in self._instances:
-            task_id = inst.task_id
-            counts[task_id] = counts.get(task_id, 0) + 1
-            if inst.worker is not None:
-                hosts.setdefault(task_id, set()).add(inst.worker)
-            replica_ids_of.setdefault(task_id, set()).add(inst.replica_id)
-        # Least-replicated tasks first; ties toward the lowest task id.
+        place_array = self.scheduler.place_array
+        # The per-task aggregates are maintained incrementally, so no pass
+        # over the live instances is needed at all.  Reading them per
+        # visited candidate is exact: the loop below only ever *adds*
+        # replicas for the task it is visiting, and it never revisits a
+        # task.  Least-replicated tasks first; ties toward the lowest id.
+        live_count = tbl.live_count
         candidates = sorted(
-            uncommitted, key=lambda task_id: (counts.get(task_id, 0), task_id)
+            tbl.uncommitted_tasks().tolist(),
+            key=lambda task_id: (int(live_count[task_id]), task_id),
         )
         for task_id in candidates:
-            if not idle:
+            exhausted = (n_idle == 0) if idle_mask is not None else not idle
+            if exhausted:
                 break
-            if counts.get(task_id, 0) >= max_instances:
+            if live_count[task_id] >= max_instances:
                 continue
-            task_hosts = hosts.get(task_id, ())
-            allowed = [q for q in idle if q not in task_hosts]
-            if not allowed:
-                continue
-            choice = place_batch(1, allowed=allowed)[0]
+            task_hosts = tbl.hosts_of_task(task_id)
+            if idle_mask is not None:
+                # Mask arithmetic: the eligibility mask itself is the
+                # allowed form the array schedulers consume (same
+                # candidate set as an ascending index list), so no index
+                # materialisation at all per candidate task.
+                blocked = [q for q in task_hosts if idle_mask[q]]
+                if blocked:
+                    if len(blocked) == n_idle:
+                        continue
+                    amask = idle_mask.copy()
+                    amask[blocked] = False
+                    allowed = amask
+                else:
+                    allowed = idle_mask
+            else:
+                allowed = [q for q in idle if q not in task_hosts]
+                if not allowed:
+                    continue
+            choice = place_array(rs, 1, allowed)[0]
             if choice is None:
                 continue
-            replica_ids = replica_ids_of.get(task_id, set())
-            replica_id = next(
-                rid for rid in range(1, max_instances + 1) if rid not in replica_ids
-            )
             replica = TaskInstance(
                 iteration=self.iteration,
                 task_id=task_id,
-                replica_id=replica_id,
+                replica_id=tbl.free_replica_id(task_id),
                 data_needed=self.app.t_data,
             )
-            replica.row = len(self._instances)
-            self._instances.append(replica)
-            self._place(replica, choice, states)
+            tbl.add(replica)
+            self._place(replica, choice)
             if replica.worker is not None:
                 self.report.replicas_launched += 1
-                idle.remove(choice)
+                if idle_mask is not None:
+                    idle_mask[choice] = False
+                    n_idle -= 1
+                else:
+                    idle.remove(choice)
             else:
-                self._instances.pop()
-                replica.row = -1
+                tbl.destroy(replica)
 
     # ------------------------------------------------------------------ #
     # Compute step.                                                        #
     # ------------------------------------------------------------------ #
-    def _compute_step(self, slot: int, states: np.ndarray) -> None:
+    def _compute_step(self, slot: int) -> None:
         tbl = self._tbl
         up = int(ProcState.UP)
         dirty = self._rs_dirty
         hint = self._rs_dirty_hint
+        slist = self._states_list
         if self._cal is not None:
             # Calendar path: a queue implies live hosted instances, so
             # the queue-host set (O(live)) filtered to UP is exactly the
             # sweep's candidate list, in the same ascending order.
-            slist = self._states_list
             candidates = [
                 q for q in sorted(self._queue_hosts()) if slist[q] == up
             ]
-        elif tbl is not None:
-            # Only UP workers with a queue can compute; the candidate
-            # filter replaces the all-workers sweep (same ascending order).
-            slist = self._states_list
+        else:
+            # Only UP workers with a queue can compute (ascending order).
             workers = self.workers
             candidates = [
                 q
                 for q in range(len(slist))
                 if slist[q] == up and workers[q].queue
             ]
-        else:
-            candidates = [
-                q for q in range(len(self.workers)) if states[q] == up
-            ]
         for q in candidates:
             worker = self.workers[q]
-            if tbl is not None:
-                row = tbl.computing_row[q]
-                current = tbl.objects[row] if row >= 0 else None
-            else:
-                current = worker.computing_instance
+            row = tbl.computing_row[q]
+            current = tbl.objects[row] if row >= 0 else None
             if current is None:
                 current = worker.next_compute_target()
                 if current is None:
                     continue
                 current.computing = True
-                if tbl is not None:
-                    tbl.start_computing(current)
+                tbl.start_computing(current)
                 self.log.emit(
                     SimEvent(
                         slot,
@@ -1455,8 +1043,7 @@ class MasterSimulator:
 
     def _commit(self, slot: int, inst: TaskInstance) -> None:
         self._committed.add(inst.task_id)
-        if self._tbl is not None:
-            self._tbl.commit_task(inst.task_id)
+        self._tbl.commit_task(inst.task_id)
         self.report.tasks_committed += 1
         self._need_replan = True
         self.log.emit(
@@ -1470,19 +1057,11 @@ class MasterSimulator:
             )
         )
         # Remove the committed instance and cancel all siblings, in
-        # creation (uid) order — canonical on both stores: the table's
-        # per-task row list appends in creation order, and the legacy
-        # list (whose raw order a swap-remove may scramble) sorts.
-        if self._tbl is not None:
-            siblings = [
-                self._tbl.objects[row]
-                for row in list(self._tbl.rows_of[inst.task_id])
-            ]
-        else:
-            siblings = sorted(
-                self._live_instances_of(inst.task_id),
-                key=lambda other: other.uid,
-            )
+        # creation (uid) order: the table's per-task row list appends in
+        # creation order.
+        siblings = [
+            self._tbl.objects[row] for row in list(self._tbl.rows_of[inst.task_id])
+        ]
         for sibling in siblings:
             if sibling is inst:
                 self._destroy_instance(sibling)
@@ -1509,43 +1088,35 @@ class MasterSimulator:
     # Transfer step.                                                       #
     # ------------------------------------------------------------------ #
     def _gather_requests(
-        self, states: np.ndarray
+        self,
     ) -> tuple[List[TransferRequest], Dict[int, TaskInstance]]:
-        """This slot's transfer requests (and data targets) per UP worker."""
+        """This slot's transfer requests (and data targets) per UP worker.
+
+        Both request kinds need a non-empty queue (``wants_program``
+        checks it; a data target comes from it), so only UP queue holders
+        are visited, in ascending order.  Requests are frozen dataclasses
+        keyed entirely by (worker, kind, started, is_replica), so the
+        per-worker cache reuses them across slots instead of validating a
+        fresh object per boundary.
+        """
         requests: List[TransferRequest] = []
         targets: Dict[int, TaskInstance] = {}
         up = int(ProcState.UP)
-        caches = None
-        if self._tbl is not None:
-            # Both request kinds need a non-empty queue (``wants_program``
-            # checks it; a data target comes from it), so the filter is
-            # exact — same candidates, same ascending order.  Requests are
-            # frozen dataclasses keyed entirely by (worker, kind, started,
-            # is_replica), so the per-worker cache reuses them across
-            # slots instead of re-validating a fresh object per boundary.
-            slist = self._states_list
-            all_workers = self.workers
-            if self._cal is not None:
-                # Calendar path: requests can only come from queue hosts
-                # (both request kinds need a non-empty queue) — O(live)
-                # candidates in the same ascending order.
-                workers = [
-                    all_workers[q]
-                    for q in sorted(self._queue_hosts())
-                    if slist[q] == up
-                ]
-            else:
-                workers = [
-                    all_workers[q]
-                    for q in range(len(slist))
-                    if slist[q] == up and all_workers[q].queue
-                ]
-            caches = self._request_cache
+        slist = self._states_list
+        all_workers = self.workers
+        if self._cal is not None:
+            # Calendar path: O(live) candidates from the queue hosts.
+            workers = [
+                all_workers[q] for q in sorted(self._queue_hosts()) if slist[q] == up
+            ]
         else:
-            workers = self.workers
+            workers = [
+                all_workers[q]
+                for q in range(len(slist))
+                if slist[q] == up and all_workers[q].queue
+            ]
+        caches = self._request_cache
         for worker in workers:
-            if caches is None and states[worker.index] != up:
-                continue  # transfers suspend while RECLAIMED / DOWN
             if worker.wants_program():
                 kind = "prog"
                 started = worker.prog_received > 0
@@ -1558,19 +1129,9 @@ class MasterSimulator:
                 started = target.data_started
                 is_replica = target.is_replica
                 targets[worker.index] = target
-            if caches is not None:
-                cache = caches[worker.index]
-                request = cache.get((kind, started, is_replica))
-                if request is None:
-                    request = TransferRequest(
-                        worker=worker.index,
-                        kind=kind,
-                        started=started,
-                        is_replica=is_replica,
-                        key=worker.index,
-                    )
-                    cache[(kind, started, is_replica)] = request
-            else:
+            cache = caches[worker.index]
+            request = cache.get((kind, started, is_replica))
+            if request is None:
                 request = TransferRequest(
                     worker=worker.index,
                     kind=kind,
@@ -1578,11 +1139,12 @@ class MasterSimulator:
                     is_replica=is_replica,
                     key=worker.index,
                 )
+                cache[(kind, started, is_replica)] = request
             requests.append(request)
         return requests, targets
 
-    def _transfer_step(self, slot: int, states: np.ndarray) -> None:
-        requests, targets = self._gather_requests(states)
+    def _transfer_step(self, slot: int) -> None:
+        requests, targets = self._gather_requests()
         grants: List[tuple] = []
         nprog = 0
         dirty = self._rs_dirty
@@ -1599,9 +1161,8 @@ class MasterSimulator:
                 nprog += 1
                 grants.append((worker, "prog", None))
                 if worker.prog_received == 0:
-                    if self._tbl is not None:
-                        self._prog_started[worker.index] = True
-                        self._prog_holders.add(worker.index)
+                    self._prog_started[worker.index] = True
+                    self._prog_holders.add(worker.index)
                     self.log.emit(
                         SimEvent(
                             slot,
@@ -1621,8 +1182,7 @@ class MasterSimulator:
                 inst = targets[grant.worker]
                 grants.append((worker, "data", inst))
                 if not inst.data_started:
-                    if self._tbl is not None:
-                        self._tbl.pin(inst)  # first data slot pins
+                    self._tbl.pin(inst)  # first data slot pins
                     self.log.emit(
                         SimEvent(
                             slot,
@@ -1675,7 +1235,7 @@ class MasterSimulator:
             states = cal.states_np
             self.op_boundary_workers_touched += cal.last_pops
             self.op_calendar_pops += cal.last_pops
-        elif self._tbl is not None:
+        else:
             if self._calendar_active():
                 # First boundary of a calendar run: full O(p) build, then
                 # the sweep fallback handles this step (records = None).
@@ -1684,11 +1244,11 @@ class MasterSimulator:
                 self._states_list = cal.states
                 states = cal.states_np
             else:
-                # Body fast path: gather states into a Python list (one
-                # state_at per source, cursor-backed O(1) on the RLE
-                # traces) and wrap it zero-copy for the vectorised
-                # consumers.  A cohort-installed provider returns the
-                # identical list from a shared per-trial memo (§11).
+                # Sweep: gather states into a Python list (one state_at
+                # per source, cursor-backed O(1) on the RLE traces) and
+                # wrap it zero-copy for the vectorised consumers.  A
+                # cohort-installed provider returns the identical list
+                # from a shared per-trial memo (§11).
                 provider = self.states_provider
                 if provider is None:
                     slist = [source.state_at(slot) for source in self._avail]
@@ -1698,10 +1258,6 @@ class MasterSimulator:
                 self._states_list = slist
             self._cal_records = None
             self.op_boundary_workers_touched += len(self.workers)
-        else:
-            states = self.platform.states_at(slot)
-            self._cal_records = None
-            self.op_boundary_workers_touched += len(self.workers)
         # Counted after the gather: a step aborted by a diverging cohort
         # hook (which raises before any mutation) was never executed.
         self.steps_executed += 1
@@ -1709,20 +1265,19 @@ class MasterSimulator:
         self._pipeline_changed = False
         if self.timeline is not None:
             self.timeline.begin_slot(states)
-        self._handle_states(slot, states)
+        self._handle_states(slot)
 
-        if self._need_replan or self.options.replan_every_slot:
+        if self._need_replan or self._every_slot:
             self._need_replan = False
             self._scheduling_round(slot, states)
 
-        self._compute_step(slot, states)
-        self._transfer_step(slot, states)
+        self._compute_step(slot)
+        self._transfer_step(slot)
 
         if self.options.audit:
             for worker in self.workers:
                 worker.check_invariants()
-            if self._tbl is not None:
-                self._audit_instance_table()
+            self._audit_instance_table()
 
         if len(self._committed) >= self.app.tasks_per_iteration:
             self.report.iteration_end_slots.append(slot)
@@ -1743,23 +1298,6 @@ class MasterSimulator:
     # ------------------------------------------------------------------ #
     # Span-stepped execution (DESIGN.md §6).                               #
     # ------------------------------------------------------------------ #
-    def _step_mode_effective(self) -> str:
-        """The stepping mode actually used by the run loop.
-
-        ``replan_every_slot`` makes every slot a scheduling boundary, so it
-        forces the slot loop — span mode would degenerate to zero-length
-        spans anyway.  A timeline recorder no longer does: quiet spans
-        fill the recorder in batch (:meth:`TimelineRecorder.
-        record_quiet_span`), with every availability transition treated as
-        a span boundary so the per-slot rows stay bit-identical to slot
-        mode.
-        """
-        if self.options.step_mode == "slot":
-            return "slot"
-        if self.options.replan_every_slot:
-            return "slot"
-        return "span"
-
     def _next_change(self, q: int, slot: int, last: int) -> Optional[int]:
         """Next slot in ``(slot, last]`` where processor ``q`` changes state.
 
@@ -1841,7 +1379,7 @@ class MasterSimulator:
         uncommitted task already carries ``1 + max_replicas`` live
         instances (or replication is off) — a round is trivial for every
         possible state vector.  UP-set changes on processors that host no
-        active pipeline are then unobservable: slot mode would run a
+        active pipeline are then unobservable: the reference would run a
         trivial round (no report field, no RNG draw, no placement), so
         the span may glide across them.  All of these conditions only
         change at boundaries (pinning via first granted slot, instance
@@ -1850,26 +1388,12 @@ class MasterSimulator:
         """
         if self.options.proactive:
             return False
-        tbl = self._tbl
-        if tbl is not None:
-            # O(1): both conditions are incrementally maintained counters.
-            if tbl.n_unpinned:
-                return False
-        else:
-            for inst in self._instances:
-                # `pinned` inlined (data_received > 0 or computing): this
-                # runs at every span boundary, so property-call overhead
-                # matters on the legacy store.
-                if inst.data_received == 0 and not inst.computing:
-                    return False
+        # O(1): both conditions are incrementally maintained counters.
+        if self._tbl.n_unpinned:
+            return False
         if not self.options.replication or self.options.max_replicas == 0:
             return True
-        n_uncommitted = (
-            self._tbl.n_uncommitted
-            if self._tbl is not None
-            else self.app.tasks_per_iteration - len(self._committed)
-        )
-        if n_uncommitted >= len(self.workers):
+        if self._tbl.n_uncommitted >= len(self.workers):
             # The replication trigger needs strictly more UP processors
             # than uncommitted tasks; with p <= uncommitted it cannot fire
             # for any UP set, and the uncommitted count only moves at
@@ -1884,8 +1408,12 @@ class MasterSimulator:
         nothing discrete: no relevant availability transition, no transfer
         or compute completion, no pending re-plan.  Those slots can then
         be applied arithmetically by :meth:`_advance_quiet`; slot
-        ``slot+n+1`` is the next boundary and is simulated in full.
+        ``slot+n+1`` is the next boundary and is simulated in full.  Under
+        the ``every-slot`` policy every slot re-plans, so there are no
+        quiet slots at all.
         """
+        if self._every_slot:
+            return 0
         if self._cal is not None:
             return self._quiet_span_cal(slot, budget)
         last = budget - 1
@@ -1893,11 +1421,7 @@ class MasterSimulator:
             return 0
         if self._need_replan or self._pipeline_changed:
             return 0  # next slot re-plans or re-allocates: full step
-        states = (
-            self._prev_states_list
-            if self._tbl is not None
-            else self._prev_states
-        )
+        states = self._prev_states_list
         up = int(ProcState.UP)
         horizon = last + 1  # exclusive sentinel: quiet through the budget
         # 1. Availability: the earliest transition that the simulation can
@@ -1945,16 +1469,16 @@ class MasterSimulator:
         # diffs states against the *last boundary*, so gliding over an
         # exit would mask a re-entry inside the same span (UP → … → UP
         # reads as "no change" and the entry — which the policy does
-        # consider relevant — would never replan, diverging from slot
-        # mode).  The policy's gain is therefore fewer executed rounds at
+        # consider relevant — would never replan, diverging from the
+        # reference).  The policy's gain is therefore fewer executed rounds at
         # exit boundaries, not longer spans.
         grant_index = self._grant_index
         next_change_cache = self._next_change_cache
         next_up_cache = self._next_up_cache
         next_down_cache = self._next_down_cache
         tbl = self._tbl
-        computing_rows = tbl.computing_row if tbl is not None else None
-        objects = tbl.objects if tbl is not None else None
+        computing_rows = tbl.computing_row
+        objects = tbl.objects
         avail = self._avail
         # 2. (fused below) Worker pipelines: the computing instance and
         #    the granted transfer (grants are stable across the span; see
@@ -2008,11 +1532,8 @@ class MasterSimulator:
                         return 0
             if not queue or not state_up:
                 continue  # idle, frozen (RECLAIMED) or wiped: no ticks
-            if computing_rows is not None:
-                row = computing_rows[q]
-                computing = objects[row] if row >= 0 else None
-            else:
-                computing = worker.computing_instance
+            row = computing_rows[q]
+            computing = objects[row] if row >= 0 else None
             if grant is None:
                 if refined:
                     if computing is None:
@@ -2180,32 +1701,19 @@ class MasterSimulator:
             [] if self.timeline is not None else None
         )
         tbl = self._tbl
-        if self._cal is not None:
-            # Calendar path: a computing row implies a queued instance,
-            # so the queue-host set covers every computing worker.
-            slist = self._prev_states_list
-            computing_row = tbl.computing_row
-            computing = [
-                (q, tbl.objects[computing_row[q]])
-                for q in sorted(self._queue_hosts())
-                if slist[q] == up and computing_row[q] >= 0
-            ]
-        elif tbl is not None:
-            slist = self._prev_states_list
-            computing_row = tbl.computing_row
-            computing = [
-                (q, tbl.objects[computing_row[q]])
-                for q in range(len(slist))
-                if slist[q] == up and computing_row[q] >= 0
-            ]
-        else:
-            computing = []
-            for worker in self.workers:
-                if states[worker.index] != up:
-                    continue
-                inst = worker.computing_instance
-                if inst is not None:
-                    computing.append((worker.index, inst))
+        slist = self._prev_states_list
+        computing_row = tbl.computing_row
+        # On the calendar path a computing row implies a queued instance,
+        # so the queue-host set covers every computing worker.
+        candidates = (
+            sorted(self._queue_hosts()) if self._cal is not None
+            else range(len(slist))
+        )
+        computing = [
+            (q, tbl.objects[computing_row[q]])
+            for q in candidates
+            if slist[q] == up and computing_row[q] >= 0
+        ]
         for q, inst in computing:
             if refined and q not in self._grant_index:
                 # May freeze and resume inside the span: progress is
@@ -2255,9 +1763,9 @@ class MasterSimulator:
 
     def _audit_quiet_advance(self) -> None:
         """Audit-mode cross-checks after a quiet-span fast-forward."""
-        states = self._prev_states
+        states = self._prev_states_list
         up = int(ProcState.UP)
-        requests, _targets = self._gather_requests(states)
+        requests, _targets = self._gather_requests()
         planned = {(g.worker, g.kind) for g in self.network.plan(requests)}
         granted = {(worker.index, kind) for worker, kind, _ in self._grants}
         assert planned == granted, (
@@ -2323,19 +1831,15 @@ class MasterSimulator:
         self._cal_last = budget - 1
         self._resume_slot = 0
         self._run_over = False
-        # The effective mode is fixed for the whole run; resolve it once
-        # here instead of per advance_until() call.
-        self._resume_span = self._step_mode_effective() != "slot"
-        if self._resume_span:
-            self._next_change_cache = [None] * len(self.workers)
-            self._next_up_cache = [None] * len(self.workers)
-            self._next_down_cache = [None] * len(self.workers)
+        self._next_change_cache = [None] * len(self.workers)
+        self._next_up_cache = [None] * len(self.workers)
+        self._next_down_cache = [None] * len(self.workers)
 
     def advance_until(self, slot_limit: int) -> bool:
         """Advance until the run ends or the clock reaches ``slot_limit``.
 
-        Span-mode steps may overshoot the limit by their quiet span (the
-        next boundary simply lies beyond it).
+        A step may overshoot the limit by its quiet span (the next
+        boundary simply lies beyond it).
 
         Returns:
             True when the run is over (finished its iterations or
@@ -2347,7 +1851,6 @@ class MasterSimulator:
             raise RuntimeError("advance_until() before begin_run()")
         if self._run_over:
             return True
-        span = self._resume_span
         slot = self._resume_slot
         # The finally clause persists the loop cursor even when a
         # cohort-shared hook aborts a step by raising (CohortDivergence):
@@ -2362,13 +1865,11 @@ class MasterSimulator:
                 if finished:
                     self._run_over = True
                     break
-                if span:
-                    quiet = self._quiet_span(slot, budget)
-                    if quiet > 0:
-                        self._advance_quiet(slot + 1, quiet)
-                        self.report.slots_simulated = slot + 1 + quiet
-                    slot += quiet
-                slot += 1
+                quiet = self._quiet_span(slot, budget)
+                if quiet > 0:
+                    self._advance_quiet(slot + 1, quiet)
+                    self.report.slots_simulated = slot + 1 + quiet
+                slot += quiet + 1
                 if slot >= slot_limit:
                     break
         finally:
@@ -2389,13 +1890,8 @@ class MasterSimulator:
 
     def _finalize(self) -> None:
         # Leftover instances at end-of-run are waste.
-        if self._tbl is not None:
-            leftovers = [
-                self._tbl.objects[row] for row in self._tbl.live_rows().tolist()
-            ]
-        else:
-            leftovers = self._instances
-        for inst in leftovers:
+        tbl = self._tbl
+        for inst in [tbl.objects[row] for row in tbl.live_rows().tolist()]:
             self.report.comm_slots_wasted += inst.data_received
             self.report.compute_slots_wasted += inst.compute_done
         if self.options.audit:
@@ -2422,7 +1918,7 @@ class MasterSimulator:
                 f"worker {q}: prog_started flag drifted"
             )
         # Calendar-path invariants (DESIGN.md §12), cheap to verify on
-        # every store: the busy-worker mirrors behind the O(busy) span
+        # every boundary: the busy-worker mirrors behind the O(busy) span
         # search must match the queues exactly.
         hosts = self._queue_hosts()
         for q, worker in enumerate(self.workers):

@@ -257,9 +257,8 @@ class Platform:
 
         The batched companion of :meth:`states_at`: returns a
         ``(stop - start, p)`` ``uint8`` matrix whose row ``t - start``
-        equals ``states_at(t)``.  Used by the span/slot oracle tests and
-        by analyses that want whole windows without p × span Python
-        calls.
+        equals ``states_at(t)``.  Used by analyses that want whole
+        windows without p × span Python calls.
         """
         return np.stack(
             [proc.availability.block(start, stop) for proc in self.processors],
@@ -300,7 +299,8 @@ class PlatformCalendar:
     boundary to the next pops only the processors whose current run ended
     in between — O(churned · log p) — instead of re-reading all ``p``
     states and re-deriving all ``p`` next-transition minima (the O(p)
-    sweep the ``platform_index="sweep"`` oracle performs per boundary).
+    sweep the simulator falls back to when a timeline recorder or a cohort
+    states provider observes every boundary's full state vector).
 
     Maintained invariants, relied on by the simulator:
 

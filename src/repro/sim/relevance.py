@@ -11,8 +11,8 @@ Policies (:func:`parse_replan_policy`):
     The default, the paper's semantics: replan at every UP-set change,
     crash, commit, program completion and iteration boundary.
 ``every-slot``
-    The ablation arm: a scheduling round every slot (alias of the legacy
-    ``replan_every_slot`` flag; forces slot stepping).
+    The ablation arm: a scheduling round every slot, so the simulator
+    has no quiet spans to skip.
 ``sticky``
     Pure UP-set churn never triggers a replan; only structural events
     (crash, commit, program completion, iteration boundary) do.  Plans

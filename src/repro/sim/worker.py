@@ -65,8 +65,7 @@ class TaskInstance:
         computing: True once computation has begun.
         row: the master's store slot — the instance's row in the
             structure-of-arrays :class:`~repro.sim.instance_table.
-            InstanceTable`, or its position in the legacy instance list
-            (enabling O(1) swap-remove); -1 while unregistered.
+            InstanceTable`; -1 while unregistered.
             Maintained by the owning store, never by the instance.
     """
 

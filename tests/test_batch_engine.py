@@ -268,14 +268,14 @@ class TestBatchBitIdentity:
 
 
 class TestDemotion:
-    def test_static_demotion_slot_mode_and_audit(self):
+    def test_static_demotion_every_slot_and_audit(self):
         scenario = ScenarioGenerator(4).scenario(5, 5, 2, 0)
         specs = [
             BatchRunSpec(scenario=scenario, trial=0, heuristic="emct*",
                          max_slots=50_000),
             BatchRunSpec(scenario=scenario, trial=0, heuristic="mct",
                          max_slots=50_000,
-                         options=SimulatorOptions(step_mode="slot")),
+                         options=SimulatorOptions(replan_policy="every-slot")),
             BatchRunSpec(scenario=scenario, trial=1, heuristic="lw",
                          max_slots=50_000,
                          options=SimulatorOptions(audit=True)),

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.experiments.ablation import run_ablation
 from repro.experiments.cli import build_parser, main
+from repro.experiments.deadline_study import run_deadline_study
 from repro.experiments.dfb import DfbAccumulator
 from repro.experiments.figure2 import render_figure2, run_figure2
 from repro.experiments.harness import CampaignConfig, run_campaign, run_instance
@@ -11,6 +13,7 @@ from repro.experiments.offline_study import (
     figure1_study,
     render_offline_study,
 )
+from repro.experiments.replan_study import run_replan_study
 from repro.experiments.table2 import PAPER_TABLE2, render_table2, run_table2
 from repro.experiments.table3 import PAPER_TABLE3, render_table3, run_table3
 from repro.sim.master import SimulatorOptions
@@ -196,6 +199,45 @@ class TestCli:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    @pytest.mark.parametrize("argv", [
+        ["table2", "--replan-policy", "bogus", "--wmin", "1"],
+        ["table2", "--scenarios", "0", "--wmin", "1"],
+        ["table2", "--trials", "-1", "--wmin", "1"],
+        ["table2", "--backend", "process", "--jobs", "0", "--wmin", "1",
+         "--trials", "1"],
+        ["table3", "--factor", "5", "--scenarios", "0"],
+        ["figure2", "--trials", "0"],
+        ["deadline", "--scenarios", "0"],
+        ["ablation", "replication", "--trials", "-1"],
+        ["replan-study", "--policies", "event", "bogus"],
+        ["table2", "--step-mode", "slot", "--wmin", "1"],
+    ], ids=[
+        "bad-policy", "zero-scenarios", "negative-trials", "zero-jobs",
+        "table3-zero-scenarios", "figure2-zero-trials",
+        "deadline-zero-scenarios", "ablation-negative-trials",
+        "replan-study-bad-policy", "no-step-mode-flag",
+    ])
+    def test_bad_flag_values_exit_with_usage(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+class TestDriversRejectEmptyPopulations:
+    @pytest.mark.parametrize("run", [
+        lambda: run_table2(scenarios_per_cell=0, trials=1, wmin_values=(1,)),
+        lambda: run_table3(5, scenarios=0, trials=1),
+        lambda: run_figure2(scenarios_per_cell=0, trials=1, wmin_values=(1,)),
+        lambda: run_deadline_study(scenario_count=0, trials=1),
+        lambda: run_ablation("replication", scenarios=0, trials=1),
+        lambda: run_replan_study(scenarios=0, trials=1),
+    ], ids=["table2", "table3", "figure2", "deadline", "ablation",
+            "replan-study"])
+    def test_zero_scenarios_rejected(self, run):
+        with pytest.raises(ValueError, match="scenario"):
+            run()
 
 
 class TestFigure2SeriesMath:

@@ -1,77 +1,21 @@
-"""Structure-of-arrays instance store vs the legacy list store.
+"""The structure-of-arrays instance store (DESIGN.md §9).
 
-The PR-4 redesign gate (DESIGN.md §9): for every registry heuristic, the
-simulator driven through ``instance_store="array"`` — the
-:class:`~repro.sim.instance_table.InstanceTable` with incrementally
-maintained aggregates, free-list row reuse and the vectorised body — must
-produce **bit identical** reports, event logs, and network audit trails to
-the preserved ``instance_store="legacy"`` list path, across both
-objectives and both stepping modes.  Unit tests cover the table itself:
-free-list reuse, aggregate/column invariants against a brute-force rebuild
-(the same :meth:`InstanceTable.audit` the master's audit mode runs), and
-the O(1) saturation/unpinned counters.
+Unit tests for :class:`~repro.sim.instance_table.InstanceTable` itself:
+free-list reuse, aggregate/column invariants against a brute-force
+rebuild (the same :meth:`InstanceTable.audit` the master's audit mode
+runs), and the O(1) saturation/unpinned counters.  End-to-end, the
+simulator built on the table is checked against the reference in
+``tests/test_reference_equivalence.py``.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.heuristics.registry import (
-    HEURISTIC_FACTORIES,
-    PAPER_HEURISTICS,
-    make_scheduler,
-)
-from repro.sim.events import EventLog
+from repro.core.heuristics.registry import make_scheduler
 from repro.sim.instance_table import InstanceTable
-from repro.sim.master import MasterSimulator, SimulatorOptions
+from repro.sim.master import MasterSimulator
 from repro.sim.worker import TaskInstance, reset_instance
 from repro.workload.scenarios import ScenarioGenerator
-
-ALL_HEURISTICS = sorted(HEURISTIC_FACTORIES) + ["clairvoyant"]
-
-
-def run_store_pair(
-    scenario,
-    heuristic,
-    *,
-    trial=0,
-    objective="run",
-    budget=40_000,
-    step_mode="span",
-    options_kwargs=None,
-    with_log=True,
-):
-    """Run the legacy and array instance stores on identical inputs."""
-    outcomes = {}
-    for store in ("legacy", "array"):
-        platform = scenario.build_platform(trial)
-        log = EventLog(enabled=with_log)
-        options = SimulatorOptions(
-            step_mode=step_mode,
-            instance_store=store,
-            **(options_kwargs or {}),
-        )
-        sim = MasterSimulator(
-            platform,
-            scenario.app,
-            make_scheduler(heuristic, platform=platform),
-            options=options,
-            rng=scenario.scheduler_rng(trial, heuristic),
-            log=log,
-        )
-        if objective == "run":
-            report = sim.run(max_slots=budget)
-        else:
-            report = sim.run_slots(budget)
-        outcomes[store] = (report, log.events, sim.network.usage)
-    return outcomes
-
-
-def assert_identical(outcomes):
-    legacy_report, legacy_events, legacy_usage = outcomes["legacy"]
-    array_report, array_events, array_usage = outcomes["array"]
-    assert array_report == legacy_report
-    assert array_events == legacy_events
-    assert array_usage == legacy_usage
 
 
 class TestInstanceTableUnit:
@@ -272,152 +216,15 @@ class TestInstanceTableUnit:
         tbl.audit([], committed=set())
 
 
-class TestFullRegistryBitIdentical:
-    """Every registry heuristic, both objectives, both step modes —
-    mirrors the scheduler-API suite with the stores swapped instead."""
-
-    @pytest.mark.parametrize("step_mode", ["span", "slot"])
-    @pytest.mark.parametrize("heuristic", ALL_HEURISTICS)
-    def test_run_objective(self, heuristic, step_mode):
+class TestInstanceOps:
+    def test_instance_ops_counted(self):
         scenario = ScenarioGenerator(24061).scenario(5, 5, 1, 0)
-        outcomes = run_store_pair(
-            scenario, heuristic, step_mode=step_mode, budget=30_000
-        )
-        assert_identical(outcomes)
-        assert outcomes["array"][0].makespan is not None  # sanity: finished
-
-    @pytest.mark.parametrize("step_mode", ["span", "slot"])
-    @pytest.mark.parametrize("heuristic", ALL_HEURISTICS)
-    def test_run_slots_objective(self, heuristic, step_mode):
-        scenario = ScenarioGenerator(24061).scenario(5, 5, 2, 1)
-        outcomes = run_store_pair(
-            scenario,
-            heuristic,
-            trial=1,
-            objective="run_slots",
-            budget=800,
-            step_mode=step_mode,
-        )
-        assert_identical(outcomes)
-
-    @pytest.mark.parametrize("heuristic", ["emct*", "ud*", "random2w", "passive"])
-    def test_paper_midpoint_cell_with_audit(self, heuristic):
-        """The p=20 midpoint cell, with the table/aggregate cross-check
-        (audit) active on both sides."""
-        scenario = ScenarioGenerator(24061).scenario(20, 10, 5, 0)
-        outcomes = run_store_pair(
-            scenario,
-            heuristic,
-            budget=60_000,
-            options_kwargs={"audit": True},
-        )
-        assert_identical(outcomes)
-
-
-class TestOptionVariants:
-    """Simulator options exercise distinct array-store branches."""
-
-    @pytest.mark.parametrize(
-        "options_kwargs",
-        [
-            {"replication": False},
-            {"max_replicas": 0},
-            {"max_replicas": 1},
-            {"proactive": True},
-            {"proactive": True, "audit": True},
-            {"replan_every_slot": True},
-            {"audit": True},
-            {"scheduler_api": "legacy"},
-        ],
-        ids=[
-            "no-replication",
-            "zero-replicas",
-            "one-replica",
-            "proactive",
-            "proactive-audit",
-            "replan-every",
-            "audit",
-            "legacy-scheduler-api",
-        ],
-    )
-    def test_option_variants_bit_identical(self, options_kwargs):
-        scenario = ScenarioGenerator(71).scenario(5, 5, 2, 0)
-        outcomes = run_store_pair(
-            scenario, "emct", budget=50_000, options_kwargs=options_kwargs
-        )
-        assert_identical(outcomes)
-
-
-class TestRandomizedSweep:
-    """Deterministic random configurations across the registry long tail."""
-
-    @pytest.mark.parametrize("config_seed", range(8))
-    def test_random_config_bit_identical(self, config_seed):
-        cfg = np.random.default_rng(6000 + config_seed)
-        n = int(cfg.choice([1, 2, 5, 10, 20, 40]))
-        ncom = int(cfg.choice([1, 5, 10, 20]))
-        wmin = int(cfg.integers(1, 6))
-        heuristic = str(cfg.choice(list(PAPER_HEURISTICS)))
-        trial = int(cfg.integers(0, 3))
-        objective = str(cfg.choice(["run", "run_slots"]))
-        budget = int(cfg.choice([500, 3000, 30_000]))
-        step_mode = str(cfg.choice(["span", "slot"]))
-        audit = bool(cfg.integers(0, 2))
-        scenario = ScenarioGenerator(888).scenario(n, ncom, wmin, 0)
-        outcomes = run_store_pair(
-            scenario,
-            heuristic,
-            trial=trial,
-            objective=objective,
-            budget=budget,
-            step_mode=step_mode,
-            options_kwargs={"audit": audit},
-        )
-        assert_identical(outcomes)
-
-
-class TestLegacyStoreSwapRemove:
-    """Satellite: the legacy store's O(1) swap-remove keeps physics and
-    events identical while never rebuilding the instance list."""
-
-    def test_legacy_rows_track_positions(self):
-        scenario = ScenarioGenerator(24061).scenario(5, 5, 2, 0)
         platform = scenario.build_platform(0)
         sim = MasterSimulator(
             platform,
             scenario.app,
-            make_scheduler("emct*", platform=platform),
-            options=SimulatorOptions(instance_store="legacy"),
-            rng=scenario.scheduler_rng(0, "emct*"),
+            make_scheduler("mct", platform=platform),
+            rng=scenario.scheduler_rng(0, "mct"),
         )
-        finished = False
-        for slot in range(2_000):
-            finished = sim._step(slot)
-            # Invariant after every slot: each live instance records its
-            # own list position (the swap-remove contract).
-            for position, inst in enumerate(sim._instances):
-                assert inst.row == position
-            if finished:
-                break
-        assert finished or sim.report.tasks_committed > 0
-
-    def test_instance_ops_counted_on_array_store_only(self):
-        scenario = ScenarioGenerator(24061).scenario(5, 5, 1, 0)
-        counts = {}
-        for store in ("legacy", "array"):
-            platform = scenario.build_platform(0)
-            sim = MasterSimulator(
-                platform,
-                scenario.app,
-                make_scheduler("mct", platform=platform),
-                options=SimulatorOptions(instance_store=store),
-                rng=scenario.scheduler_rng(0, "mct"),
-            )
-            sim.run(max_slots=30_000)
-            counts[store] = sim.instance_ops
-        assert counts["legacy"] == 0
-        assert counts["array"] > 0
-
-    def test_rejects_unknown_store(self):
-        with pytest.raises(ValueError, match="instance_store"):
-            SimulatorOptions(instance_store="bogus")
+        sim.run(max_slots=30_000)
+        assert sim.instance_ops > 0

@@ -1,9 +1,12 @@
-"""Golden tests for the master simulator on hand-computable scenarios.
+"""Golden tests for the simulators on hand-computable scenarios.
 
 Every expected makespan below was derived by hand from the model rules
 (DESIGN.md §3): program then data then compute, transfers/compute only on
 UP slots, compute starts the slot after its data completes, prefetch
-overlaps computation, RECLAIMED freezes, DOWN wipes.
+overlaps computation, RECLAIMED freezes, DOWN wipes.  Each golden case
+runs on both the fast :class:`MasterSimulator` and the slot-stepped
+:class:`ReferenceSimulator`, so the oracle is checked against the hand
+derivations too, not only against the fast path.
 """
 
 import numpy as np
@@ -11,10 +14,13 @@ import pytest
 
 from repro.core.heuristics.mct import MctScheduler
 from repro.sim.events import EventKind, EventLog
+from repro.core.heuristics.registry import make_scheduler
 from repro.sim.master import MasterSimulator, SimulatorOptions, simulate
+from repro.sim.reference import ReferenceSimulator
 from repro.sim.platform import Platform, Processor
 from repro.types import states_from_codes
 from repro.workload.application import IterativeApplication
+from repro.workload.scenarios import ScenarioGenerator
 
 
 def trace_platform(codes_list, speeds, ncom=1):
@@ -25,20 +31,31 @@ def trace_platform(codes_list, speeds, ncom=1):
     return Platform(processors, ncom=ncom)
 
 
-def run(platform, app, *, scheduler=None, options=None, log=None, max_slots=500):
-    sim = MasterSimulator(
-        platform,
-        app,
-        scheduler or MctScheduler(),
-        options=options or SimulatorOptions(audit=True),
-        rng=np.random.default_rng(0),
-        log=log,
-    )
-    return sim.run(max_slots=max_slots)
+@pytest.fixture(params=[MasterSimulator, ReferenceSimulator],
+                ids=["fast", "reference"])
+def simulator(request):
+    return request.param
+
+
+@pytest.fixture
+def run(simulator):
+    def run(platform, app, *, scheduler=None, options=None, log=None,
+            max_slots=500):
+        sim = simulator(
+            platform,
+            app,
+            scheduler or MctScheduler(),
+            options=options or SimulatorOptions(audit=True),
+            rng=np.random.default_rng(0),
+            log=log,
+        )
+        return sim.run(max_slots=max_slots)
+
+    return run
 
 
 class TestSingleWorkerTimelines:
-    def test_one_task_sequential_pipeline(self):
+    def test_one_task_sequential_pipeline(self, run):
         # Tprog + Tdata + w = 3 + 2 + 2 = 7 slots.
         report = run(
             trace_platform(["u" * 50], [2]),
@@ -48,7 +65,7 @@ class TestSingleWorkerTimelines:
         assert report.makespan == 7
         assert report.tasks_committed == 1
 
-    def test_two_tasks_overlap_data_with_compute(self):
+    def test_two_tasks_overlap_data_with_compute(self, run):
         # Second task's data prefetches during the first compute:
         # 3 + 2 + 2 + max(2, 2) = 9 slots.
         report = run(
@@ -58,7 +75,7 @@ class TestSingleWorkerTimelines:
         )
         assert report.makespan == 9
 
-    def test_compute_bound_pipeline(self):
+    def test_compute_bound_pipeline(self, run):
         # w > Tdata: 2 + 1 + 4 + 4 + 4 = 15 slots for three tasks.
         report = run(
             trace_platform(["u" * 50], [4]),
@@ -67,7 +84,7 @@ class TestSingleWorkerTimelines:
         )
         assert report.makespan == 15
 
-    def test_comm_bound_pipeline(self):
+    def test_comm_bound_pipeline(self, run):
         # Tdata > w: 2 + 3 + 1 + (3 + 1 is pipelined to max=3) -> 2+3+1+3+1=...
         # Timeline: prog 0-1, data1 2-4, comp1 5, data2 5-7, comp2 8,
         # data3 8-10, comp3 11 -> makespan 12.
@@ -78,7 +95,7 @@ class TestSingleWorkerTimelines:
         )
         assert report.makespan == 12
 
-    def test_zero_t_data(self):
+    def test_zero_t_data(self, run):
         # Tdata = 0: tasks need no channel; 2 + 3×1 = 5 slots.
         report = run(
             trace_platform(["u" * 50], [1]),
@@ -87,7 +104,7 @@ class TestSingleWorkerTimelines:
         )
         assert report.makespan == 5
 
-    def test_reclaimed_pause_delays_completion(self):
+    def test_reclaimed_pause_delays_completion(self, run):
         # prog 0-1, slot 2 reclaimed (nothing), compute slot 3 -> makespan 4.
         report = run(
             trace_platform(["uuru" + "u" * 30], [1]),
@@ -96,7 +113,7 @@ class TestSingleWorkerTimelines:
         )
         assert report.makespan == 4
 
-    def test_down_wipes_program(self):
+    def test_down_wipes_program(self, run):
         # prog 0-1 received, DOWN at 2 wipes it; re-sent 3-4; compute 5.
         report = run(
             trace_platform(["uud" + "u" * 30], [1]),
@@ -109,7 +126,7 @@ class TestSingleWorkerTimelines:
 
 
 class TestIterations:
-    def test_program_survives_iteration_boundary(self):
+    def test_program_survives_iteration_boundary(self, run):
         # It1: prog 0-2, data 3, comp 4. It2: data 5, comp 6 -> makespan 7.
         report = run(
             trace_platform(["u" * 50], [1]),
@@ -120,7 +137,7 @@ class TestIterations:
         assert report.completed_iterations == 2
         assert report.iteration_end_slots == [4, 6]
 
-    def test_iteration_durations(self):
+    def test_iteration_durations(self, run):
         report = run(
             trace_platform(["u" * 50], [1]),
             IterativeApplication(tasks_per_iteration=1, iterations=2,
@@ -128,7 +145,7 @@ class TestIterations:
         )
         assert report.iteration_durations == [5, 2]
 
-    def test_makespan_monotone_in_iterations(self):
+    def test_makespan_monotone_in_iterations(self, run):
         def makespan(iterations):
             return run(
                 trace_platform(["u" * 200], [2]),
@@ -142,7 +159,7 @@ class TestIterations:
 
 
 class TestDynamicReassignment:
-    def test_task_migrates_to_freed_fast_worker(self):
+    def test_task_migrates_to_freed_fast_worker(self, run):
         # Two workers, ncom=1, Tprog=2, Tdata=0, w=1, m=2.  P0 serves
         # first; after its commit the second task migrates back to P0
         # (which holds the program) instead of waiting for P1's program.
@@ -159,7 +176,7 @@ class TestDynamicReassignment:
         original_commits = [e for e in commits if not e.replica_id]
         assert {e.worker for e in original_commits} == {0}
 
-    def test_replication_kicks_in_when_up_exceeds_tasks(self):
+    def test_replication_kicks_in_when_up_exceeds_tasks(self, run):
         # One task, two UP workers: the idle one receives a replica.
         report = run(
             trace_platform(["u" * 30, "u" * 30], [5, 1], ncom=2),
@@ -169,7 +186,7 @@ class TestDynamicReassignment:
         assert report.replicas_launched >= 1
         assert report.tasks_committed == 1
 
-    def test_replication_disabled(self):
+    def test_replication_disabled(self, run):
         report = run(
             trace_platform(["u" * 30, "u" * 30], [5, 1], ncom=2),
             IterativeApplication(tasks_per_iteration=1, iterations=1,
@@ -178,7 +195,7 @@ class TestDynamicReassignment:
         )
         assert report.replicas_launched == 0
 
-    def test_replica_saves_makespan_when_original_stalls(self):
+    def test_replica_saves_makespan_when_original_stalls(self, run):
         # P0 is fast but gets reclaimed forever after slot 1 (before it can
         # compute); P1 is slow but UP throughout.  With replication the
         # replica on P1 commits; without it the run stalls.
@@ -197,8 +214,8 @@ class TestDynamicReassignment:
 
 
 class TestRunSlots:
-    def test_counts_iterations_within_budget(self):
-        report = MasterSimulator(
+    def test_counts_iterations_within_budget(self, simulator):
+        report = simulator(
             trace_platform(["u" * 100], [1]),
             IterativeApplication(tasks_per_iteration=1, iterations=50,
                                  t_prog=2, t_data=1),
@@ -210,8 +227,8 @@ class TestRunSlots:
         assert report.makespan is None
         assert report.slots_simulated == 10
 
-    def test_stops_early_when_target_reached(self):
-        report = MasterSimulator(
+    def test_stops_early_when_target_reached(self, simulator):
+        report = simulator(
             trace_platform(["u" * 100], [1]),
             IterativeApplication(tasks_per_iteration=1, iterations=1,
                                  t_prog=1, t_data=0),
@@ -222,7 +239,7 @@ class TestRunSlots:
 
 
 class TestAccounting:
-    def test_compute_slots_spent(self):
+    def test_compute_slots_spent(self, run):
         report = run(
             trace_platform(["u" * 50], [3]),
             IterativeApplication(tasks_per_iteration=2, iterations=1,
@@ -230,7 +247,7 @@ class TestAccounting:
         )
         assert report.compute_slots_spent == 6  # 2 tasks × w=3
 
-    def test_comm_slots_spent(self):
+    def test_comm_slots_spent(self, run):
         report = run(
             trace_platform(["u" * 50], [3]),
             IterativeApplication(tasks_per_iteration=2, iterations=1,
@@ -238,7 +255,7 @@ class TestAccounting:
         )
         assert report.comm_slots_spent == 1 + 2 * 2  # prog + 2 × data
 
-    def test_no_waste_on_clean_run(self):
+    def test_no_waste_on_clean_run(self, run):
         report = run(
             trace_platform(["u" * 50], [2]),
             IterativeApplication(tasks_per_iteration=2, iterations=1,
@@ -247,7 +264,7 @@ class TestAccounting:
         assert report.compute_slots_wasted == 0
         assert report.waste_fraction == 0.0
 
-    def test_summary_mentions_heuristic(self):
+    def test_summary_mentions_heuristic(self, run):
         report = run(
             trace_platform(["u" * 50], [2]),
             IterativeApplication(tasks_per_iteration=1, iterations=1,
@@ -257,7 +274,7 @@ class TestAccounting:
 
 
 class TestEventLog:
-    def test_event_sequence_for_simple_run(self):
+    def test_event_sequence_for_simple_run(self, run):
         log = EventLog()
         run(
             trace_platform(["u" * 50], [1]),
@@ -277,7 +294,7 @@ class TestEventLog:
             EventKind.RUN_DONE,
         ]
 
-    def test_program_transfer_slots(self):
+    def test_program_transfer_slots(self, run):
         log = EventLog()
         run(
             trace_platform(["u" * 50], [1]),
@@ -290,7 +307,7 @@ class TestEventLog:
         assert start.slot == 0
         assert done.slot == 2
 
-    def test_state_change_logged(self):
+    def test_state_change_logged(self, run):
         log = EventLog()
         run(
             trace_platform(["uru" + "u" * 30], [1]),
@@ -303,7 +320,7 @@ class TestEventLog:
 
 
 class TestGuards:
-    def test_unfinishable_run_returns_none_makespan(self):
+    def test_unfinishable_run_returns_none_makespan(self, run):
         report = run(
             trace_platform(["rrrr"], [1]),  # never UP (pads DOWN after)
             IterativeApplication(tasks_per_iteration=1, iterations=1,
@@ -323,7 +340,7 @@ class TestGuards:
         )
         assert report.makespan == 2
 
-    def test_rejects_bad_max_slots(self):
+    def test_rejects_bad_max_slots(self, run):
         with pytest.raises(ValueError):
             run(
                 trace_platform(["u" * 20], [1]),
@@ -331,3 +348,36 @@ class TestGuards:
                                      t_prog=1, t_data=0),
                 max_slots=0,
             )
+
+
+class TestDeterministicSchedulerDefault:
+    """Runs without an explicit scheduler rng are reproducible."""
+
+    def test_random_heuristic_reproducible_without_rng(self, simulator):
+        scenario = ScenarioGenerator(5).scenario(5, 5, 2, 0)
+        reports = []
+        for _ in range(2):
+            platform = scenario.build_platform(0)
+            sim = simulator(
+                platform,
+                scenario.app,
+                make_scheduler("random2w", platform=platform),
+            )
+            reports.append(sim.run(max_slots=60_000))
+        assert reports[0] == reports[1]
+
+    def test_explicit_rng_still_wins(self, simulator):
+        scenario = ScenarioGenerator(5).scenario(5, 5, 2, 0)
+
+        def makespan(seed):
+            platform = scenario.build_platform(0)
+            sim = simulator(
+                platform,
+                scenario.app,
+                make_scheduler("random", platform=platform),
+                rng=np.random.default_rng(seed),
+            )
+            return sim.run(max_slots=60_000).makespan
+
+        # Different explicit streams may disagree; the same stream must not.
+        assert makespan(3) == makespan(3)

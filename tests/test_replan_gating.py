@@ -1,11 +1,10 @@
 """Replan policies (DESIGN.md §10): the ``replan_policy`` knob.
 
-Every policy must be invariant across step modes and instance stores
-(spans may only glide over what the policy provably ignores),
-``debounce:1`` must equal the event-driven default exactly, and
-``every-slot`` must stay a faithful alias of the legacy
-``replan_every_slot`` flag.  Under the default ``event`` policy no
-counted round is skipped: each one reaches its replication step.
+Every policy must give the fast simulator the reference's results
+(spans may only glide over what the policy provably ignores), and
+``debounce:1`` must equal the event-driven default exactly.  Under the
+default ``event`` policy no counted round is skipped, on either
+simulator: each one reaches its replication step.
 """
 
 import pytest
@@ -13,6 +12,7 @@ import pytest
 from repro.core.heuristics.registry import available_heuristics, make_scheduler
 from repro.sim.events import EventLog
 from repro.sim.master import MasterSimulator, SimulatorOptions
+from repro.sim.reference import ReferenceSimulator
 from repro.sim.relevance import ReplanPolicy, parse_replan_policy
 from repro.workload.scenarios import ScenarioGenerator
 
@@ -25,11 +25,12 @@ def run_one(
     *,
     budget=40_000,
     with_log=True,
+    simulator=MasterSimulator,
     **options_kwargs,
 ):
     platform = scenario.build_platform(0)
     log = EventLog(enabled=with_log)
-    sim = MasterSimulator(
+    sim = simulator(
         platform,
         scenario.app,
         make_scheduler(heuristic, platform=platform),
@@ -42,7 +43,7 @@ def run_one(
 
 
 class TestReplanPolicies:
-    """The relaxed tier: parsing, aliasing, and mode invariance."""
+    """The relaxed tier: parsing and equivalence to the reference."""
 
     def test_parse_specs(self):
         assert parse_replan_policy("event") == ReplanPolicy("event")
@@ -66,26 +67,6 @@ class TestReplanPolicies:
         with pytest.raises(ValueError):
             SimulatorOptions(replan_policy="bogus")
 
-    def test_every_slot_alias(self):
-        """Either spelling selects the ablation arm; they stay in sync."""
-        by_flag = SimulatorOptions(replan_every_slot=True)
-        assert by_flag.replan_policy == "every-slot"
-        by_policy = SimulatorOptions(replan_policy="every-slot")
-        assert by_policy.replan_every_slot is True
-        with pytest.raises(ValueError):
-            SimulatorOptions(replan_every_slot=True, replan_policy="sticky")
-
-    def test_every_slot_alias_bit_identical(self):
-        scenario = ScenarioGenerator(11).scenario(5, 5, 1, 0)
-        outcomes = {}
-        for kwargs in ({"replan_every_slot": True},
-                       {"replan_policy": "every-slot"}):
-            _sim, outcomes[tuple(kwargs)] = run_one(
-                scenario, "emct*", budget=30_000, **kwargs
-            )
-        first, second = outcomes.values()
-        assert first == second
-
     def test_debounce_one_equals_event(self):
         """Leading-edge cooldown of one slot never suppresses anything."""
         scenario = ScenarioGenerator(12061).scenario(20, 10, 5, 0)
@@ -98,25 +79,21 @@ class TestReplanPolicies:
 
     @pytest.mark.parametrize("policy", ["sticky", "debounce:8", "relevant-up"])
     @pytest.mark.parametrize("heuristic", ["emct*", "random2w", "passive"])
-    def test_policies_step_mode_and_store_invariant(self, policy, heuristic):
-        """Relaxed policies change the science but must not depend on the
-        stepping mode, the instance store, or an attached event log —
-        spans may only glide over what the policy provably ignores."""
+    def test_policies_match_reference(self, policy, heuristic):
+        """Relaxed policies change the science but the fast simulator
+        must still match the slot-stepped reference — spans may only
+        glide over what the policy provably ignores."""
         scenario = ScenarioGenerator(12061).scenario(10, 5, 3, 0)
         outcomes = {}
-        for step_mode in ("slot", "span"):
-            for store in ("array", "legacy"):
-                _sim, outcomes[(step_mode, store)] = run_one(
-                    scenario,
-                    heuristic,
-                    budget=60_000,
-                    step_mode=step_mode,
-                    instance_store=store,
-                    replan_policy=policy,
-                )
-        reference = outcomes[("slot", "array")]
-        for key, outcome in outcomes.items():
-            assert outcome == reference, f"{policy}/{key} diverged"
+        for simulator in (MasterSimulator, ReferenceSimulator):
+            _sim, outcomes[simulator] = run_one(
+                scenario,
+                heuristic,
+                budget=60_000,
+                simulator=simulator,
+                replan_policy=policy,
+            )
+        assert outcomes[MasterSimulator] == outcomes[ReferenceSimulator]
 
     def test_sticky_reduces_rounds_and_lengthens_spans(self):
         scenario = ScenarioGenerator(12061).scenario(20, 10, 5, 0)
@@ -154,11 +131,14 @@ class TestEveryRoundRuns:
     to completion — placement, queue mutation, then the replication step —
     and the scheduler is never asked to prove a round away instead."""
 
-    @pytest.mark.parametrize("scheduler_api", ["array", "legacy"])
+    @pytest.mark.parametrize(
+        "simulator", [MasterSimulator, ReferenceSimulator],
+        ids=["fast", "reference"],
+    )
     @pytest.mark.parametrize("objective", ["run", "run_slots"])
     @pytest.mark.parametrize("heuristic", ALL_HEURISTICS)
     def test_every_counted_round_replicates(
-        self, heuristic, objective, scheduler_api
+        self, heuristic, objective, simulator
     ):
         scenario = ScenarioGenerator(12061).scenario(10, 5, 3, 0)
         platform = scenario.build_platform(0)
@@ -168,11 +148,10 @@ class TestEveryRoundRuns:
             raise AssertionError("the simulator asked for a skip proof")
 
         scheduler.would_replan = no_proofs
-        sim = MasterSimulator(
+        sim = simulator(
             platform,
             scenario.app,
             scheduler,
-            options=SimulatorOptions(scheduler_api=scheduler_api),
             rng=scenario.scheduler_rng(0, heuristic),
         )
         replication_steps = []
@@ -190,4 +169,4 @@ class TestEveryRoundRuns:
             report = sim.run_slots(900)
         assert report.scheduler_rounds > 0
         assert len(replication_steps) == report.scheduler_rounds
-        assert sim.rounds_elided == 0
+        assert getattr(sim, "rounds_elided", 0) == 0

@@ -4,7 +4,7 @@ Covers the structure-of-arrays context itself (columns, belief caches,
 candidate selection, lazy shim), the bit-identity of ``score_batch`` /
 ``score_one`` against the legacy scalar ``score``, and the determinism fix
 for ``SchedulingContext.rng``.  End-to-end simulator equivalence lives in
-``tests/test_scheduler_api_equivalence.py``.
+``tests/test_reference_equivalence.py``.
 """
 
 import numpy as np
