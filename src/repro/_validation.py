@@ -13,12 +13,24 @@ from typing import Any
 import numpy as np
 
 __all__ = [
+    "require_bool",
     "require_positive_int",
     "require_nonnegative_int",
     "require_positive",
     "require_probability",
     "require_in_range",
 ]
+
+
+def require_bool(value: Any, name: str) -> bool:
+    """Return ``value`` as a bool, requiring it to be ``bool`` or ``np.bool_``.
+
+    Rejects truthy stand-ins such as ``"false"`` or ``1``: a string switch
+    would silently flip the feature it names on.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a bool, got {type(value).__name__}")
+    return bool(value)
 
 
 def require_positive_int(value: Any, name: str) -> int:

@@ -97,7 +97,7 @@ class RandomScheduler(Scheduler):
         cand = rs.up_candidates(allowed)
         if cand.size == 0:
             return [None] * n_tasks
-        cand_list = [int(q) for q in cand]
+        cand_list = cand.tolist()
         rng = rs.rng
         return [cand_list[int(rng.integers(len(cand_list)))] for _ in range(n_tasks)]
 
@@ -112,8 +112,8 @@ class WeightedRandomScheduler(Scheduler):
         name: registry name.
         variant: the paper's variant number (1–4) when ``weight_fn`` is one
             of :data:`RANDOM_WEIGHTS`; enables the vectorised array path
-            (weights gathered from the round state's cached belief
-            columns).  ``None`` — e.g. a custom weight function — routes
+            (weights read off the round state's cached belief columns).
+            ``None`` — e.g. a custom weight function — routes
             :meth:`place_array` through the legacy-path shim instead.
     """
 
@@ -131,6 +131,8 @@ class WeightedRandomScheduler(Scheduler):
         if variant is not None and variant not in RANDOM_WEIGHT_COLUMNS:
             raise ValueError(f"variant must be 1..4 or None, got {variant}")
         self._variant = variant
+        self._weights_rs: Optional[RoundState] = None
+        self._weights: Optional[tuple] = None
 
     def weight(self, view: ProcessorView) -> float:
         """The (possibly speed-normalised) sampling weight for ``view``."""
@@ -167,21 +169,27 @@ class WeightedRandomScheduler(Scheduler):
         pick = min(pick, len(candidates) - 1)  # guard against fp rounding
         return candidates[pick].index
 
-    def weight_batch(self, rs: RoundState, cand: np.ndarray) -> np.ndarray:
-        """Sampling weights for ``cand``, gathered from belief columns.
+    def weight_vector(self, rs: RoundState) -> tuple:
+        """The length-p sampling-weight vector over ``rs``, and whether any
+        entry is NaN (a processor without a belief model).
 
-        The cached columns hold the same floats the per-view weight
-        functions return, and the speed normalisation is the same IEEE
-        division, so the weight vector is bit-identical to the one the
+        Belief columns and speeds are static for a run, so the vector is
+        built once per :class:`RoundState` and cached, keyed on the object.
+        Each entry is the same elementwise IEEE operation sequence the
+        per-view weight functions apply (``1 - pi_d`` complement, ``/ w_q``
+        division), so ``vector[cand]`` is bit-identical to the weights the
         legacy ``select`` builds per call.
         """
-        column, complement = RANDOM_WEIGHT_COLUMNS[self._variant]
-        weights = rs.gather_belief(column, cand, _MISSING_BELIEF)
-        if complement:
-            weights = 1.0 - weights
-        if self._divide_by_speed:
-            weights = weights / rs.speed_w[cand]
-        return weights
+        if self._weights_rs is not rs:
+            column, complement = RANDOM_WEIGHT_COLUMNS[self._variant]
+            weights = rs.belief_column(column)
+            if complement:
+                weights = 1.0 - weights
+            if self._divide_by_speed:
+                weights = weights / rs.speed_w
+            self._weights = (weights, bool(np.isnan(weights).any()))
+            self._weights_rs = rs
+        return self._weights
 
     def place_array(
         self,
@@ -189,35 +197,38 @@ class WeightedRandomScheduler(Scheduler):
         n_tasks: int,
         allowed: Optional[Sequence[int]] = None,
     ) -> List[Optional[int]]:
-        """Array path: one vectorised weight gather, then per-task draws.
+        """Array path: a constant number of numpy calls per call.
 
         The legacy loop recomputes the (unchanging) weight vector on every
-        placement; here the cumulative distribution is built once and each
-        task costs a single inverse-CDF lookup — with the identical RNG
-        draw sequence (one ``rng.random()`` per task, or ``rng.integers``
-        in the all-weights-vanished fallback).
+        placement; here the per-run weight vector is gathered once, the
+        cumulative distribution is built once, and all tasks are placed by
+        one batched draw and one inverse-CDF lookup — with the identical
+        RNG stream (``rng.random(n)`` yields the same values as ``n``
+        scalar ``rng.random()`` calls; the all-weights-vanished fallback
+        keeps one ``rng.integers`` per task).
         """
         if self._variant is None:
             return self.place(rs.as_context(), n_tasks, allowed)
         cand = rs.up_candidates(allowed)
         if cand.size == 0:
             return [None] * n_tasks
-        cand_list = [int(q) for q in cand]
+        all_weights, has_nan = self.weight_vector(rs)
+        weights = all_weights[cand]
+        if has_nan and np.isnan(weights).any():
+            rs.require_beliefs(cand, _MISSING_BELIEF)  # raises with the index
+        cand_list = cand.tolist()
         rng = rs.rng
-        weights = self.weight_batch(rs, cand)
         total = weights.sum()
         if total <= 0.0:
             # All weights vanished: degrade to uniform, as the scalar path.
             return [
                 cand_list[int(rng.integers(len(cand_list)))] for _ in range(n_tasks)
             ]
-        cumulative = np.cumsum(weights / total)
+        # The method form skips np.cumsum's Python dispatch wrapper.
+        cumulative = (weights / total).cumsum()
         last = len(cand_list) - 1
-        placements: List[Optional[int]] = []
-        for _ in range(n_tasks):
-            pick = int(np.searchsorted(cumulative, rng.random(), side="right"))
-            placements.append(cand_list[min(pick, last)])
-        return placements
+        picks = cumulative.searchsorted(rng.random(n_tasks), side="right").tolist()
+        return [cand_list[min(pick, last)] for pick in picks]  # fp-rounding guard
 
 
 def make_random_variant(variant: int, weighted_by_speed: bool) -> Scheduler:

@@ -223,6 +223,7 @@ class RoundState:
         self._belief_columns: Dict[str, np.ndarray] = {}
         self._belief_column_lists: Dict[str, list] = {}
         self._speed_list: Optional[list] = None
+        self._up: Optional[np.ndarray] = None
         self._views: Dict[int, object] = {}
         self._ctx = None
 
@@ -300,9 +301,14 @@ class RoundState:
 
         Mirrors the legacy ``Scheduler._candidates`` semantics:
         ``allowed=None`` means every UP processor; otherwise the UP set is
-        filtered to the allowed indices, order preserved.
+        filtered to the allowed indices, order preserved.  The UP index
+        array is computed once per round (cached until :meth:`invalidate`;
+        a round's replication loop asks once per replica) and returned
+        as-is for ``allowed=None`` — callers must not mutate it.
         """
-        up = np.nonzero(self.state == int(ProcState.UP))[0]
+        up = self._up
+        if up is None:
+            up = self._up = np.nonzero(self.state == int(ProcState.UP))[0]
         if allowed is None:
             return up
         if isinstance(allowed, np.ndarray) and allowed.dtype == np.bool_:
@@ -428,12 +434,13 @@ class RoundState:
         self._belief_column_lists = other._belief_column_lists
 
     def invalidate(self) -> None:
-        """Drop the lazy view/context caches after columns changed.
+        """Drop the lazy view/context/UP-list caches after columns changed.
 
         Owners call this once per refresh; belief columns are static and
         survive (they depend only on the immutable belief models).
         """
         self.version = next(_VERSION_COUNTER)
+        self._up = None
         if self._views:
             self._views = {}
         self._ctx = None

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .._validation import require_nonnegative_int, require_positive_int
+from .._validation import (
+    require_bool,
+    require_nonnegative_int,
+    require_positive_int,
+)
 from .relevance import parse_replan_policy
 
 __all__ = ["SimulatorOptions"]
@@ -61,6 +65,8 @@ class SimulatorOptions:
     replan_policy: str = "event"
 
     def __post_init__(self) -> None:
+        for name in ("replication", "proactive", "audit"):
+            require_bool(getattr(self, name), name)
         require_nonnegative_int(self.max_replicas, "max_replicas")
         require_positive_int(self.max_slots, "max_slots")
         parse_replan_policy(self.replan_policy)  # validates

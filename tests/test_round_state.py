@@ -23,7 +23,7 @@ from repro.core.heuristics.lw import LwScheduler
 from repro.core.heuristics.mct import EmctScheduler, MctScheduler
 from repro.core.heuristics.registry import make_scheduler
 from repro.core.heuristics.ud import UdScheduler
-from repro.core.markov import paper_random_model
+from repro.core.markov import MarkovAvailabilityModel, paper_random_model
 from repro.types import ProcState
 
 
@@ -64,6 +64,12 @@ def round_state_from(views, *, seed=5, t_data=3, ncom=4, remaining=6):
         remaining_tasks=remaining,
         rng=np.random.default_rng(seed),
     )
+
+
+#: The paper's nine random heuristics (Section 6.2).
+RANDOM_NAMES = ["random"] + [
+    f"random{variant}{suffix}" for variant in (1, 2, 3, 4) for suffix in ("", "w")
+]
 
 
 class TestRoundStateContainer:
@@ -220,8 +226,7 @@ class TestPlaceArrayAgainstLegacyPlace:
 
     NAMES = [
         "mct", "mct*", "emct", "emct*", "lw", "lw*", "ud", "ud*",
-        "ud-exact", "ud*-exact", "random", "random1", "random2w",
-        "random3", "random4w", "passive",
+        "ud-exact", "ud*-exact", *RANDOM_NAMES, "passive",
     ]
 
     @pytest.mark.parametrize("name", NAMES)
@@ -288,6 +293,83 @@ class TestPlaceArrayAgainstLegacyPlace:
         # The single-placement fused path must raise identically.
         with pytest.raises(ValueError, match="processor 1 has no Markov belief"):
             make_scheduler(name).place_array(rs, 1, allowed=[1, 2])
+
+
+class TestRandomArrayPath:
+    """The random family's array path (per-run weight vector, per-round UP
+    list, one batched draw per call) against the scalar ``place`` loop."""
+
+    @pytest.mark.parametrize("name", RANDOM_NAMES)
+    def test_boolean_mask_allowed(self, name):
+        """Calendar-path replication passes a boolean eligibility mask."""
+        views = random_views(np.random.default_rng(31), p=12)
+        mask = np.zeros(12, dtype=bool)
+        mask[[0, 1, 3, 5, 6, 8, 9, 11]] = True
+        rs = round_state_from(views, seed=17)
+        legacy_ctx = round_state_from(views, seed=17).as_context()
+        array_sched, legacy_sched = make_scheduler(name), make_scheduler(name)
+        for n_tasks in (1, 1, 5):
+            assert array_sched.place_array(rs, n_tasks, mask) == legacy_sched.place(
+                legacy_ctx, n_tasks, mask
+            )
+
+    @pytest.mark.parametrize("name", RANDOM_NAMES)
+    def test_state_change_between_calls(self, name):
+        """A round boundary (state rewrite + invalidate) must refresh the
+        cached UP list; a new RoundState must rebuild the weight vector."""
+        rng = np.random.default_rng(32)
+        views = random_views(rng, p=10)
+        rs = round_state_from(views, seed=3)
+        legacy_rs = round_state_from(views, seed=3)
+        array_sched, legacy_sched = make_scheduler(name), make_scheduler(name)
+
+        def same(state_rs, legacy_state_rs, n_tasks):
+            assert array_sched.place_array(state_rs, n_tasks) == legacy_sched.place(
+                legacy_state_rs.as_context(), n_tasks
+            )
+
+        same(rs, legacy_rs, 6)
+        new_state = rng.integers(0, 3, size=10).astype(np.uint8)
+        new_state[[1, 4]] = int(ProcState.UP)  # keep candidates
+        for target in (rs, legacy_rs):
+            target.state[:] = new_state
+            target.invalidate()
+        up = int(ProcState.UP)
+        assert rs.up_candidates().tolist() == np.nonzero(new_state == up)[0].tolist()
+        same(rs, legacy_rs, 6)
+        # Same schedulers, a different run (other beliefs and speeds).
+        other = random_views(np.random.default_rng(33), p=10)
+        same(round_state_from(other, seed=4), round_state_from(other, seed=4), 6)
+
+    @pytest.mark.parametrize("name", ["random1", "random1w"])
+    def test_all_zero_weights_fall_back_to_uniform(self, name):
+        views = random_views(np.random.default_rng(34), p=7)
+        for view in views:
+            view.state = ProcState.UP
+            view.belief = MarkovAvailabilityModel.from_self_loops(0.0, 0.5, 0.5)
+        rs = round_state_from(views, seed=8)
+        legacy_ctx = round_state_from(views, seed=8).as_context()
+        array_path = make_scheduler(name).place_array(rs, 9)
+        assert array_path == make_scheduler(name).place(legacy_ctx, 9)
+        assert all(pick is not None for pick in array_path)
+
+    @pytest.mark.parametrize("name", RANDOM_NAMES)
+    def test_zero_tasks_consume_no_draw(self, name):
+        views = random_views(np.random.default_rng(35), p=8)
+        for view in views:
+            view.state = ProcState.UP
+        rs = round_state_from(views, seed=6)
+        before = rs.rng.bit_generator.state
+        assert make_scheduler(name).place_array(rs, 0) == []
+        assert rs.rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64])
+    def test_batched_draws_equal_scalar_draws(self, n):
+        """The array path relies on ``rng.random(n)`` being the same stream
+        as ``n`` scalar ``rng.random()`` calls."""
+        batched, scalar = np.random.default_rng(99), np.random.default_rng(99)
+        assert batched.random(n).tolist() == [scalar.random() for _ in range(n)]
+        assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 class TestSchedulingContextRngDefault:

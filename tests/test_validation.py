@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from repro._validation import (
+    require_bool,
     require_in_range,
     require_nonnegative_int,
     require_positive,
     require_positive_int,
     require_probability,
 )
+from repro.sim.options import SimulatorOptions
 
 
 class TestRequirePositiveInt:
@@ -85,3 +87,38 @@ class TestRequireInRange:
     def test_rejects_outside(self):
         with pytest.raises(ValueError):
             require_in_range(5, "x", 2, 4)
+
+
+class TestRequireBool:
+    def test_accepts_python_and_numpy_bools(self):
+        assert require_bool(True, "x") is True
+        assert require_bool(np.bool_(False), "x") is False
+
+    @pytest.mark.parametrize("value", ["false", 1, 0, None, 1.0])
+    def test_rejects_truthy_stand_ins(self, value):
+        with pytest.raises(TypeError, match="x must be a bool"):
+            require_bool(value, "x")
+
+
+class TestSimulatorOptionsSwitches:
+    """The three on/off switches reject non-bools at construction: a string
+    ``"false"`` is truthy and would silently switch the feature *on*."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("replication", "false"),
+            ("audit", 1),
+            ("proactive", "no"),
+            ("replication", None),
+        ],
+    )
+    def test_non_bool_switch_rejected(self, field, value):
+        with pytest.raises(TypeError, match=f"{field} must be a bool"):
+            SimulatorOptions(**{field: value})
+
+    def test_bool_switches_accepted(self):
+        options = SimulatorOptions(
+            replication=np.bool_(False), proactive=True, audit=False
+        )
+        assert not options.replication and options.proactive
