@@ -43,7 +43,6 @@ def _measure(
     trials: int,
     heuristics: Sequence[str],
     seed: int,
-    engine: str = "per-run",
 ) -> Dict:
     # ``backend`` may be a registry name or a pre-built instance (the
     # distributed cells need instances to read coordinator stats back).
@@ -56,7 +55,6 @@ def _measure(
         seed=seed,
         backend=backend,
         jobs=None if is_instance else jobs,
-        engine=engine,
         **REDUCED,
     )
     elapsed = time.perf_counter() - start
@@ -64,7 +62,6 @@ def _measure(
     return {
         "backend": getattr(backend, "name", backend),
         "jobs": jobs or 1,
-        "engine": engine,
         "seconds": round(elapsed, 4),
         "instances": result.campaign.instances,
         "runs": runs,
@@ -93,10 +90,10 @@ def run_benchmark(
         FaultyWorker,
     )
 
-    configurations = [("serial", None, "per-run"), ("serial", None, "batch")]
+    configurations = [("serial", None)]
     if jobs >= 2 and jobs // 2 not in (1, jobs):
-        configurations.append(("process", jobs // 2, "per-run"))
-    configurations.append(("process", jobs, "per-run"))
+        configurations.append(("process", jobs // 2))
+    configurations.append(("process", jobs))
     # Distributed cells (loopback coordinator/worker service, DESIGN.md
     # §13): a single-worker cell isolates coordinator overhead per unit,
     # the ``jobs``-worker cell feeds the scaling/parallel-efficiency
@@ -114,13 +111,13 @@ def run_benchmark(
         ),
     )
     configurations += [
-        (dist_single, 1, "per-run"),
-        (dist_fleet, fleet_jobs, "per-run"),
-        (dist_faulty, dist_faulty.jobs, "per-run"),
+        (dist_single, 1),
+        (dist_fleet, fleet_jobs),
+        (dist_faulty, dist_faulty.jobs),
     ]
 
     rows: List[Dict] = []
-    for backend, worker_count, engine in configurations:
+    for backend, worker_count in configurations:
         rows.append(
             _measure(
                 backend=backend,
@@ -129,7 +126,6 @@ def run_benchmark(
                 trials=trials,
                 heuristics=heuristics,
                 seed=seed,
-                engine=engine,
             )
         )
     rows[-1]["backend"] = "distributed-faulty"
@@ -140,24 +136,13 @@ def run_benchmark(
         if not (
             campaign.records == reference.records
             and campaign.accumulator == reference.accumulator
-        ):  # pragma: no cover - would be a backend/engine bug
+        ):  # pragma: no cover - would be a backend bug
             raise AssertionError(
-                f"{row['backend']}(jobs={row['jobs']}, "
-                f"engine={row['engine']}) diverged from serial per-run"
+                f"{row['backend']}(jobs={row['jobs']}) diverged from serial"
             )
 
     serial_rate = rows[0]["runs_per_sec"]
     cpu_count = os.cpu_count() or 1
-    # Batch-engine row: same serial backend, cohort execution.  Its
-    # speedup is an apples-to-apples engine comparison (identical
-    # statistics asserted above); it composes multiplicatively with the
-    # process-backend scaling rows below.
-    batch_rows = [row for row in rows if row["engine"] == "batch"]
-    batch_speedup = (
-        round(batch_rows[0]["runs_per_sec"] / serial_rate, 3)
-        if batch_rows
-        else None
-    )
     # cpu_count-aware per-job scaling: a parallel row can at best run
     # min(jobs, physical cores) units concurrently, so its *parallel
     # efficiency* is speedup / that bound.  On a single-CPU container the
@@ -166,8 +151,6 @@ def run_benchmark(
     # scaling shape with no code changes (ROADMAP open item).
     scaling = {}
     for row in rows[1:]:
-        if row["engine"] != "per-run":
-            continue  # engine comparison reported separately
         speedup = round(row["runs_per_sec"] / serial_rate, 3)
         bound = min(row["jobs"], cpu_count)
         scaling[f"{row['backend']}-{row['jobs']}"] = {
@@ -240,7 +223,6 @@ def run_benchmark(
             key: value["speedup_vs_serial"] for key, value in scaling.items()
         },
         "scaling": scaling,
-        "batch_speedup": batch_speedup,
         "distributed": distributed,
         "statistics_identical": True,
     }
@@ -283,7 +265,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             document["benchmark"],
             {
                 "speedup_vs_serial": document["speedup_vs_serial"],
-                "batch_speedup": document["batch_speedup"],
                 "serial_runs_per_sec": document["results"][0]["runs_per_sec"],
                 "coordinator_overhead_ms_per_unit": distributed[
                     "coordinator_overhead_ms_per_unit"

@@ -46,10 +46,9 @@ gate; the overall gate ratios aggregate the gated cells only.
 
 CI gates: ``--min-reference-speedup`` fails the job when the fast
 simulator falls below that ratio over the reference on the gated Table 2
-cells; ``--min-batch-speedup`` (default 1.0) when the batch cohort engine
-falls below the per-run path; ``--min-trace-compression`` (default 6.0)
-when the RLE sources stop beating the dense representation on the
-long-horizon cell; ``--min-largep-speedup`` when the fast simulator
+cells; ``--min-trace-compression`` (default 6.0) when the RLE sources
+stop beating the dense representation on the long-horizon cell;
+``--min-largep-speedup`` when the fast simulator
 falls below that ratio over the reference on the largest gated
 large-platform cell; ``--max-largep-bytes-per-worker`` (default 1024)
 when the live RLE availability storage per worker regresses past that
@@ -99,14 +98,6 @@ LONG_DEADLINE_SLOTS = 150_000
 #: The relaxed-policy documentation row: one cell, one policy.
 RELAXED_POLICY = "sticky"
 RELAXED_CELL: Tuple[int, int, int] = (20, 10, 5)
-
-#: Batch-engine cells (DESIGN.md §11): the paper midpoint and the large
-#: compute-dominated corner, at two cohort sizes.  A cohort of R is
-#: ``R / len(HEURISTICS)`` trials × the benchmark heuristics, so runs
-#: within a trial share ground-truth traces and all runs of the scenario
-#: share belief columns — the production campaign shape.
-BATCH_CELLS: Tuple[Tuple[int, int, int], ...] = ((20, 10, 5), (40, 20, 10))
-BATCH_COHORTS: Tuple[int, ...] = (4, 16)
 
 #: Large-platform calendar cells (DESIGN.md §12): the fast simulator's
 #: event calendar on the seed-stable ``large_grid_scenario`` family
@@ -366,93 +357,6 @@ def _bench_relaxed_policy(
     }
 
 
-def _bench_batch_engine(
-    generator: ScenarioGenerator,
-    *,
-    repetitions: int,
-    heuristics: Sequence[str] = HEURISTICS,
-    cells: Sequence[Tuple[int, int, int]] = BATCH_CELLS,
-    cohorts: Sequence[int] = BATCH_COHORTS,
-) -> Dict:
-    """Batch cohort engine vs. the per-run path (DESIGN.md §11).
-
-    Each row times R runs of one scenario — ``R / len(heuristics)``
-    trials × the benchmark heuristics — executed (a) independently and
-    (b) as one :class:`~repro.sim.batch_engine.BatchCampaignRunner`
-    cohort.  Per-run makespans and slot counts are asserted identical
-    before any timing counts; rows below the noise floor are recorded
-    but excluded from the overall ratio.
-    """
-    from repro.sim.batch_engine import BatchCampaignRunner, BatchRunSpec
-
-    def run_standalone(spec):
-        platform = spec.scenario.build_platform(spec.trial)
-        sim = MasterSimulator(
-            platform,
-            spec.scenario.app,
-            make_scheduler(spec.heuristic, platform=platform),
-            rng=spec.scenario.scheduler_rng(spec.trial, spec.heuristic),
-        )
-        return sim.run(max_slots=spec.max_slots)
-
-    rows: List[Dict] = []
-    for cell in cells:
-        n, ncom, wmin = cell
-        scenario = generator.scenario(n, ncom, wmin, 0)
-        for cohort in cohorts:
-            trial_count = max(1, cohort // len(heuristics))
-            specs = [
-                BatchRunSpec(scenario=scenario, trial=trial, heuristic=heuristic)
-                for trial in range(trial_count)
-                for heuristic in heuristics
-            ]
-            best = {"per-run": float("inf"), "batch": float("inf")}
-            for _rep in range(max(1, repetitions)):
-                start = time.perf_counter()
-                per_run_reports = [run_standalone(spec) for spec in specs]
-                per_run_s = time.perf_counter() - start
-                start = time.perf_counter()
-                batch_reports = BatchCampaignRunner(specs).run()
-                batch_s = time.perf_counter() - start
-                for spec, ref, got in zip(specs, per_run_reports, batch_reports):
-                    if (
-                        got.makespan != ref.makespan
-                        or got.slots_simulated != ref.slots_simulated
-                    ):  # pragma: no cover - would be an engine bug
-                        raise AssertionError(
-                            f"batch engine diverged on {cell} "
-                            f"trial={spec.trial} {spec.heuristic}: "
-                            f"{got.makespan} != {ref.makespan}"
-                        )
-                best["per-run"] = min(best["per-run"], per_run_s)
-                best["batch"] = min(best["batch"], batch_s)
-            rows.append(
-                {
-                    "cell": {"n": n, "ncom": ncom, "wmin": wmin},
-                    "cohort": len(specs),
-                    "per_run_seconds": round(best["per-run"], 4),
-                    "batch_seconds": round(best["batch"], 4),
-                    "per_run_rate": round(len(specs) / best["per-run"], 3),
-                    "batch_rate": round(len(specs) / best["batch"], 3),
-                    "batch_speedup": round(best["per-run"] / best["batch"], 3),
-                    "gated": best["per-run"] >= NOISE_FLOOR_SECONDS,
-                }
-            )
-    gated = [row for row in rows if row["gated"]] or rows
-    per_run_total = sum(row["per_run_seconds"] for row in gated)
-    batch_total = sum(row["batch_seconds"] for row in gated)
-    return {
-        "cells": [list(cell) for cell in cells],
-        "cohorts": list(cohorts),
-        "heuristics": list(heuristics),
-        "results": rows,
-        "per_run_seconds_total": round(per_run_total, 4),
-        "batch_seconds_total": round(batch_total, 4),
-        "batch_speedup": round(per_run_total / batch_total, 3),
-        "reports_identical": True,
-    }
-
-
 def _bench_large_platform(
     *,
     seed: int,
@@ -564,14 +468,13 @@ def run_benchmark(
     cells: Sequence[Tuple[int, int, int]] = TABLE2_SAMPLE,
     long_deadline: bool = True,
     relaxed_policy: bool = True,
-    batch_engine: bool = True,
     large_platform: bool = True,
     largep_smoke: bool = False,
     largep_xl: bool = False,
 ) -> Dict:
     """Time the fast simulator against the reference over the Table 2
     sample (plus the long-horizon deadline cell, the relaxed-policy
-    documentation row, the batch engine and the large-platform cells).
+    documentation row and the large-platform cells).
 
     Returns the JSON-ready document; reports are asserted bit-identical
     between the two arms for every simulated instance before timings
@@ -632,13 +535,6 @@ def run_benchmark(
             trials=trials,
             heuristics=heuristics,
         )
-    if batch_engine:
-        document["batch_engine"] = _bench_batch_engine(
-            generator,
-            repetitions=min(repetitions, 2),
-            heuristics=heuristics,
-        )
-        document["batch_speedup"] = document["batch_engine"]["batch_speedup"]
     if large_platform:
         if largep_smoke:
             document["large_platform"] = _bench_large_platform(
@@ -685,21 +581,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "exit non-zero when the long-deadline cell's RLE availability "
             "storage stops beating the dense trace + UP-prefix "
             "representation by at least this factor"
-        ),
-    )
-    parser.add_argument(
-        "--min-batch-speedup",
-        type=float,
-        default=1.0,
-        help=(
-            "exit non-zero when the batch cohort engine's runs/sec fall "
-            "below the per-run path on the noise-gated batch cells "
-            "(per-run seconds / batch seconds).  The fused boundary work "
-            "(shared traces, state rows, belief columns) is a bounded "
-            "share of runtime — scheduling rounds dominate (DESIGN.md "
-            "§11) — so the honest ratio sits near 1.1-1.2x, not the "
-            "multi-x of a fully fused kernel; the gate guards the engine "
-            "against regressing into a cost"
         ),
     )
     parser.add_argument(
@@ -750,11 +631,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="skip the >=100k-slot deadline cell (quick local runs)",
     )
     parser.add_argument(
-        "--skip-batch-engine",
-        action="store_true",
-        help="skip the batch cohort engine cells (quick local runs)",
-    )
-    parser.add_argument(
         "--history",
         default=None,
         metavar="PATH",
@@ -780,7 +656,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         repetitions=args.repetitions,
         long_deadline=not args.skip_long_deadline,
         relaxed_policy=not args.skip_relaxed_policy,
-        batch_engine=not args.skip_batch_engine,
         large_platform=not args.skip_largep,
         largep_smoke=args.largep_smoke,
         largep_xl=args.largep_xl,
@@ -792,7 +667,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "sim-hot-loop",
             {
                 "reference_speedup": document["reference_speedup"],
-                "batch_speedup": document.get("batch_speedup"),
                 # Cell parameters, so a trajectory line is interpretable
                 # without digging up the BENCH_sim.json it came from.
                 "cells": [list(cell) for cell in TABLE2_SAMPLE],
@@ -824,12 +698,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             + ("" if row["gated"] else " (ungated)")
             for row in document["results"]
         )
-        batch = document.get("batch_speedup")
         largep_ratio = document.get("largep_speedup")
         print(
             f"wrote {args.out} (overall fast/reference "
             f"{document['reference_speedup']}x"
-            + (f", batch {batch}x" if batch is not None else "")
             + (f", large-p {largep_ratio}x" if largep_ratio is not None else "")
             + f"; per cell: {cells})",
             file=sys.stderr,
@@ -841,15 +713,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             f"FAIL: fast/reference speedup {document['reference_speedup']} "
             f"< {args.min_reference_speedup} on the gated Table 2 cells",
-            file=sys.stderr,
-        )
-        failed = True
-    batch_speedup = document.get("batch_speedup")
-    if batch_speedup is not None and batch_speedup < args.min_batch_speedup:
-        print(
-            f"FAIL: batch engine speedup {batch_speedup} < "
-            f"{args.min_batch_speedup} (the cohort engine regressed below "
-            "the per-run path on the gated batch cells)",
             file=sys.stderr,
         )
         failed = True

@@ -564,7 +564,7 @@ class GreedyScheduler(Scheduler):
     _round_cache: Optional[dict] = None
     # -- cross-round persistent cache (delta-patched, DESIGN.md §8) ------
     _persist: Optional[dict] = None
-    # -- cross-round persistent score rows (DESIGN.md §11/§12) ------------
+    # -- cross-round persistent score rows (DESIGN.md §8/§12) -------------
     _row_store: Optional[dict] = None
     _row_store_rs = None
     #: Candidate-set instrumentation (DESIGN.md §12): score evaluations

@@ -196,7 +196,7 @@ class RoundState:
         self.dirty = bytearray(b"\x01" * p)
 
         #: Per-processor *column stamps* for cross-round score caching
-        #: (DESIGN.md §11): the owner bumps ``col_stamp[q]`` — via
+        #: (DESIGN.md §8): the owner bumps ``col_stamp[q]`` — via
         #: :meth:`stamp_changed` — every time it rewrites processor
         #: ``q``'s worker-derived columns, so schedulers can keep score
         #: rows alive across rounds and recompute only processors whose
@@ -409,29 +409,6 @@ class RoundState:
             if batch_serial > serial:
                 changed.update(qs)
         return frozenset(changed)
-
-    def adopt_belief_cache(self, other: "RoundState") -> None:
-        """Share belief-derived column caches with ``other`` (same beliefs).
-
-        The batch engine's cohort belief fusion (DESIGN.md §11): all runs
-        of one scenario carry identical (immutable) belief models, so the
-        lazily computed ``p_uu``/``p_plus``/``pi_u``/``e_up``/``ud_*``
-        columns are computed once on the first run that needs them and
-        shared by reference with every other run's RoundState.  The cache
-        dicts themselves are aliased, so a column materialised by *any*
-        sharer becomes visible to all.
-        """
-        if len(other) != len(self):
-            raise ValueError(
-                f"cannot share belief cache across sizes {len(other)} != {len(self)}"
-            )
-        for mine, theirs in zip(self.beliefs, other.beliefs):
-            if mine is not theirs:
-                raise ValueError(
-                    "cannot share belief cache: belief models differ"
-                )
-        self._belief_columns = other._belief_columns
-        self._belief_column_lists = other._belief_column_lists
 
     def invalidate(self) -> None:
         """Drop the lazy view/context/UP-list caches after columns changed.

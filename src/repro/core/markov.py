@@ -305,9 +305,7 @@ class MarkovAvailabilityModel:
         were in state ``s`` (the same two-threshold comparison the scalar
         loop made), and ``changes[s]`` the slots where that differs from
         ``s`` — so each sojourn costs one binary search plus one slice
-        fill instead of a Python iteration per slot.  Shared by
-        :meth:`sample_trace` and :meth:`sample_trace_batch` so the two
-        can never diverge on walk arithmetic.
+        fill instead of a Python iteration per slot.
         """
         length = len(trace)
         cum = self._cumulative
@@ -335,65 +333,6 @@ class MarkovAvailabilityModel:
             trace[j + 1] = state
             t = j + 1
 
-    def sample_trace_batch(
-        self,
-        lengths: Sequence[int],
-        rngs: Sequence[np.random.Generator],
-        initials: Optional[Sequence[Optional[int]]] = None,
-    ) -> list[np.ndarray]:
-        """Sample several traces of this chain, one per generator.
-
-        The batch engine's fused availability sweep (DESIGN.md §11):
-        ``R`` chains advanced in one run-by-run pass, paying the
-        cumulative-row and stationary setup once per batch instead of
-        once per chain.
-
-        Draw-order contract: chain ``i`` consumes draws from ``rngs[i]``
-        *only*, in exactly the order :meth:`sample_trace` would — one
-        initial-state uniform when ``initials[i]`` is ``None``, then one
-        block of ``lengths[i] - 1`` transition uniforms — so the result
-        is bit-identical to ``[self.sample_trace(lengths[i], rngs[i],
-        initial=initials[i]) for i in range(R)]``.
-
-        Args:
-            lengths: slots to generate per chain (each ≥ 1).
-            rngs: one generator per chain.
-            initials: optional per-chain initial states (``None`` entries
-                sample from the stationary distribution, as
-                :meth:`sample_trace` does).
-
-        Returns:
-            One ``uint8`` trace per chain, in input order.
-        """
-        if len(rngs) != len(lengths):
-            raise ValueError(
-                f"got {len(lengths)} lengths but {len(rngs)} generators"
-            )
-        if initials is None:
-            initials = [None] * len(lengths)
-        elif len(initials) != len(lengths):
-            raise ValueError(
-                f"got {len(lengths)} lengths but {len(initials)} initials"
-            )
-        cum_pi: Optional[np.ndarray] = None
-        traces: list[np.ndarray] = []
-        for length, rng, initial in zip(lengths, rngs, initials):
-            length = require_positive_int(length, "length")
-            trace = np.empty(length, dtype=np.uint8)
-            if initial is None:
-                if cum_pi is None:
-                    # Same values np.cumsum(self.stationary) yields per
-                    # scalar call (deterministic), hoisted once.
-                    cum_pi = np.cumsum(self.stationary)
-                initial = int(np.searchsorted(cum_pi, rng.random(), side="right"))
-            if initial not in (0, 1, 2):
-                raise ValueError(f"initial state must be 0, 1 or 2, got {initial}")
-            trace[0] = initial
-            if length > 1:
-                self._walk_from_uniforms(trace, rng.random(length - 1), initial)
-            traces.append(trace)
-        return traces
-
     def continue_trace(
         self, last_state: int, extra: int, rng: np.random.Generator
     ) -> np.ndarray:
@@ -407,27 +346,6 @@ class MarkovAvailabilityModel:
         """
         extra = require_positive_int(extra, "extra")
         return self.sample_trace(extra + 1, rng, initial=int(last_state))[1:]
-
-    def continue_trace_batch(
-        self,
-        last_states: Sequence[int],
-        extras: Sequence[int],
-        rngs: Sequence[np.random.Generator],
-    ) -> list[np.ndarray]:
-        """Batched :meth:`continue_trace`: one continuation per generator.
-
-        Built on :meth:`sample_trace_batch` with the same seed-and-drop
-        protocol as :meth:`continue_trace`, so a batched continuation
-        consumes each generator exactly as ``R`` scalar continuations
-        would and yields bit-identical tails.
-        """
-        extras = [require_positive_int(extra, "extra") for extra in extras]
-        chunks = self.sample_trace_batch(
-            [extra + 1 for extra in extras],
-            rngs,
-            initials=[int(state) for state in last_states],
-        )
-        return [chunk[1:] for chunk in chunks]
 
     def extend_trace(
         self, trace: np.ndarray, extra: int, rng: np.random.Generator

@@ -118,18 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         add_backend_args(p)
         p.add_argument(
-            "--engine",
-            choices=("per-run", "batch"),
-            default="per-run",
-            help=(
-                "per-unit execution engine (DESIGN.md §11): 'per-run' "
-                "simulates each instance independently (the oracle), "
-                "'batch' advances each unit's heuristics as one cohort "
-                "sharing traces and belief columns; results are "
-                "bit-identical"
-            ),
-        )
-        p.add_argument(
             "--checkpoint",
             default=None,
             metavar="PATH",
@@ -386,7 +374,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs,
             checkpoint=args.checkpoint,
             replan_policy=args.replan_policy,
-            engine=args.engine,
             **kwargs,
         )
         print(render_table2(result))
@@ -403,7 +390,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs,
             checkpoint=args.checkpoint,
             replan_policy=args.replan_policy,
-            engine=args.engine,
         )
         print(render_table3(result))
     elif args.command == "figure2":
@@ -418,7 +404,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             jobs=args.jobs,
             checkpoint=args.checkpoint,
             replan_policy=args.replan_policy,
-            engine=args.engine,
         )
         print(render_figure2(result))
     elif args.command == "figure1":

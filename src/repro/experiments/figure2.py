@@ -79,7 +79,6 @@ def run_figure2(
     jobs: Optional[int] = None,
     checkpoint=None,
     replan_policy: str = "event",
-    engine: str = "per-run",
 ) -> Figure2Result:
     """Execute the Figure 2 protocol (same grid as Table 2).
 
@@ -108,7 +107,6 @@ def run_figure2(
         heuristics=tuple(heuristics),
         trials=trials,
         options=SimulatorOptions(replan_policy=replan_policy),
-        engine=engine,
     )
     campaign = run_campaign(
         scenarios,

@@ -53,6 +53,7 @@ from typing import (
 from .._validation import require_positive_int
 from ..core.heuristics.registry import heuristic_key, make_scheduler
 from ..sim.master import MasterSimulator, SimulatorOptions
+from ..sim.platform import Platform
 from ..workload.scenarios import Scenario
 from .backends import (
     ExecutionBackend,
@@ -84,22 +85,12 @@ class CampaignConfig:
         max_slots: per-run slot budget (safety bound; generous by default).
         options: simulator options (replication on, audit off — the
             paper's configuration — unless overridden).
-        engine: per-unit execution engine.  ``"per-run"`` runs each
-            (trial, heuristic) instance independently (the oracle);
-            ``"batch"`` executes each unit as one cohort through
-            :class:`~repro.sim.batch_engine.BatchCampaignRunner`,
-            sharing traces / state rows / belief columns across the
-            unit's heuristics.  Results are bit-identical either way
-            (asserted in ``tests/test_batch_engine.py``), so the engine
-            is an execution detail, not part of the campaign identity —
-            checkpoints written under one engine resume under the other.
     """
 
     heuristics: Sequence[str]
     trials: int = 10
     max_slots: int = 500_000
     options: SimulatorOptions = field(default_factory=SimulatorOptions)
-    engine: str = "per-run"
 
     def __post_init__(self) -> None:
         if isinstance(self.heuristics, str):
@@ -113,10 +104,6 @@ class CampaignConfig:
             heuristic_key(name)  # KeyError listing the known names
         require_positive_int(self.trials, "trials")
         require_positive_int(self.max_slots, "max_slots")
-        if self.engine not in ("per-run", "batch"):
-            raise ValueError(
-                f"engine must be 'per-run' or 'batch', got {self.engine!r}"
-            )
 
 
 @dataclass
@@ -186,7 +173,9 @@ class CampaignUnit:
 
     All heuristics of an instance stay in one unit because dfb is a
     within-instance metric — the unit result is self-contained, so units
-    can execute and complete in any order on any worker.
+    can execute and complete in any order on any worker.  The unit's
+    heuristics run one after another on one shared trial platform
+    (DESIGN.md §11).
     """
 
     scenario_ref: ScenarioRef
@@ -195,7 +184,6 @@ class CampaignUnit:
     heuristics: Tuple[str, ...]
     max_slots: int
     options: SimulatorOptions
-    engine: str = "per-run"
 
     @property
     def instance_key(self) -> tuple:
@@ -205,10 +193,7 @@ class CampaignUnit:
     def run(self) -> CampaignUnitResult:
         """Execute the unit (identical result in any process)."""
         scenario = resolve_scenario(self.scenario_ref)
-        if self.engine == "batch":
-            from ..sim.batch_engine import run_unit_cohort
-
-            return run_unit_cohort(scenario, self)
+        platforms: Dict[int, Platform] = {}
         makespans: Dict[str, float] = {}
         truncated: List[str] = []
         for heuristic in self.heuristics:
@@ -218,6 +203,7 @@ class CampaignUnit:
                 heuristic,
                 max_slots=self.max_slots,
                 options=self.options,
+                platforms=platforms,
             )
             if makespan >= self.max_slots:
                 truncated.append(heuristic)
@@ -234,12 +220,23 @@ def run_instance(
     *,
     max_slots: int = 500_000,
     options: Optional[SimulatorOptions] = None,
+    platforms: Optional[Dict[int, Platform]] = None,
 ) -> float:
     """Run one (scenario, trial, heuristic) instance; return the makespan.
 
     Returns ``max_slots`` when the run did not finish within the budget.
+
+    ``platforms`` is an optional trial → platform memo for runs of the
+    same scenario made one after another: the first call builds the
+    trial's platform into it, later calls reuse it.  Sharing is exact
+    (DESIGN.md §11) — a run reads the same traces a fresh build gives.
     """
-    platform = scenario.build_platform(trial)
+    if platforms is None:
+        platform = scenario.build_platform(trial)
+    else:
+        platform = platforms.get(trial)
+        if platform is None:
+            platform = platforms[trial] = scenario.build_platform(trial)
     scheduler = make_scheduler(heuristic, platform=platform)
     sim = MasterSimulator(
         platform,
@@ -272,7 +269,6 @@ def iter_work_units(
                 heuristics=heuristics,
                 max_slots=config.max_slots,
                 options=config.options,
-                engine=config.engine,
             )
 
 

@@ -93,7 +93,6 @@ def run_table2(
     jobs: Optional[int] = None,
     checkpoint=None,
     replan_policy: str = "event",
-    engine: str = "per-run",
 ) -> Table2Result:
     """Execute the Table 2 protocol.
 
@@ -123,7 +122,6 @@ def run_table2(
         heuristics=tuple(heuristics or PAPER_HEURISTICS),
         trials=trials,
         options=SimulatorOptions(replan_policy=replan_policy),
-        engine=engine,
     )
     campaign = run_campaign(
         scenarios,

@@ -74,7 +74,6 @@ def run_table3(
     jobs: Optional[int] = None,
     checkpoint=None,
     replan_policy: str = "event",
-    engine: str = "per-run",
 ) -> Table3Result:
     """Execute one half of Table 3 (``comm_factor`` 5 or 10).
 
@@ -100,7 +99,6 @@ def run_table3(
         heuristics=tuple(heuristics or GREEDY_HEURISTICS),
         trials=trials,
         options=SimulatorOptions(replan_policy=replan_policy),
-        engine=engine,
     )
     campaign = run_campaign(
         population,

@@ -63,10 +63,8 @@ __all__ = [
     "AvailabilitySource",
     "MarkovSource",
     "TraceSource",
-    "TraceView",
     "SemiMarkovSource",
     "WeibullSource",
-    "extend_markov_sources",
 ]
 
 #: Bytes per stored run in the RLE representation: int64 start + uint8
@@ -466,104 +464,6 @@ class MarkovSource(_RleTraceSource):
             )
             self._last_state = int(chunk[-1])
             self._append_dense(chunk)
-
-
-class TraceView(_RleTraceSource):
-    """A per-consumer read view over another RLE source's trace.
-
-    The batch campaign engine (DESIGN.md §11) runs several simulations of
-    the *same* trial concurrently; they read the identical ground-truth
-    trace, but each simulation's access pattern is monotone only in its
-    own slot clock.  Sharing one source object would thrash the
-    monotone-access cursor; a view shares the base's materialised runs
-    (the numpy run arrays are adopted by reference at each sync — no
-    copying) while keeping its own cursor and hint, so every consumer
-    stays O(1) per query.
-
-    Growth delegates to the base: a view that reads past the
-    materialised length asks the base to extend and re-adopts.  All
-    draws therefore stay on the base's RNG in slot order — a view can
-    never change *what* is sampled, only *when* (the documented
-    growth-schedule independence of the lazy sources).
-
-    A view adopted mid-growth is safe: :meth:`_RleTraceSource._reserve`
-    reallocates by copying the committed prefix, so the arrays a view
-    holds always describe a consistent (possibly shorter) snapshot, and
-    its cursor/hint indices stay valid because the run prefix is
-    append-only.
-    """
-
-    def __init__(self, base: _RleTraceSource):
-        if not isinstance(base, _RleTraceSource):
-            raise TypeError(
-                f"TraceView needs an RLE-backed source, got {type(base).__name__}"
-            )
-        self._base = base
-        self._init_rle()
-        self._sync()
-
-    @property
-    def base(self) -> _RleTraceSource:
-        """The source whose trace this view reads."""
-        return self._base
-
-    @property
-    def model(self):
-        """The base's generating model (where it has one)."""
-        return self._base.model
-
-    def _sync(self) -> None:
-        base = self._base
-        self._run_starts = base._run_starts
-        self._run_states = base._run_states
-        self._run_up = base._run_up
-        self._n_runs = base._n_runs
-        self._length = base._length
-
-    def _grow_to(self, length: int) -> None:
-        self._base._ensure(length)
-        self._sync()
-
-    def storage_bytes(self) -> int:
-        """Live bytes — 0: the run storage belongs to the base."""
-        return 0
-
-    def dense_bytes(self) -> int:
-        """Dense-equivalent bytes of the base's coverage."""
-        return self._base.dense_bytes()
-
-
-def extend_markov_sources(sources: Sequence[MarkovSource], length: int) -> None:
-    """Extend several Markov sources to ``length`` slots in one fused sweep.
-
-    The batch engine's per-boundary availability batching (DESIGN.md
-    §11): lagging sources are grouped by generating model and continued
-    through one :meth:`~repro.core.markov.MarkovAvailabilityModel.
-    continue_trace_batch` call per distinct chain, so the inverse-CDF
-    setup is paid once per chain rather than once per source.  Each
-    source's draws still come from its own generator in slot order, so
-    the materialised traces are bit-identical to letting every source
-    grow on demand (the growth-schedule independence contract).
-    """
-    groups: dict[int, list[MarkovSource]] = {}
-    for source in sources:
-        if not isinstance(source, MarkovSource):
-            raise TypeError(
-                "extend_markov_sources handles MarkovSource only, got "
-                f"{type(source).__name__}"
-            )
-        if source._length < length:
-            groups.setdefault(id(source.model), []).append(source)
-    for members in groups.values():
-        model = members[0].model
-        tails = model.continue_trace_batch(
-            [member._last_state for member in members],
-            [length - member._length for member in members],
-            [member._rng for member in members],
-        )
-        for member, tail in zip(members, tails):
-            member._last_state = int(tail[-1])
-            member._append_dense(tail)
 
 
 class TraceSource:

@@ -47,9 +47,9 @@ of O(p·span).  The live instances sit in the structure-of-arrays
 :class:`~repro.sim.instance_table.InstanceTable` (DESIGN.md §9), the
 schedulers read an incrementally maintained
 :class:`~repro.core.heuristics.base.RoundState` (§8), and, unless a
-timeline recorder or a cohort ``states_provider`` observes every state
-vector, an event calendar (§12) touches only the processors whose
-availability run ended at a boundary.
+timeline recorder observes every state vector, an event calendar (§12)
+touches only the processors whose availability run ended at a
+boundary.
 
 **The reference** (DESIGN.md §3).  None of this machinery may change a
 result: :class:`~repro.sim.reference.ReferenceSimulator`, a plain
@@ -65,7 +65,7 @@ validated against the paper's shape targets by
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -209,7 +209,7 @@ class MasterSimulator:
         # Large-p platform engine (DESIGN.md §12).  The event calendar is
         # built lazily at the first boundary of a run once the budget is
         # known (``_cal_last``); it stays ``None`` when a timeline recorder
-        # or a cohort states provider needs the per-boundary sweep.
+        # needs the per-boundary sweep.
         self._cal: Optional[PlatformCalendar] = None
         self._cal_last: Optional[int] = None
         #: Net state changes of the current boundary, ``(q, old, new)``
@@ -258,23 +258,13 @@ class MasterSimulator:
         self._rs.freshen = self._freshen_worker_columns
         # The master refreshes columns only through _refresh_round_state /
         # _freshen_worker_columns, both of which stamp — so schedulers may
-        # keep score rows alive across rounds (DESIGN.md §11).
+        # keep score rows alive across rounds (DESIGN.md §8).
         self._rs.stamped = True
         #: Local alias of the RoundState's dirty flags (same bytearray):
         #: the flags live on the state object (DESIGN.md §8), the master
         #: writes them at every mutating touch point.
         self._rs_dirty = self._rs.dirty
 
-        #: Batch-engine seam (DESIGN.md §11): when set, _step obtains the
-        #: per-boundary state list from this callable instead of reading
-        #: the availability sources directly — cohorts of one trial share
-        #: a memoised ``slot -> list`` so the p state_at calls are paid
-        #: once per boundary per *trial* rather than per run.  The
-        #: callable must return exactly ``[source.state_at(slot) for
-        #: source in self._avail]`` (the lists may be shared: the master
-        #: never mutates them).  ``None`` (the default) keeps the direct
-        #: reads.
-        self.states_provider: Optional[Callable[[int], list]] = None
         # Run-loop state (begin_run/advance_until/finish_run; run and
         # run_slots drive the same three calls).
         self._resume_budget: Optional[int] = None
@@ -285,9 +275,8 @@ class MasterSimulator:
     def round_state(self) -> RoundState:
         """The incrementally maintained scheduler :class:`RoundState`.
 
-        Exposed for cohort drivers (the batch engine shares belief-column
-        caches across same-scenario runs through it); treat it as
-        read-only — the master owns every column.
+        Exposed for inspection (tests toggle its ``stamped`` score-row
+        reuse); treat it as read-only — the master owns every column.
         """
         return self._rs
 
@@ -348,16 +337,11 @@ class MasterSimulator:
         """Whether this run uses the event-calendar platform index.
 
         Requires no timeline recorder (a recorder observes every slot's
-        full state vector), no cohort states provider (the cohort memo
-        *is* the state gather) and a known slot budget (``_cal_last`` —
-        heap sentinels are budget-relative).  Otherwise every boundary
-        sweeps all ``p`` states.
+        full state vector) and a known slot budget (``_cal_last`` — heap
+        sentinels are budget-relative).  Otherwise every boundary sweeps
+        all ``p`` states.
         """
-        return (
-            self.timeline is None
-            and self.states_provider is None
-            and self._cal_last is not None
-        )
+        return self.timeline is None and self._cal_last is not None
 
     def _queue_hosts(self) -> set:
         """Workers currently holding at least one queued instance.
@@ -1246,20 +1230,12 @@ class MasterSimulator:
             else:
                 # Sweep: gather states into a Python list (one state_at
                 # per source, cursor-backed O(1) on the RLE traces) and
-                # wrap it zero-copy for the vectorised consumers.  A
-                # cohort-installed provider returns the identical list
-                # from a shared per-trial memo (§11).
-                provider = self.states_provider
-                if provider is None:
-                    slist = [source.state_at(slot) for source in self._avail]
-                else:
-                    slist = provider(slot)
+                # wrap it zero-copy for the vectorised consumers.
+                slist = [source.state_at(slot) for source in self._avail]
                 states = np.frombuffer(bytes(slist), dtype=np.uint8)
                 self._states_list = slist
             self._cal_records = None
             self.op_boundary_workers_touched += len(self.workers)
-        # Counted after the gather: a step aborted by a diverging cohort
-        # hook (which raises before any mutation) was never executed.
         self.steps_executed += 1
         self.op_boundaries += 1
         self._pipeline_changed = False
@@ -1808,18 +1784,18 @@ class MasterSimulator:
         return self.finish_run()
 
     # ------------------------------------------------------------------ #
-    # Resumable runs (DESIGN.md §11).                                      #
+    # Resumable runs.                                                      #
     # ------------------------------------------------------------------ #
     def begin_run(self, max_slots: Optional[int] = None) -> None:
         """Start an incremental run.
 
         ``begin_run`` / :meth:`advance_until` / :meth:`finish_run` are
         the one step loop behind :meth:`run` and :meth:`run_slots`,
-        pausable between loop iterations, so a cohort driver can
-        interleave several simulations over one shared trace horizon.
-        The pause points touch no simulation state; reports, event logs
-        and audit trails are bit-identical to a plain :meth:`run`
-        regardless of where (or whether) the run is paused.
+        pausable between loop iterations (``examples/large_grid.py``
+        pauses a run to print progress).  The pause points touch
+        no simulation state; reports, event logs and audit trails are
+        bit-identical to a plain :meth:`run` regardless of where (or
+        whether) the run is paused.
         """
         budget = max_slots if max_slots is not None else self.options.max_slots
         self._start_run(require_positive_int(budget, "max_slots"))
@@ -1852,28 +1828,20 @@ class MasterSimulator:
         if self._run_over:
             return True
         slot = self._resume_slot
-        # The finally clause persists the loop cursor even when a
-        # cohort-shared hook aborts a step by raising (CohortDivergence):
-        # ``slot`` still names the aborted step — the states gather at
-        # the top of ``_step`` precedes every mutation — so a later
-        # advance_until() resumes by re-executing exactly that slot and
-        # the run stays bit-identical.
-        try:
-            while slot < budget:
-                finished = self._step(slot)
-                self.report.slots_simulated = slot + 1
-                if finished:
-                    self._run_over = True
-                    break
-                quiet = self._quiet_span(slot, budget)
-                if quiet > 0:
-                    self._advance_quiet(slot + 1, quiet)
-                    self.report.slots_simulated = slot + 1 + quiet
-                slot += quiet + 1
-                if slot >= slot_limit:
-                    break
-        finally:
-            self._resume_slot = slot
+        while slot < budget:
+            finished = self._step(slot)
+            self.report.slots_simulated = slot + 1
+            if finished:
+                self._run_over = True
+                break
+            quiet = self._quiet_span(slot, budget)
+            if quiet > 0:
+                self._advance_quiet(slot + 1, quiet)
+                self.report.slots_simulated = slot + 1 + quiet
+            slot += quiet + 1
+            if slot >= slot_limit:
+                break
+        self._resume_slot = slot
         if slot >= budget:
             self._run_over = True
         return self._run_over

@@ -299,8 +299,8 @@ class PlatformCalendar:
     boundary to the next pops only the processors whose current run ended
     in between — O(churned · log p) — instead of re-reading all ``p``
     states and re-deriving all ``p`` next-transition minima (the O(p)
-    sweep the simulator falls back to when a timeline recorder or a cohort
-    states provider observes every boundary's full state vector).
+    sweep the simulator falls back to when a timeline recorder observes
+    every boundary's full state vector).
 
     Maintained invariants, relied on by the simulator:
 

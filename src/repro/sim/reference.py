@@ -102,7 +102,7 @@ class ReferenceSimulator:
 
     Same constructor and run API as
     :class:`~repro.sim.master.MasterSimulator` (minus the resumable-run
-    and cohort seams), and the same results.
+    seam), and the same results.
 
     Args:
         platform: the volatile processors and the channel budget.

@@ -34,7 +34,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from .._validation import require_positive_int
+from .._validation import require_nonnegative_int, require_positive_int
 from ..core.markov import MarkovAvailabilityModel, paper_random_model
 from ..rng import RngFactory
 from ..sim.platform import Platform, Processor
@@ -99,6 +99,7 @@ class Scenario:
         The availability sample depends only on ``(root_seed, key, trial,
         processor)`` — identical across heuristics, fresh across trials.
         """
+        trial = require_nonnegative_int(trial, "trial")
         if self.truth not in ("markov", "semi-markov"):
             raise ValueError(
                 f"unknown ground-truth family {self.truth!r}; "
@@ -124,6 +125,7 @@ class Scenario:
         Derived per heuristic so that random heuristics don't perturb each
         other, while the availability sample stays shared.
         """
+        trial = require_nonnegative_int(trial, "trial")
         return RngFactory(self.root_seed).generator(
             "sched", *self.key, trial, heuristic
         )

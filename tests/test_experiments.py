@@ -212,11 +212,12 @@ class TestCli:
         ["ablation", "replication", "--trials", "-1"],
         ["replan-study", "--policies", "event", "bogus"],
         ["table2", "--step-mode", "slot", "--wmin", "1"],
+        ["table2", "--engine", "batch", "--wmin", "1"],
     ], ids=[
         "bad-policy", "zero-scenarios", "negative-trials", "zero-jobs",
         "table3-zero-scenarios", "figure2-zero-trials",
         "deadline-zero-scenarios", "ablation-negative-trials",
-        "replan-study-bad-policy", "no-step-mode-flag",
+        "replan-study-bad-policy", "no-step-mode-flag", "no-engine-flag",
     ])
     def test_bad_flag_values_exit_with_usage(self, argv, capsys):
         with pytest.raises(SystemExit) as info:

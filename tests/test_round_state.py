@@ -3,7 +3,8 @@
 Covers the structure-of-arrays context itself (columns, belief caches,
 candidate selection, lazy shim), the bit-identity of ``score_batch`` /
 ``score_one`` against the legacy scalar ``score``, and the determinism fix
-for ``SchedulingContext.rng``.  End-to-end simulator equivalence lives in
+for ``SchedulingContext.rng``, and that cross-round stamped score rows
+never change a run.  End-to-end simulator equivalence lives in
 ``tests/test_reference_equivalence.py``.
 """
 
@@ -24,7 +25,9 @@ from repro.core.heuristics.mct import EmctScheduler, MctScheduler
 from repro.core.heuristics.registry import make_scheduler
 from repro.core.heuristics.ud import UdScheduler
 from repro.core.markov import MarkovAvailabilityModel, paper_random_model
+from repro.sim.master import MasterSimulator
 from repro.types import ProcState
+from repro.workload.scenarios import ScenarioGenerator
 
 
 def random_views(rng, p=8, with_belief=True, t_data=3):
@@ -396,3 +399,30 @@ class TestSchedulingContextRngDefault:
         from repro.rng import default_scheduler_rng
 
         assert self._context().rng.random() == default_scheduler_rng().random()
+
+
+def _assert_reports_equal(got, ref, context=""):
+    assert got.makespan == ref.makespan, context
+    assert got.slots_simulated == ref.slots_simulated, context
+    assert got.completed_iterations == ref.completed_iterations, context
+    assert got.scheduler_rounds == ref.scheduler_rounds, context
+
+
+class TestPersistentScoreRows:
+    """Cross-round score-row reuse is result-invisible."""
+
+    @pytest.mark.parametrize("heuristic", ["mct", "emct*", "lw", "ud"])
+    def test_stamped_path_matches_unstamped(self, heuristic):
+        scenario = ScenarioGenerator(6).scenario(8, 5, 3, 0)
+        reports = []
+        for stamped in (True, False):
+            platform = scenario.build_platform(0)
+            sim = MasterSimulator(
+                platform,
+                scenario.app,
+                make_scheduler(heuristic, platform=platform),
+                rng=scenario.scheduler_rng(0, heuristic),
+            )
+            sim.round_state.stamped = stamped
+            reports.append(sim.run(max_slots=100_000))
+        _assert_reports_equal(reports[0], reports[1], heuristic)

@@ -1,9 +1,12 @@
 """Tests for the Section 7 scenario generator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core.markov import MarkovAvailabilityModel
+from repro.experiments.harness import run_instance
 from repro.rng import RngFactory
 from repro.sim.availability import SemiMarkovSource
 from repro.sim.platform import Processor
@@ -121,6 +124,32 @@ class TestTrialPairing:
         b = scenario.scheduler_rng(0, "random")
         assert np.allclose(a.random(8), b.random(8))
 
+    @pytest.mark.parametrize(
+        "trial, error",
+        [(-1, ValueError), (1.0, TypeError), ("0", TypeError), (True, TypeError)],
+    )
+    @pytest.mark.parametrize("truth", ["markov", "semi-markov"])
+    def test_bad_trial_rejected(self, trial, error, truth):
+        # A negative trial used to wrap silently into a valid-looking
+        # stream key and simulate a trace nobody asked for.
+        scenario = dataclasses.replace(
+            ScenarioGenerator(3).scenario(5, 5, 1, 0), truth=truth
+        )
+        with pytest.raises(error, match="trial"):
+            scenario.build_platform(trial)
+        with pytest.raises(error, match="trial"):
+            scenario.scheduler_rng(trial, "mct")
+        with pytest.raises(error, match="trial"):
+            run_instance(scenario, trial, "mct")
+
+    def test_numpy_trial_accepted(self):
+        scenario = ScenarioGenerator(3).scenario(5, 5, 1, 0)
+        a = scenario.build_platform(np.int64(2))
+        b = scenario.build_platform(2)
+        assert a[0].availability.block(0, 200).tolist() == (
+            b[0].availability.block(0, 200).tolist()
+        )
+
     def test_beliefs_match_generating_chains(self):
         scenario = ScenarioGenerator(11).scenario(5, 5, 2, 0)
         platform = scenario.build_platform(0)
@@ -211,8 +240,6 @@ class TestBatchedConstructionIsBitIdentical:
                 )
 
     def test_unknown_truth_family_rejected(self):
-        import dataclasses
-
         scenario = dataclasses.replace(
             ScenarioGenerator(11).scenario(5, 5, 2, 0), truth="weibull"
         )
