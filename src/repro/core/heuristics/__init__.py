@@ -6,7 +6,6 @@ from .base import (
     RoundState,
     Scheduler,
     SchedulingContext,
-    completion_time_batch,
     completion_time_estimate,
 )
 from .lw import LwScheduler
@@ -30,7 +29,6 @@ __all__ = [
     "ProcessorView",
     "RoundState",
     "completion_time_estimate",
-    "completion_time_batch",
     "RandomScheduler",
     "WeightedRandomScheduler",
     "make_random_variant",

@@ -19,22 +19,25 @@ Two entry points realise that protocol:
 * :meth:`Scheduler.place` — the legacy scalar path over an eagerly built
   :class:`SchedulingContext` of :class:`ProcessorView` snapshots;
 * :meth:`Scheduler.place_array` — the array-backed path over a
-  :class:`~repro.core.heuristics.round_state.RoundState`, scored in batch
-  via :meth:`GreedyScheduler.score_batch`.  The two paths are **bit
-  identical** — same scores (the batch implementations use the exact same
-  IEEE-754 operations, falling back to scalar ``math.pow`` where numpy's
-  SIMD ``np.power`` differs from libm by an ulp), same one-by-one greedy
-  order, same lowest-index tie-break, same RNG draw sequence — which the
-  equivalence suite asserts per registry heuristic.  Schedulers that do
-  not opt into batch scoring transparently run the legacy path over the
-  lazy compatibility shim (:meth:`RoundState.as_context`).
+  :class:`~repro.core.heuristics.round_state.RoundState`.  The CT-based
+  greedy heuristics score it from one ``n_q = 0`` row per round and
+  contention factor (:meth:`GreedyScheduler._score_ct_row`) plus one
+  scalar re-score per placement (:meth:`GreedyScheduler._score_ct_one`).
+  The two paths are **bit identical** — same scores (the kernels repeat
+  the scalar ``score`` path's IEEE-754 operations, with ``math.pow``
+  where numpy's SIMD ``np.power`` differs from libm by an ulp), same
+  one-by-one greedy order, same lowest-index tie-break, same RNG draw
+  sequence — which the equivalence suite asserts per registry heuristic.
+  Schedulers that do not opt into batch scoring (the exact-UD ablations,
+  the clairvoyant oracle, external subclasses) transparently run the
+  legacy path over the lazy compatibility shim
+  (:meth:`RoundState.as_context`).
 """
 
 from __future__ import annotations
 
 import abc
 import heapq
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -85,8 +88,6 @@ __all__ = [
     "Scheduler",
     "GreedyScheduler",
     "completion_time_estimate",
-    "completion_time_batch",
-    "pow_batch",
 ]
 
 
@@ -207,56 +208,6 @@ def completion_time_estimate(
         + eff_t_data
         + max(nq - 1, 0) * max(eff_t_data, view.speed_w)
         + view.speed_w
-    )
-
-
-def completion_time_batch(
-    rs: RoundState,
-    indices: np.ndarray,
-    nq_plus_one,
-    contention_factor,
-) -> np.ndarray:
-    """Vectorised ``CT(P_q, n_q)`` over a candidate set (Equations 1 / 2).
-
-    The batch companion of :func:`completion_time_estimate`: pure int64
-    arithmetic on the :class:`RoundState` columns, so every element is
-    *exactly* the integer the scalar estimate computes (the later cast to
-    float64 is lossless for any delay within the simulator's slot bound).
-
-    Args:
-        rs: the array-backed round state.
-        indices: candidate processor indices (int array).
-        nq_plus_one: per-candidate ``n_q + 1`` (int array or scalar).
-        contention_factor: per-candidate ``ceil(n_active / n_com)`` (int
-            array or scalar; 1 for Equation 1).
-    """
-    eff_t_data = contention_factor * rs.t_data
-    speed = rs.speed_w[indices]
-    return (
-        rs.delay[indices]
-        + eff_t_data
-        + np.maximum(nq_plus_one - 1, 0) * np.maximum(eff_t_data, speed)
-        + speed
-    )
-
-
-def pow_batch(base, exponent) -> np.ndarray:
-    """Elementwise ``base ** exponent`` via scalar libm ``pow``.
-
-    numpy's vectorised ``np.power`` dispatches to a SIMD implementation
-    that differs from the C library ``pow`` by an ulp on a few percent of
-    inputs, which would break bit-identity between the batch path and the
-    legacy scalar path (Python's ``**`` *is* libm ``pow``).  The LW/UD
-    probability scores therefore apply the exponentiation through
-    ``math.pow`` per element — the candidate arrays are tiny (≤ p), so
-    this costs nothing next to the vectorised CT arithmetic.
-    """
-    return np.array(
-        [
-            math.pow(b, e)
-            for b, e in zip(np.asarray(base).tolist(), np.asarray(exponent).tolist())
-        ],
-        dtype=np.float64,
     )
 
 
@@ -383,17 +334,18 @@ class GreedyScheduler(Scheduler):
     the lower processor index, matching the deterministic tie-break used
     throughout the package.
 
-    **Batch contract.**  Subclasses that additionally implement
-    :meth:`score_batch` (and set :attr:`batch_scoring`) get the array-path
-    :meth:`place_array`: one vectorised scoring pass seeds the lazy heap,
-    and the per-placement re-scores go through the scalar :meth:`score_one`
-    twin.  Both must satisfy the same monotonicity requirement the lazy
-    heap already relies on — scores monotone (non-decreasing for minimised
-    scores, non-increasing for maximised ones) in both ``n_q`` and
-    ``n_active`` — and must be bit-identical to each other and to
-    :meth:`score` for every ``(q, n_q, factor)``: use exactly the same
-    IEEE-754 operation sequence, and route exponentiation through
-    :func:`pow_batch` / ``math.pow`` rather than ``np.power``.
+    **Scoring forms.**  A CT-based subclass scores in three forms that
+    must agree bit for bit at every ``(q, n_q, factor)``: :meth:`score`
+    (the legacy scalar path over a :class:`ProcessorView`),
+    :meth:`_score_ct_row` (one ``n_q = 0`` row over the round's UP set)
+    and :meth:`_score_ct_one` (one re-score after a placement).  The two
+    kernels take integer ``CT`` values from :meth:`_ct_bases`, so they
+    must repeat :meth:`score`'s IEEE-754 operation sequence exactly —
+    exponentiation through ``math.pow``, never ``np.power``.  Setting
+    :attr:`batch_scoring` opts into the array-path :meth:`place_array`;
+    the scores must then satisfy the lazy heap's monotonicity
+    requirement — monotone (non-decreasing for minimised scores,
+    non-increasing for maximised ones) in both ``n_q`` and ``n_active``.
     """
 
     #: Whether higher scores are better (LW/UD maximise probabilities).
@@ -402,8 +354,8 @@ class GreedyScheduler(Scheduler):
     #: Whether Equation 2's contention factor replaces ``t_data``.
     use_contention_factor: bool = False
 
-    #: True when the instance implements :meth:`score_batch` /
-    #: :meth:`score_one`; False routes :meth:`place_array` through the
+    #: True when the instance implements :meth:`_score_ct_row` /
+    #: :meth:`_score_ct_one`; False routes :meth:`place_array` through the
     #: legacy-path compatibility shim (external heuristics, trace walkers).
     batch_scoring: bool = False
 
@@ -430,47 +382,18 @@ class GreedyScheduler(Scheduler):
     ) -> float:
         """Score of placing the next task on ``view``."""
 
-    def score_batch(
-        self,
-        rs: RoundState,
-        indices: np.ndarray,
-        nq_plus_one: np.ndarray,
-        contention_factor,
-    ) -> np.ndarray:
-        """Scores for all candidates at once (float64, aligned with
-        ``indices``).  Subclasses setting :attr:`batch_scoring` implement
-        this against the :class:`RoundState` columns."""
+    def _score_ct_row(self, rs: RoundState, cache: dict, ct_row: list) -> list:
+        """Row kernel: scores of the round's UP set (``cache["up_list"]``
+        order) from one list of integer ``CT`` values."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement batch scoring"
         )
 
-    def score_one(
-        self,
-        rs: RoundState,
-        q: int,
-        nq_plus_one: int,
-        contention_factor: int,
-    ) -> float:
-        """Scalar twin of :meth:`score_batch` for heap re-validation.
-
-        The default funnels through :meth:`score_batch` with length-1
-        arrays, which is always bit-consistent; the built-in heuristics
-        override it with plain-scalar arithmetic for speed.
-        """
-        return float(
-            self.score_batch(
-                rs,
-                np.array([q], dtype=np.intp),
-                np.array([nq_plus_one], dtype=np.int64),
-                np.array([contention_factor], dtype=np.int64),
-            )[0]
+    def _score_ct_one(self, rs: RoundState, cache: dict, ct: int, i: int) -> float:
+        """Re-score kernel: the score of UP position ``i`` at integer ``ct``."""
+        raise NotImplementedError(
+            f"{type(self).__name__} does not implement batch scoring"
         )
-
-    def _factor_for(self, rs: RoundState, n_active: int) -> int:
-        """Scalar ``ceil(n_active / ncom)`` against a round state."""
-        if not self.use_contention_factor or rs.ncom is None:
-            return 1
-        return max(1, -(-n_active // rs.ncom))
 
     def select(
         self,
@@ -562,18 +485,9 @@ class GreedyScheduler(Scheduler):
     # -- per-round cache for the array path -------------------------------
     _round_version = None
     _round_cache: Optional[dict] = None
-    # -- cross-round persistent cache (delta-patched, DESIGN.md §8) ------
-    _persist: Optional[dict] = None
-    # -- cross-round persistent score rows (DESIGN.md §8/§12) -------------
-    _row_store: Optional[dict] = None
-    _row_store_rs = None
-    #: Candidate-set instrumentation (DESIGN.md §12): score evaluations
-    #: actually run vs. stamped rows reused verbatim from the persistent
-    #: store.  ``rows_scored`` after warm-up is the candidate-set size —
-    #: it scales with the workers whose columns moved since their score
-    #: was last computed, not with p.
+    #: Row elements built by :meth:`_score_ct_row`, summed over the run
+    #: (surfaced as ``MasterSimulator.op_counts["rows_scored"]``).
     rows_scored = 0
-    rows_reused = 0
 
     def _round_setup(self, rs: RoundState) -> dict:
         """Per-round candidate/score cache, keyed on ``rs.version``.
@@ -591,7 +505,8 @@ class GreedyScheduler(Scheduler):
         lists are element-for-element identical — and the UP index array
         is kept (``up_arr``) for the vectorised single-placement path.
         Every replication placement and heap re-validation then runs on
-        list lookups and scalar ops.
+        list lookups and scalar ops.  Nothing survives a refresh: the
+        next ``rs.version`` rebuilds the cache from the columns.
         """
         if self._round_version != rs.version:
             up_state = int(ProcState.UP)
@@ -605,11 +520,6 @@ class GreedyScheduler(Scheduler):
                 pinned_zero_arr = None
                 state_list = rs.state.tolist()
                 up_list = [q for q, s in enumerate(state_list) if s == up_state]
-                cache = self._delta_reuse(rs, up_list)
-                if cache is not None:
-                    self._round_cache = cache
-                    self._round_version = rs.version
-                    return cache
                 pinned_list = rs.pinned_count.tolist()
                 pinned_zero = [pinned_list[q] == 0 for q in up_list]
             self._round_cache = {
@@ -620,94 +530,12 @@ class GreedyScheduler(Scheduler):
                 "row0": {},
                 "row0_arr": {},
                 "row0_nan": {},
-                "row0_keys": {},
                 "ct": {},
                 "gathers": None,
                 "belief": {},
             }
             self._round_version = rs.version
-            if (
-                up_arr is None
-                and rs.stamped
-                and self.batch_scoring
-                and self._score_ct_one is not None
-            ):
-                # Seed the persistent cache (DESIGN.md §8): the artifacts
-                # this round assembles into the cache dict are kept and
-                # delta-patched next round instead of being rebuilt.
-                self._persist = {
-                    "rs": rs,
-                    "serial": rs._stamp_serial,
-                    "pos": {q: i for i, q in enumerate(up_list)},
-                    "cache": self._round_cache,
-                }
-            else:
-                self._persist = None
         return self._round_cache
-
-    def _delta_reuse(self, rs: RoundState, up_list: list) -> Optional[dict]:
-        """Delta-patch last round's cache instead of rebuilding it.
-
-        The ROADMAP-named persistent per-factor score-row cache: when the
-        UP set is unchanged and the stamp history covers the gap since
-        the cache was last current, only the processors that were
-        actually stamped (dirty) since then have moved — so the CT bases,
-        ``n_q = 0`` score rows, signed key lists, pinned flags and delay
-        gathers are patched in place at exactly those positions (via the
-        same ``_score_ct_one`` scalar the full build would call, hence
-        bit-identical) and everything else is reused verbatim.  Falls
-        back to ``None`` — a full rebuild — when the UP set moved, the
-        history window was exceeded, or the state does not maintain the
-        stamp contract.
-        """
-        persist = self._persist
-        if persist is None or persist["rs"] is not rs or not rs.stamped:
-            return None
-        cache = persist["cache"]
-        if up_list != cache["up_list"]:
-            return None
-        changed = rs.changed_since(persist["serial"])
-        if changed is None:
-            return None
-        persist["serial"] = rs._stamp_serial
-        if not changed:
-            return cache
-        pos = persist["pos"]
-        touched = [(pos[q], q) for q in changed if q in pos]
-        if not touched:
-            return cache
-        pinned_zero = cache["pinned_zero"]
-        pinned_count = rs.pinned_count
-        for i, q in touched:
-            pinned_zero[i] = int(pinned_count[q]) == 0
-        row0 = cache["row0"]
-        keys_map = cache["row0_keys"]
-        gathers = cache["gathers"]
-        if gathers is not None:
-            delay_list, speed_list = gathers
-            delay_col = rs.delay
-            for i, q in touched:
-                delay_list[i] = int(delay_col[q])
-            t_data = rs.t_data
-            sign = -1.0 if self.maximize else 1.0
-            score_one = self._score_ct_one
-            reused = len(up_list) - len(touched)
-            for factor, (base, _step) in cache["ct"].items():
-                eff = factor * t_data
-                row = row0.get(factor)
-                keys = keys_map.get(factor)
-                for i, _q in touched:
-                    ct = delay_list[i] + eff + speed_list[i]
-                    base[i] = ct
-                    if row is not None:
-                        value = score_one(rs, cache, ct, i)
-                        row[i] = value
-                        if keys is not None:
-                            keys[i] = sign * value
-                if row is not None:
-                    self.rows_scored += len(touched)
-                    self.rows_reused += reused
-        return cache
 
     def _gather_belief(self, rs: RoundState, cache: dict, name: str,
                        needs: str) -> list:
@@ -774,16 +602,6 @@ class GreedyScheduler(Scheduler):
                     [eff if eff > w else w for w in speed],
                 )
         return ct_bases
-
-    #: CT-based subclasses implement these two hooks to get the pure-
-    #: Python scoring fast path: ``_score_ct_row`` maps one list of
-    #: integer CT values (candidate order) to a list of float scores,
-    #: ``_score_ct_one`` maps a single ``(ct, up-position)`` pair to one
-    #: score.  Both must repeat the scalar ``score`` path's IEEE-754
-    #: operation sequence exactly.  None falls back to
-    #: :meth:`score_batch` / :meth:`score_one` (the clairvoyant walker).
-    _score_ct_row = None
-    _score_ct_one = None
 
     def _place_one(self, rs: RoundState, cache: dict, allowed):
         """Fused single-placement path (the replication-call shape).
@@ -904,43 +722,15 @@ class GreedyScheduler(Scheduler):
 
         This is the row every placement call starts from (and the only
         full-width scoring work a round pays): the CT at ``nq = 0`` is the
-        ``base`` coefficient itself, and non-CT heuristics go through one
-        :meth:`score_batch` call.
+        ``base`` coefficient itself, scored by one :meth:`_score_ct_row`
+        call.
         """
         row = cache["row0"].get(factor)
         if row is None:
-            score_row = self._score_ct_row
-            if score_row is not None:
-                base, _step = self._ct_bases(rs, cache, factor)
-                if rs.stamped and self._score_ct_one is not None:
-                    row = self._row0_stamped(rs, cache, factor, base)
-                else:
-                    row = score_row(rs, cache, base)
-                    self.rows_scored += len(row)
-            else:
-                up = np.array(cache["up_list"], dtype=np.intp)
-                row = self.score_batch(
-                    rs, up, np.ones(up.size, dtype=np.int64), factor
-                ).tolist()
-                self.rows_scored += len(row)
-            cache["row0"][factor] = row
+            base, _step = self._ct_bases(rs, cache, factor)
+            row = cache["row0"][factor] = self._score_ct_row(rs, cache, base)
+            self.rows_scored += len(row)
         return row
-
-    def _row0_keys_list(self, rs: RoundState, cache: dict, factor: int) -> list:
-        """The ``n_q = 0`` row as a signed float list, memoised per round.
-
-        Small-p twin of :meth:`_row0_keys`: the unrestricted placement
-        and replication calls of one round (and, with the persistent
-        cache, of every delta-reused round) share one ``sign * value``
-        materialisation instead of rebuilding the listcomp per call.
-        Callers must treat the list as read-only.
-        """
-        keys = cache["row0_keys"].get(factor)
-        if keys is None:
-            sign = -1.0 if self.maximize else 1.0
-            keys = [sign * value for value in self._row0(rs, cache, factor)]
-            cache["row0_keys"][factor] = keys
-        return keys
 
     def _row0_keys(self, rs: RoundState, cache: dict, factor: int) -> np.ndarray:
         """The ``n_q = 0`` row as a signed float64 array, memoised per round.
@@ -979,85 +769,6 @@ class GreedyScheduler(Scheduler):
             nan_any = cache["row0_nan"][factor]
         return nan_any
 
-    def _row0_stamped(self, rs: RoundState, cache: dict, factor: int,
-                      base: list) -> list:
-        """Assemble the ``n_q = 0`` row from a cross-round persistent store.
-
-        The CT-family scores at ``n_q = 0`` are pure functions of the
-        stamped worker columns (``delay``, via the CT base), the static
-        speed/belief columns and the factor — so a processor whose
-        :attr:`RoundState.col_stamp` did not move since its value was
-        last computed keeps that value verbatim, and only stamped-out
-        entries re-run :meth:`_score_ct_one` (the exact elementwise twin
-        of :meth:`_score_ct_row`, DESIGN.md §8).  This *is* the
-        candidate-set scoring of the large-p engine (DESIGN.md §12): the
-        set of workers re-scored per round is exactly the set whose
-        stamped columns moved since their last score — availability,
-        queue, or belief churn — while the greedy *selection* still
-        compares every UP worker's (cached or fresh) score, which is why
-        a non-candidate can never silently overtake an incumbent: its
-        key is present in every comparison, just not recomputed.
-        Schedulers without the hooks (``batch_scoring`` False, or no
-        ``_score_ct_one``) take the conservative full-scan path above.
-        Active only when the
-        state owner maintains the stamp contract (``rs.stamped``); the
-        store is keyed on the RoundState object so a scheduler reused
-        against another state can never mix rows.
-        """
-        if self._row_store_rs is not rs:
-            self._row_store_rs = rs
-            self._row_store = {}
-        up_arr = cache["up_arr"]
-        if up_arr is not None:
-            # Large-p store: float64/int64 columns, so the hit test and
-            # the row gather are two vector ops and only the misses (the
-            # candidate set) run Python at all.
-            per_factor = self._row_store.get(factor)
-            if per_factor is None:
-                per_factor = self._row_store[factor] = (
-                    np.zeros(len(rs), dtype=np.float64),
-                    np.full(len(rs), -1, dtype=np.int64),
-                )
-            values, stamps = per_factor
-            current = np.asarray(rs.col_stamp, dtype=np.int64)[up_arr]
-            miss = np.nonzero(stamps[up_arr] != current)[0]
-            if miss.size:
-                score_one = self._score_ct_one
-                up_list = cache["up_list"]
-                for i in miss.tolist():
-                    q = up_list[i]
-                    values[q] = score_one(rs, cache, base[i], i)
-                stamps[up_arr[miss]] = current[miss]
-            scored = int(miss.size)
-            self.rows_scored += scored
-            self.rows_reused += len(up_arr) - scored
-            return values[up_arr].tolist()
-        per_factor = self._row_store.get(factor)
-        if per_factor is None:
-            per_factor = self._row_store[factor] = (
-                [0.0] * len(rs),
-                [-1] * len(rs),
-            )
-        values, stamps = per_factor
-        col_stamp = rs.col_stamp
-        score_one = self._score_ct_one
-        row = []
-        append = row.append
-        scored = 0
-        for i, q in enumerate(cache["up_list"]):
-            stamp = col_stamp[q]
-            if stamps[q] == stamp:
-                append(values[q])
-            else:
-                value = score_one(rs, cache, base[i], i)
-                values[q] = value
-                stamps[q] = stamp
-                append(value)
-                scored += 1
-        self.rows_scored += scored
-        self.rows_reused += len(row) - scored
-        return row
-
     def place_array(
         self,
         rs: RoundState,
@@ -1079,7 +790,11 @@ class GreedyScheduler(Scheduler):
         in both cases the comparison the legacy loop performs would
         succeed, so popping directly is bit-identical.  Heap keys are the
         same float64 values in the same ``(key, index)`` order as the
-        scalar path, so the produced assignments are too.
+        scalar path, so the produced assignments are too.  A single
+        placement (the replication-call shape) goes through the fused
+        :meth:`_place_one`; only on mixed contention factors does it fall
+        through to the contended heap loop, whose first pop is the same
+        minimum ``(key, index)`` pair.
         """
         if not self.batch_scoring:
             return super().place_array(rs, n_tasks, allowed)
@@ -1143,48 +858,38 @@ class GreedyScheduler(Scheduler):
         # speculates itself newly active iff it has no pinned work; at
         # most two distinct contention factors occur among them.
         keys_arr = None
-        keys_factor = None
+        keys = None
         if uniform_factor is not None:
-            if cache["up_arr"] is not None:
-                karr = self._row0_keys(rs, cache, uniform_factor)
-                keys_arr = karr if positions is None else karr.take(positions)
-                keys_factor = uniform_factor
-                keys = None  # materialised lazily on the scalar paths
-            else:
-                if positions is None:
-                    keys = self._row0_keys_list(rs, cache, uniform_factor)
-                else:
-                    row0 = self._row0(rs, cache, uniform_factor)
-                    keys = [sign * row0[i] for i in positions]
+            keys_factor = uniform_factor
         else:
             factor_base = max(1, -(-n_active // ncom))
             factor_spec = max(1, -(-(n_active + 1) // ncom))
-            row_base = self._row0(rs, cache, factor_base)
+            entry_factor = [factor_base] * k
             if factor_spec == factor_base:
-                if cache["up_arr"] is not None:
-                    karr = self._row0_keys(rs, cache, factor_base)
-                    keys_arr = (
-                        karr if positions is None else karr.take(positions)
-                    )
-                    keys_factor = factor_base
-                    keys = None  # materialised lazily on the scalar paths
-                elif positions is None:
-                    keys = self._row0_keys_list(rs, cache, factor_base)
-                else:
-                    keys = [sign * row_base[i] for i in positions]
-                entry_factor = [factor_base] * k
+                keys_factor = factor_base
             else:
+                keys_factor = None
+                row_base = self._row0(rs, cache, factor_base)
                 row_spec = self._row0(rs, cache, factor_spec)
                 keys = []
-                entry_factor = []
                 for j in range(k):
                     i = j if positions is None else positions[j]
                     if pinned_zero[j]:
                         keys.append(sign * row_spec[i])
-                        entry_factor.append(factor_spec)
+                        entry_factor[j] = factor_spec
                     else:
                         keys.append(sign * row_base[i])
-                        entry_factor.append(factor_base)
+        if keys_factor is not None:
+            # One factor for every initial key: read the memoised row.
+            if cache["up_arr"] is not None:
+                karr = self._row0_keys(rs, cache, keys_factor)
+                keys_arr = karr if positions is None else karr.take(positions)
+            else:
+                row0 = self._row0(rs, cache, keys_factor)
+                if positions is None:
+                    keys = [sign * value for value in row0]
+                else:
+                    keys = [sign * row0[i] for i in positions]
         # Conservative per-round constant (see :meth:`_row0_nan`): a NaN
         # anywhere in the source row — even outside ``positions`` — routes
         # this call to the scalar paths, which own the NaN semantics.
@@ -1204,30 +909,9 @@ class GreedyScheduler(Scheduler):
                 # the legacy error for the first such candidate, as the
                 # scalar heap-init scoring (ascending candidate order) would.
                 rs.require_beliefs(cand_list, self._belief_needs)
-        if n_tasks == 1:
-            # Replication fast path: one placement is the heap's first pop,
-            # i.e. the minimum (key, index) pair — no heap, no re-scores.
-            # ``cand_list`` ascends with ``j``, so the vectorised argmin's
-            # first-occurrence rule is the same lexicographic minimum (the
-            # scalar loop never *selects* a NaN key, so argmin — where NaN
-            # wins — only applies to NaN-free keys).
-            if keys_arr is not None and not nan_any:
-                return [cand_list[int(keys_arr.argmin())]]
-            if keys is None:
-                keys = keys_arr.tolist()
-            best_j = 0
-            for j in range(1, k):
-                if (keys[j], cand_list[j]) < (keys[best_j], cand_list[best_j]):
-                    best_j = j
-            return [cand_list[best_j]]
         placements: List[Optional[int]] = []
         score_ct = self._score_ct_one
-        if (
-            uniform_factor is not None
-            and keys_arr is not None
-            and not nan_any
-            and score_ct is not None
-        ):
+        if uniform_factor is not None and keys_arr is not None and not nan_any:
             # Large-p uniform-factor loop over the key *array*: each pop is
             # an argmin (first occurrence of the minimum = the heap's
             # (key, cand, j) lexicographic minimum, since ``cand_list``
@@ -1256,37 +940,21 @@ class GreedyScheduler(Scheduler):
             # Tight loop: every heap entry is always current (the factor is
             # constant, and the placed candidate's key is refreshed on the
             # spot), so each placement is pop + one fresh score + replace.
-            factor = uniform_factor
-            if score_ct is not None:
-                base, step = self._ct_bases(rs, cache, factor)
-                for _ in range(n_tasks):
-                    key, index, j = heap[0]
-                    placements.append(index)
-                    count = nq[j] + 1
-                    nq[j] = count
-                    i = j if positions is None else positions[j]
-                    heapq.heapreplace(
-                        heap,
-                        (
-                            sign * score_ct(rs, cache, base[i] + count * step[i], i),
-                            index,
-                            j,
-                        ),
-                    )
-            else:
-                for _ in range(n_tasks):
-                    key, index, j = heap[0]
-                    placements.append(index)
-                    count = nq[j] + 1
-                    nq[j] = count
-                    heapq.heapreplace(
-                        heap,
-                        (
-                            sign * self.score_one(rs, index, count + 1, factor),
-                            index,
-                            j,
-                        ),
-                    )
+            base, step = self._ct_bases(rs, cache, uniform_factor)
+            for _ in range(n_tasks):
+                key, index, j = heap[0]
+                placements.append(index)
+                count = nq[j] + 1
+                nq[j] = count
+                i = j if positions is None else positions[j]
+                heapq.heapreplace(
+                    heap,
+                    (
+                        sign * score_ct(rs, cache, base[i] + count * step[i], i),
+                        index,
+                        j,
+                    ),
+                )
             return placements
 
         # Contended loop: a heap entry goes stale only when its applicable
@@ -1294,14 +962,12 @@ class GreedyScheduler(Scheduler):
         ct_cache = cache["ct"]
 
         def rescore(j: int, f: int) -> float:
-            if score_ct is not None:
-                bases = ct_cache.get(f)
-                if bases is None:
-                    bases = self._ct_bases(rs, cache, f)
-                base, step = bases
-                i = j if positions is None else positions[j]
-                return sign * score_ct(rs, cache, base[i] + nq[j] * step[i], i)
-            return sign * self.score_one(rs, cand_list[j], nq[j] + 1, f)
+            bases = ct_cache.get(f)
+            if bases is None:
+                bases = self._ct_bases(rs, cache, f)
+            base, step = bases
+            i = j if positions is None else positions[j]
+            return sign * score_ct(rs, cache, base[i] + nq[j] * step[i], i)
 
         for _ in range(n_tasks):
             while True:

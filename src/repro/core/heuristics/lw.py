@@ -18,17 +18,13 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..expectation import p_plus
 from .base import (
     GreedyScheduler,
     ProcessorView,
     RoundState,
     SchedulingContext,
-    completion_time_batch,
     completion_time_estimate,
-    pow_batch,
 )
 
 __all__ = ["LwScheduler"]
@@ -72,26 +68,6 @@ class LwScheduler(GreedyScheduler):
             view, nq_plus_one, ctx.t_data, contention_factor=contention_factor
         )
         return self._p_plus(view) ** ct
-
-    def score_batch(
-        self,
-        rs: RoundState,
-        indices: np.ndarray,
-        nq_plus_one: np.ndarray,
-        contention_factor,
-    ) -> np.ndarray:
-        ct = completion_time_batch(rs, indices, nq_plus_one, contention_factor)
-        return pow_batch(rs.gather_belief("p_plus", indices, "LW needs one"), ct)
-
-    def score_one(
-        self, rs: RoundState, q: int, nq_plus_one: int, contention_factor: int
-    ) -> float:
-        if rs.beliefs[q] is None:
-            raise ValueError(f"processor {q} has no Markov belief; LW needs one")
-        eff = contention_factor * rs.t_data
-        speed = int(rs.speed_w[q])
-        ct = int(rs.delay[q]) + eff + max(nq_plus_one - 1, 0) * max(eff, speed) + speed
-        return math.pow(float(rs.belief_column("p_plus")[q]), ct)
 
     def _score_ct_row(self, rs: RoundState, cache: dict, ct_row: list) -> list:
         p_plus_up = self._gather_belief(rs, cache, "p_plus", "LW needs one")

@@ -15,15 +15,12 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..expectation import expected_next_up
 from .base import (
     GreedyScheduler,
     ProcessorView,
     RoundState,
     SchedulingContext,
-    completion_time_batch,
     completion_time_estimate,
 )
 
@@ -53,25 +50,6 @@ class MctScheduler(GreedyScheduler):
     ) -> float:
         return completion_time_estimate(
             view, nq_plus_one, ctx.t_data, contention_factor=contention_factor
-        )
-
-    def score_batch(
-        self,
-        rs: RoundState,
-        indices: np.ndarray,
-        nq_plus_one: np.ndarray,
-        contention_factor,
-    ) -> np.ndarray:
-        ct = completion_time_batch(rs, indices, nq_plus_one, contention_factor)
-        return ct.astype(np.float64)
-
-    def score_one(
-        self, rs: RoundState, q: int, nq_plus_one: int, contention_factor: int
-    ) -> float:
-        eff = contention_factor * rs.t_data
-        speed = int(rs.speed_w[q])
-        return float(
-            int(rs.delay[q]) + eff + max(nq_plus_one - 1, 0) * max(eff, speed) + speed
         )
 
     def _score_ct_row(self, rs: RoundState, cache: dict, ct_row: list) -> list:
@@ -129,28 +107,6 @@ class EmctScheduler(GreedyScheduler):
             view, nq_plus_one, ctx.t_data, contention_factor=contention_factor
         )
         return self._expected_slots(view, ct)
-
-    def score_batch(
-        self,
-        rs: RoundState,
-        indices: np.ndarray,
-        nq_plus_one: np.ndarray,
-        contention_factor,
-    ) -> np.ndarray:
-        ct = completion_time_batch(rs, indices, nq_plus_one, contention_factor)
-        e_up = rs.gather_belief("e_up", indices, "EMCT needs one")
-        # Theorem 2: E = 1 + (W-1)·E(up), the scalar expression elementwise.
-        return 1.0 + np.maximum(ct - 1.0, 0.0) * e_up
-
-    def score_one(
-        self, rs: RoundState, q: int, nq_plus_one: int, contention_factor: int
-    ) -> float:
-        if rs.beliefs[q] is None:
-            raise ValueError(f"processor {q} has no Markov belief; EMCT needs one")
-        eff = contention_factor * rs.t_data
-        speed = int(rs.speed_w[q])
-        ct = int(rs.delay[q]) + eff + max(nq_plus_one - 1, 0) * max(eff, speed) + speed
-        return 1.0 + max(ct - 1.0, 0.0) * float(rs.belief_column("e_up")[q])
 
     def _score_ct_row(self, rs: RoundState, cache: dict, ct_row: list) -> list:
         e_up = self._gather_belief(rs, cache, "e_up", "EMCT needs one")

@@ -23,10 +23,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from ...types import ProcState
-from .base import GreedyScheduler, ProcessorView, RoundState, SchedulingContext
+from .base import GreedyScheduler, ProcessorView, SchedulingContext
 
 __all__ = ["ClairvoyantScheduler"]
 
@@ -43,10 +41,10 @@ class ClairvoyantScheduler(GreedyScheduler):
     """
 
     maximize = False
-    #: The trace walk is inherently per-candidate, but it consumes the
-    #: RoundState directly (scalars + the lazily materialised pipeline
-    #: view), so the array path's heap drives it without the shim.
-    batch_scoring = True
+    #: The trace walk is inherently per-candidate and needs each
+    #: candidate's pinned pipeline, so the array path runs it through the
+    #: compatibility shim's lazily materialised views (as ``ud-exact``).
+    batch_scoring = False
 
     def __init__(self, platform, *, horizon: int = 100_000):
         self.name = "clairvoyant"
@@ -63,34 +61,6 @@ class ClairvoyantScheduler(GreedyScheduler):
         contention_factor: int,
     ) -> float:
         return float(self._walk(ctx.slot, ctx.t_data, view, nq_plus_one))
-
-    def score_batch(
-        self,
-        rs: RoundState,
-        indices: np.ndarray,
-        nq_plus_one: np.ndarray,
-        contention_factor,
-    ) -> np.ndarray:
-        return np.array(
-            [
-                float(self._walk(rs.slot, rs.t_data, rs.view(q), n))
-                for q, n in zip(
-                    np.asarray(indices).tolist(), np.asarray(nq_plus_one).tolist()
-                )
-            ],
-            dtype=np.float64,
-        )
-
-    def score_one(
-        self, rs: RoundState, q: int, nq_plus_one: int, contention_factor: int
-    ) -> float:
-        return float(self._walk(rs.slot, rs.t_data, rs.view(q), nq_plus_one))
-
-    def _true_completion_slot(
-        self, ctx: SchedulingContext, view: ProcessorView, n_new: int
-    ) -> int:
-        """Legacy entry point kept for external callers; see :meth:`_walk`."""
-        return self._walk(ctx.slot, ctx.t_data, view, n_new)
 
     def _walk(self, slot: int, t_data: int, view: ProcessorView, n_new: int) -> int:
         """Walk the true trace: finish pinned work, then ``n_new`` tasks.

@@ -48,7 +48,6 @@ cost only for the processors they actually touch.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -61,10 +60,6 @@ __all__ = ["RoundState", "LazyViewSequence"]
 
 #: Process-global refresh-token source (see :attr:`RoundState.version`).
 _VERSION_COUNTER = itertools.count(1)
-
-#: Stamp batches retained by :meth:`RoundState.changed_since` (a bound on
-#: how many refreshes a consumer may lag before it must rebuild).
-_STAMP_HISTORY = 32
 
 
 def _ud_avg_down(model: MarkovAvailabilityModel) -> float:
@@ -195,25 +190,6 @@ class RoundState:
         #: Starts all-dirty: no column is current until first refreshed.
         self.dirty = bytearray(b"\x01" * p)
 
-        #: Per-processor *column stamps* for cross-round score caching
-        #: (DESIGN.md §8): the owner bumps ``col_stamp[q]`` — via
-        #: :meth:`stamp_changed` — every time it rewrites processor
-        #: ``q``'s worker-derived columns, so schedulers can keep score
-        #: rows alive across rounds and recompute only processors whose
-        #: stamp moved.  ``stamped`` opts the contract in: it stays False
-        #: unless the owner promises to stamp *every* column write
-        #: (:class:`~repro.sim.master.MasterSimulator` does); hand-built
-        #: states (tests, :meth:`from_views`) leave it off so mutations
-        #: they don't stamp can never serve stale cached scores.
-        self.stamped = False
-        self.col_stamp: List[int] = [0] * p
-        self._stamp_serial = 0
-        #: Bounded ring of recent stamp batches ``(serial, qs)`` — lets a
-        #: consumer that remembers the serial it last saw ask exactly
-        #: which processors moved since (:meth:`changed_since`), instead
-        #: of comparing all p stamps.
-        self._stamp_history: deque = deque(maxlen=_STAMP_HISTORY)
-
         self._pipeline_provider = pipeline_provider or (lambda q: ())
         #: Optional owner hook called with a processor index before a lazy
         #: ``ProcessorView`` materialises: owners that defer column updates
@@ -283,15 +259,6 @@ class RoundState:
         if self._speed_list is None:
             self._speed_list = self.speed_w.tolist()
         return self._speed_list
-
-    def gather_belief(self, name: str, indices, needs: str) -> np.ndarray:
-        """Gather ``belief_column(name)[indices]`` with the missing-belief
-        check vectorised: one ``isnan`` scan instead of a per-index Python
-        loop (the batch scorers call this per score table build)."""
-        values = self.belief_column(name)[indices]
-        if np.isnan(values).any():
-            self.require_beliefs(indices, needs)  # raises with the index
-        return values
 
     # ------------------------------------------------------------------ #
     # Candidate selection.                                                 #
@@ -369,46 +336,6 @@ class RoundState:
                 rng=self.rng,
             )
         return self._ctx
-
-    def stamp_changed(self, qs: Sequence[int]) -> None:
-        """Record that the worker-derived columns of ``qs`` were rewritten.
-
-        One serial is drawn per batch, so a refresh touching k processors
-        costs k list writes.  Only meaningful when the owner maintains
-        the full contract and has set :attr:`stamped`.
-        """
-        serial = self._stamp_serial + 1
-        self._stamp_serial = serial
-        col_stamp = self.col_stamp
-        for q in qs:
-            col_stamp[q] = serial
-        self._stamp_history.append((serial, tuple(qs)))
-
-    def changed_since(self, serial: int) -> Optional[frozenset]:
-        """Processors stamped since ``serial``, or ``None`` if unknowable.
-
-        ``serial`` is a value of :attr:`RoundState._stamp_serial` the
-        caller recorded earlier.  Returns the (possibly empty) set of
-        processor indices whose columns were stamped after it, provided
-        the bounded history still covers the gap — serials are issued
-        one per :meth:`stamp_changed` batch, so the history is contiguous
-        and coverage is simply "the oldest retained batch is not newer
-        than ``serial + 1``".  ``None`` means the caller lagged too far
-        (or the serial is foreign) and must fall back to a full rebuild.
-        """
-        current = self._stamp_serial
-        if serial == current:
-            return frozenset()
-        if serial > current:
-            return None
-        history = self._stamp_history
-        if not history or history[0][0] > serial + 1:
-            return None
-        changed: set = set()
-        for batch_serial, qs in history:
-            if batch_serial > serial:
-                changed.update(qs)
-        return frozenset(changed)
 
     def invalidate(self) -> None:
         """Drop the lazy view/context/UP-list caches after columns changed.

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from ..expectation import (
     expected_next_up,
     p_no_down_approx,
@@ -34,9 +32,7 @@ from .base import (
     ProcessorView,
     RoundState,
     SchedulingContext,
-    completion_time_batch,
     completion_time_estimate,
-    pow_batch,
 )
 
 __all__ = ["UdScheduler"]
@@ -91,44 +87,6 @@ class UdScheduler(GreedyScheduler):
         if self.exact:
             return p_no_down_exact(view.belief, max(1, round(k)))
         return p_no_down_approx(view.belief, max(1.0, k))
-
-    def score_batch(
-        self,
-        rs: RoundState,
-        indices: np.ndarray,
-        nq_plus_one: np.ndarray,
-        contention_factor,
-    ) -> np.ndarray:
-        ct = completion_time_batch(rs, indices, nq_plus_one, contention_factor)
-        e_up = rs.gather_belief("e_up", indices, "UD needs one")
-        # Theorem 2 expectation, then the paper's rank-1 P_UD — the exact
-        # scalar expression sequence of p_no_down_approx, elementwise.
-        k = np.maximum(1.0, 1.0 + np.maximum(ct - 1.0, 0.0) * e_up)
-        base = rs.belief_column("ud_base")[indices]
-        avg_down = rs.belief_column("ud_avg_down")[indices]
-        exponent = np.maximum(k - 2.0, 0.0)
-        survive = pow_batch(1.0 - avg_down, exponent)
-        out = base * survive
-        degenerate = rs.belief_column("ud_degenerate")[indices] > 0.0
-        if degenerate.any():
-            # Legacy special case for chains that are almost surely DOWN.
-            out = np.where(degenerate, np.where(k > 2.0, 0.0, base), out)
-        return out
-
-    def score_one(
-        self, rs: RoundState, q: int, nq_plus_one: int, contention_factor: int
-    ) -> float:
-        if rs.beliefs[q] is None:
-            raise ValueError(f"processor {q} has no Markov belief; UD needs one")
-        eff = contention_factor * rs.t_data
-        speed = int(rs.speed_w[q])
-        ct = int(rs.delay[q]) + eff + max(nq_plus_one - 1, 0) * max(eff, speed) + speed
-        k = max(1.0, 1.0 + max(ct - 1.0, 0.0) * float(rs.belief_column("e_up")[q]))
-        base = float(rs.belief_column("ud_base")[q])
-        if rs.belief_column("ud_degenerate")[q] > 0.0:
-            return 0.0 if k > 2.0 else base
-        avg_down = float(rs.belief_column("ud_avg_down")[q])
-        return base * math.pow(1.0 - avg_down, max(k - 2.0, 0.0))
 
     def _score_ct_row(self, rs: RoundState, cache: dict, ct_row: list) -> list:
         e_up = self._gather_belief(rs, cache, "e_up", "UD needs one")

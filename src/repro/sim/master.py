@@ -256,10 +256,6 @@ class MasterSimulator:
             pipeline_provider=self._pinned_pipeline_of,
         )
         self._rs.freshen = self._freshen_worker_columns
-        # The master refreshes columns only through _refresh_round_state /
-        # _freshen_worker_columns, both of which stamp — so schedulers may
-        # keep score rows alive across rounds (DESIGN.md §8).
-        self._rs.stamped = True
         #: Local alias of the RoundState's dirty flags (same bytearray):
         #: the flags live on the state object (DESIGN.md §8), the master
         #: writes them at every mutating touch point.
@@ -275,8 +271,8 @@ class MasterSimulator:
     def round_state(self) -> RoundState:
         """The incrementally maintained scheduler :class:`RoundState`.
 
-        Exposed for inspection (tests toggle its ``stamped`` score-row
-        reuse); treat it as read-only — the master owns every column.
+        Exposed for inspection; treat it as read-only — the master owns
+        every column and renews its ``version`` at each refresh.
         """
         return self._rs
 
@@ -315,11 +311,12 @@ class MasterSimulator:
         ``calendar_pops``: total heap pops (0 on the sweep path);
         ``span_scan_workers``: workers visited by the quiet-span search;
         ``round_refreshed``: RoundState columns recomputed at executed
-        rounds (the sparse dirty-hint walk); ``rows_scored`` /
-        ``rows_reused``: candidate-set scoring counters from the
-        scheduler's persistent score-row store (score evaluations run
-        vs. stamped rows reused verbatim — 0/0 for schedulers without
-        the store).  The O(churn) claims of the large-p engine are
+        rounds (the sparse dirty-hint walk); ``rows_scored``: score-row
+        elements the scheduler built, one row per round and contention
+        factor (0 for schedulers on the compatibility shim);
+        ``rows_reused``: always 0 — nothing carries score rows across
+        rounds, and the key stays only because the end-to-end benchmark
+        reads it.  The O(churn) claims of the large-p engine are
         asserted on these in ``tests/test_reference_equivalence.py``,
         not just benchmarked.
         """
@@ -330,7 +327,7 @@ class MasterSimulator:
             "span_scan_workers": self.op_span_scan_workers,
             "round_refreshed": self.op_round_refreshed,
             "rows_scored": getattr(self.scheduler, "rows_scored", 0),
-            "rows_reused": getattr(self.scheduler, "rows_reused", 0),
+            "rows_reused": 0,
         }
 
     def _calendar_active(self) -> bool:
@@ -649,7 +646,6 @@ class MasterSimulator:
             prog = np.array(prog_remainings, dtype=np.int64)
             rs.prog_remaining[index] = prog
             rs.has_program[index] = prog == 0
-            rs.stamp_changed(changed)
         rs.remaining_tasks = remaining
         rs.invalidate()
         if self.options.audit:
@@ -674,7 +670,6 @@ class MasterSimulator:
         prog_remaining = worker.prog_remaining
         rs.prog_remaining[q] = prog_remaining
         rs.has_program[q] = prog_remaining == 0
-        rs.stamp_changed((q,))
         dirty[q] = 0
 
     def _audit_round_state(self) -> None:

@@ -1,33 +1,31 @@
 """Unit tests for the array-backed RoundState and the batch contract.
 
 Covers the structure-of-arrays context itself (columns, belief caches,
-candidate selection, lazy shim), the bit-identity of ``score_batch`` /
-``score_one`` against the legacy scalar ``score``, and the determinism fix
-for ``SchedulingContext.rng``, and that cross-round stamped score rows
-never change a run.  End-to-end simulator equivalence lives in
-``tests/test_reference_equivalence.py``.
+candidate selection, lazy shim), the bit-identity of the row and
+re-score kernels (``_score_ct_row`` / ``_score_ct_one``) against the
+legacy scalar ``score``, per-round cache staleness across refreshes, and
+the determinism fix for ``SchedulingContext.rng``.  End-to-end simulator
+equivalence lives in ``tests/test_reference_equivalence.py``.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from repro.core.expectation import expected_next_up, p_plus
 from repro.core.heuristics.base import (
+    _VECTOR_MIN_P,
     ProcessorView,
     RoundState,
     SchedulingContext,
-    completion_time_batch,
-    completion_time_estimate,
-    pow_batch,
 )
 from repro.core.heuristics.lw import LwScheduler
 from repro.core.heuristics.mct import EmctScheduler, MctScheduler
 from repro.core.heuristics.registry import make_scheduler
 from repro.core.heuristics.ud import UdScheduler
 from repro.core.markov import MarkovAvailabilityModel, paper_random_model
-from repro.sim.master import MasterSimulator
 from repro.types import ProcState
-from repro.workload.scenarios import ScenarioGenerator
 
 
 def random_views(rng, p=8, with_belief=True, t_data=3):
@@ -73,6 +71,9 @@ def round_state_from(views, *, seed=5, t_data=3, ncom=4, remaining=6):
 RANDOM_NAMES = ["random"] + [
     f"random{variant}{suffix}" for variant in (1, 2, 3, 4) for suffix in ("", "w")
 ]
+
+#: The eight CT-based greedy heuristics (MCT/EMCT/LW/UD and their ``*``).
+CT_NAMES = ["mct", "mct*", "emct", "emct*", "lw", "lw*", "ud", "ud*"]
 
 
 class TestRoundStateContainer:
@@ -159,7 +160,7 @@ class TestLazyShim:
 
 
 class TestBatchScalarBitIdentity:
-    """score_batch == score_one == legacy score, bit for bit."""
+    """_score_ct_row == _score_ct_one == legacy score, bit for bit."""
 
     # Factories, not instances: these schedulers cache per-processor belief
     # quantities keyed by index, so instances must not be shared between
@@ -177,51 +178,41 @@ class TestBatchScalarBitIdentity:
 
     @pytest.mark.parametrize("factory", HEURISTICS, ids=lambda f: f().name)
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_three_way_identity(self, factory, seed):
+    def test_three_way_identity(self, factory, seed, p=10):
         sched = factory()
         rng = np.random.default_rng(100 + seed)
-        views = random_views(rng, p=10)
+        views = random_views(rng, p=p)
+        for view in views:
+            view.state = ProcState.UP  # the kernels cover the UP set
+        beliefless = 3
+        views[beliefless].belief = None
         rs = round_state_from(views)
         ctx = rs.as_context()
-        indices = rs.up_candidates()
-        if indices.size == 0:
-            indices = np.arange(len(views))
+        cache = sched._round_setup(rs)
+        assert cache["up_list"] == list(range(len(views)))
+        needs_belief = sched._belief_needs is not None
         for nq_plus_one in (1, 2, 5):
             for factor in (1, 2, 3):
-                batch = sched.score_batch(
-                    rs,
-                    indices,
-                    np.full(indices.size, nq_plus_one, dtype=np.int64),
-                    np.full(indices.size, factor, dtype=np.int64),
-                )
-                for pos, q in enumerate(indices.tolist()):
-                    one = sched.score_one(rs, q, nq_plus_one, factor)
+                base, step = sched._ct_bases(rs, cache, factor)
+                ct_row = [b + (nq_plus_one - 1) * s for b, s in zip(base, step)]
+                row = sched._score_ct_row(rs, cache, ct_row)
+                for i, q in enumerate(cache["up_list"]):
+                    one = sched._score_ct_one(rs, cache, ct_row[i], i)
+                    where = f"{sched.name}: q={q} nq+1={nq_plus_one} f={factor}"
+                    if q == beliefless and needs_belief:
+                        assert math.isnan(row[i]) and math.isnan(one), where
+                        with pytest.raises(ValueError, match="no Markov belief"):
+                            sched.score(ctx, views[q], nq_plus_one, factor)
+                        continue
                     legacy = sched.score(ctx, views[q], nq_plus_one, factor)
-                    assert batch[pos] == one == legacy, (
-                        f"{sched.name}: q={q} nq+1={nq_plus_one} f={factor}"
-                    )
+                    assert row[i] == one == legacy, where
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_completion_time_batch_matches_scalar(self, seed):
-        rng = np.random.default_rng(seed)
-        views = random_views(rng, p=10)
-        rs = round_state_from(views)
-        indices = np.arange(10)
-        nq1 = rng.integers(1, 6, 10)
-        factor = rng.integers(1, 4, 10)
-        batch = completion_time_batch(rs, indices, nq1, factor)
-        for q in range(10):
-            assert batch[q] == completion_time_estimate(
-                views[q], int(nq1[q]), rs.t_data, contention_factor=int(factor[q])
-            )
-
-    def test_pow_batch_matches_python_pow(self):
-        rng = np.random.default_rng(9)
-        base = rng.uniform(0.0, 1.0, 256)
-        expo = rng.uniform(0.0, 400.0, 256)
-        out = pow_batch(base, expo)
-        for b, e, r in zip(base, expo, out):
-            assert r == float(b) ** float(e)
+    @pytest.mark.parametrize("factory", HEURISTICS, ids=lambda f: f().name)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_three_way_identity_numpy_assembly(self, factory, seed):
+        """The same from ``_VECTOR_MIN_P`` processors up, where the
+        per-round cache gathers CT bases and beliefs with numpy."""
+        self.test_three_way_identity(factory, seed, p=_VECTOR_MIN_P + 2)
 
 
 class TestPlaceArrayAgainstLegacyPlace:
@@ -316,10 +307,11 @@ class TestRandomArrayPath:
                 legacy_ctx, n_tasks, mask
             )
 
-    @pytest.mark.parametrize("name", RANDOM_NAMES)
+    @pytest.mark.parametrize("name", RANDOM_NAMES + CT_NAMES + ["ud-exact"])
     def test_state_change_between_calls(self, name):
-        """A round boundary (state rewrite + invalidate) must refresh the
-        cached UP list; a new RoundState must rebuild the weight vector."""
+        """A round boundary (column rewrite + invalidate) must rebuild every
+        per-round cache — UP list, CT bases, score rows — and a new
+        RoundState must rebuild the random family's weight vector."""
         rng = np.random.default_rng(32)
         views = random_views(rng, p=10)
         rs = round_state_from(views, seed=3)
@@ -327,20 +319,32 @@ class TestRandomArrayPath:
         array_sched, legacy_sched = make_scheduler(name), make_scheduler(name)
 
         def same(state_rs, legacy_state_rs, n_tasks):
-            assert array_sched.place_array(state_rs, n_tasks) == legacy_sched.place(
-                legacy_state_rs.as_context(), n_tasks
-            )
+            placed = array_sched.place_array(state_rs, n_tasks)
+            assert placed == legacy_sched.place(legacy_state_rs.as_context(), n_tasks)
+            return placed
 
-        same(rs, legacy_rs, 6)
-        new_state = rng.integers(0, 3, size=10).astype(np.uint8)
-        new_state[[1, 4]] = int(ProcState.UP)  # keep candidates
+        picked = same(rs, legacy_rs, 6)
+        same(rs, legacy_rs, 1)
+        # Every processor picked so far goes DOWN and the rest come UP, so
+        # a cache that outlived the refresh would pick a DOWN processor.
+        new_state = np.full(10, int(ProcState.UP), dtype=np.uint8)
+        new_state[[q for q in picked if q is not None]] = int(ProcState.DOWN)
+        new_delay = rng.integers(0, 40, size=10)
+        new_pinned = rng.integers(0, 3, size=10)
         for target in (rs, legacy_rs):
             target.state[:] = new_state
+            target.delay[:] = new_delay
+            target.pinned_count[:] = new_pinned
             target.invalidate()
         up = int(ProcState.UP)
         assert rs.up_candidates().tolist() == np.nonzero(new_state == up)[0].tolist()
         same(rs, legacy_rs, 6)
-        # Same schedulers, a different run (other beliefs and speeds).
+        same(rs, legacy_rs, 1)
+        # A different run (other beliefs and speeds).  The CT heuristics'
+        # scalar ``score`` caches belief quantities by processor index, so
+        # by the registry contract they get fresh instances on both sides.
+        if name not in RANDOM_NAMES:
+            array_sched, legacy_sched = make_scheduler(name), make_scheduler(name)
         other = random_views(np.random.default_rng(33), p=10)
         same(round_state_from(other, seed=4), round_state_from(other, seed=4), 6)
 
@@ -399,30 +403,3 @@ class TestSchedulingContextRngDefault:
         from repro.rng import default_scheduler_rng
 
         assert self._context().rng.random() == default_scheduler_rng().random()
-
-
-def _assert_reports_equal(got, ref, context=""):
-    assert got.makespan == ref.makespan, context
-    assert got.slots_simulated == ref.slots_simulated, context
-    assert got.completed_iterations == ref.completed_iterations, context
-    assert got.scheduler_rounds == ref.scheduler_rounds, context
-
-
-class TestPersistentScoreRows:
-    """Cross-round score-row reuse is result-invisible."""
-
-    @pytest.mark.parametrize("heuristic", ["mct", "emct*", "lw", "ud"])
-    def test_stamped_path_matches_unstamped(self, heuristic):
-        scenario = ScenarioGenerator(6).scenario(8, 5, 3, 0)
-        reports = []
-        for stamped in (True, False):
-            platform = scenario.build_platform(0)
-            sim = MasterSimulator(
-                platform,
-                scenario.app,
-                make_scheduler(heuristic, platform=platform),
-                rng=scenario.scheduler_rng(0, heuristic),
-            )
-            sim.round_state.stamped = stamped
-            reports.append(sim.run(max_slots=100_000))
-        _assert_reports_equal(reports[0], reports[1], heuristic)
