@@ -4,7 +4,7 @@
 The paper's evaluation stays at tens of processors; this example runs
 the same master–worker protocol on a desktop-grid-scale platform using
 the large-platform engine (DESIGN.md §12): the event-calendar
-availability index (engaged whenever no timeline recorder is attached), the
+availability index (the simulator's only platform index), the
 run-length-encoded semi-Markov ground truth (O(runs) memory, not
 O(slots)), and the sticky replan policy that desktop-grid deployments
 favour at this scale.

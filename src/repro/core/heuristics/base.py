@@ -443,6 +443,8 @@ class GreedyScheduler(Scheduler):
         probabilities only grow stale-downward); a popped entry is
         re-scored and re-pushed if it no longer matches.
         """
+        if n_tasks == 0:
+            return []  # nothing to place: score no candidate
         candidates = self._candidates(ctx, allowed)
         placements: List[Optional[int]] = []
         if not candidates:
@@ -537,8 +539,7 @@ class GreedyScheduler(Scheduler):
             self._round_version = rs.version
         return self._round_cache
 
-    def _gather_belief(self, rs: RoundState, cache: dict, name: str,
-                       needs: str) -> list:
+    def _gather_belief(self, rs: RoundState, cache: dict, name: str) -> list:
         """Belief column over the round's UP set as a Python float list.
 
         Memoised per round (the full-column list is static and cached on
@@ -799,11 +800,7 @@ class GreedyScheduler(Scheduler):
         if not self.batch_scoring:
             return super().place_array(rs, n_tasks, allowed)
         if n_tasks == 0:
-            # Nothing to place: skip candidate setup and scoring entirely.
-            # (The legacy loop still seeds its heap here, so on a platform
-            # with belief-less UP processors it would raise where this
-            # path returns — irrelevant to any simulated outcome.)
-            return []
+            return []  # nothing to place: skip candidate setup and scoring
         cache = self._round_setup(rs)
         if n_tasks == 1:
             single = self._place_one(rs, cache, allowed)

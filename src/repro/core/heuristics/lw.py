@@ -70,10 +70,10 @@ class LwScheduler(GreedyScheduler):
         return self._p_plus(view) ** ct
 
     def _score_ct_row(self, rs: RoundState, cache: dict, ct_row: list) -> list:
-        p_plus_up = self._gather_belief(rs, cache, "p_plus", "LW needs one")
+        p_plus_up = self._gather_belief(rs, cache, "p_plus")
         return [math.pow(base, ct) for base, ct in zip(p_plus_up, ct_row)]
 
     def _score_ct_one(self, rs: RoundState, cache: dict, ct: int, i: int) -> float:
-        p_plus_up = self._gather_belief(rs, cache, "p_plus", "LW needs one")
+        p_plus_up = self._gather_belief(rs, cache, "p_plus")
         return math.pow(p_plus_up[i], ct)
 

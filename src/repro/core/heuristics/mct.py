@@ -109,12 +109,12 @@ class EmctScheduler(GreedyScheduler):
         return self._expected_slots(view, ct)
 
     def _score_ct_row(self, rs: RoundState, cache: dict, ct_row: list) -> list:
-        e_up = self._gather_belief(rs, cache, "e_up", "EMCT needs one")
+        e_up = self._gather_belief(rs, cache, "e_up")
         return [
             1.0 + max(ct - 1.0, 0.0) * e for ct, e in zip(ct_row, e_up)
         ]
 
     def _score_ct_one(self, rs: RoundState, cache: dict, ct: int, i: int) -> float:
-        e_up = self._gather_belief(rs, cache, "e_up", "EMCT needs one")
+        e_up = self._gather_belief(rs, cache, "e_up")
         return 1.0 + max(ct - 1.0, 0.0) * e_up[i]
 

@@ -89,10 +89,10 @@ class UdScheduler(GreedyScheduler):
         return p_no_down_approx(view.belief, max(1.0, k))
 
     def _score_ct_row(self, rs: RoundState, cache: dict, ct_row: list) -> list:
-        e_up = self._gather_belief(rs, cache, "e_up", "UD needs one")
-        base = self._gather_belief(rs, cache, "ud_base", "UD needs one")
-        avg_down = self._gather_belief(rs, cache, "ud_avg_down", "UD needs one")
-        degenerate = self._gather_belief(rs, cache, "ud_degenerate", "UD needs one")
+        e_up = self._gather_belief(rs, cache, "e_up")
+        base = self._gather_belief(rs, cache, "ud_base")
+        avg_down = self._gather_belief(rs, cache, "ud_avg_down")
+        degenerate = self._gather_belief(rs, cache, "ud_degenerate")
         row = []
         for ct, e, b, a, dg in zip(ct_row, e_up, base, avg_down, degenerate):
             k = max(1.0, 1.0 + max(ct - 1.0, 0.0) * e)
@@ -103,11 +103,11 @@ class UdScheduler(GreedyScheduler):
         return row
 
     def _score_ct_one(self, rs: RoundState, cache: dict, ct: int, i: int) -> float:
-        e = self._gather_belief(rs, cache, "e_up", "UD needs one")[i]
-        b = self._gather_belief(rs, cache, "ud_base", "UD needs one")[i]
+        e = self._gather_belief(rs, cache, "e_up")[i]
+        b = self._gather_belief(rs, cache, "ud_base")[i]
         k = max(1.0, 1.0 + max(ct - 1.0, 0.0) * e)
-        if self._gather_belief(rs, cache, "ud_degenerate", "UD needs one")[i] > 0.0:
+        if self._gather_belief(rs, cache, "ud_degenerate")[i] > 0.0:
             return 0.0 if k > 2.0 else b
-        a = self._gather_belief(rs, cache, "ud_avg_down", "UD needs one")[i]
+        a = self._gather_belief(rs, cache, "ud_avg_down")[i]
         return b * math.pow(1.0 - a, max(k - 2.0, 0.0))
 

@@ -46,10 +46,9 @@ advances all counters arithmetically across the quiet gap in O(p) instead
 of O(p·span).  The live instances sit in the structure-of-arrays
 :class:`~repro.sim.instance_table.InstanceTable` (DESIGN.md §9), the
 schedulers read an incrementally maintained
-:class:`~repro.core.heuristics.base.RoundState` (§8), and, unless a
-timeline recorder observes every state vector, an event calendar (§12)
-touches only the processors whose availability run ended at a
-boundary.
+:class:`~repro.core.heuristics.base.RoundState` (§8), and an event
+calendar (§12) — the only platform index — touches only the processors
+whose availability run ended at a boundary.
 
 **The reference** (DESIGN.md §3).  None of this machinery may change a
 result: :class:`~repro.sim.reference.ReferenceSimulator`, a plain
@@ -112,6 +111,9 @@ class MasterSimulator:
         timeline: optional per-slot activity recorder (see
             :class:`~repro.sim.timeline.TimelineRecorder`); costs one byte
             row per slot, so enable for debugging/examples only.
+
+    A simulator runs once: a second :meth:`run`, :meth:`run_slots` or
+    :meth:`begin_run` raises ``RuntimeError``.
     """
 
     def __init__(
@@ -156,7 +158,7 @@ class MasterSimulator:
             len(self.workers),
             1 + self.options.max_replicas,
         )
-        #: Mirrors ``prog_received > 0`` per worker (crash-sweep filter).
+        #: Mirrors ``prog_received > 0`` per worker (crash-candidate filter).
         self._prog_started = [False] * len(self.workers)
         #: Per-worker reuse cache for frozen TransferRequest objects,
         #: keyed by (kind, started, is_replica) — see _gather_requests.
@@ -164,12 +166,6 @@ class MasterSimulator:
         self._committed: set[int] = set()  # committed task_ids, this iteration
         self._start_iteration(0)
 
-        self._prev_states: Optional[np.ndarray] = None
-        # The state vector as a plain Python list, once per boundary (int
-        # loops beat per-element numpy reads ~2× at the paper's p = 20 —
-        # DESIGN.md §9).
-        self._states_list: Optional[list] = None
-        self._prev_states_list: Optional[list] = None
         self._avail = [proc.availability for proc in platform]
         self._need_replan = True
 
@@ -196,29 +192,26 @@ class MasterSimulator:
         # simulated slot (reused verbatim across the quiet span), whether
         # that slot changed the pipeline shape (a data transfer finishing
         # re-opens the allocation problem), and per-processor caches of
-        # the next availability transition.
+        # the next availability transition and DOWN entry.
         self._pipeline_changed = False
         self._span_refined = False
         self._grants: List[tuple] = []
         self._grant_index: Dict[int, tuple] = {}
         self._grant_counts = (0, 0, 0)
         self._next_change_cache: List[Optional[int]] = [None] * len(self.workers)
-        self._next_up_cache: List[Optional[int]] = [None] * len(self.workers)
         self._next_down_cache: List[Optional[int]] = [None] * len(self.workers)
 
-        # Large-p platform engine (DESIGN.md §12).  The event calendar is
-        # built lazily at the first boundary of a run once the budget is
-        # known (``_cal_last``); it stays ``None`` when a timeline recorder
-        # needs the per-boundary sweep.
-        self._cal: Optional[PlatformCalendar] = None
-        self._cal_last: Optional[int] = None
-        #: Net state changes of the current boundary, ``(q, old, new)``
-        #: ascending — ``None`` when this step must take the sweep path
-        #: (no calendar, or the calendar's first boundary).
-        self._cal_records = None
+        # The platform index (DESIGN.md §12): the event calendar holds the
+        # state vector of the last boundary — as a plain Python list
+        # (``_states_list``; int loops beat per-element numpy reads ~2× at
+        # the paper's p = 20 — DESIGN.md §9) and as a zero-copy uint8
+        # view — and is started in ``_start_run`` once the budget is known
+        # (its heap sentinels are budget-relative).
+        self._cal = PlatformCalendar(self._avail)
+        self._states_list: List[int] = []  # the calendar's, once started
         #: Workers with a partial or resident program (mirrors
         #: ``prog_received > 0``): together with the queue hosts these are
-        #: the only workers a calendar-mode span search must visit.
+        #: the only workers the span search must visit.
         self._prog_holders: set = set()
 
         # Sparse companion of the RoundState dirty flags (layer 2 of the
@@ -229,8 +222,8 @@ class MasterSimulator:
         self._rs_dirty_hint: List[int] = list(range(len(self.workers)))
 
         #: Operation-count instrumentation (diagnostics; ``op_counts``
-        #: bundles them).  Touched workers: per-boundary state reads —
-        #: p on the sweep path, heap pops on the calendar path.  Span
+        #: bundles them).  Touched workers: state reads — p at the
+        #: calendar's start, then its heap pops at each boundary.  Span
         #: scans: workers visited by the quiet-span search.  Refreshes:
         #: RoundState columns recomputed at executed rounds.
         self.op_boundaries = 0
@@ -306,9 +299,9 @@ class MasterSimulator:
         """Operation-count instrumentation (DESIGN.md §12).
 
         ``boundaries``: fully simulated slots; ``boundary_workers_
-        touched``: per-boundary state reads summed over the run (p per
-        boundary on the sweep path, heap pops on the calendar path);
-        ``calendar_pops``: total heap pops (0 on the sweep path);
+        touched``: state reads summed over the run (p at the calendar's
+        start, then its heap pops at each boundary);
+        ``calendar_pops``: total heap pops;
         ``span_scan_workers``: workers visited by the quiet-span search;
         ``round_refreshed``: RoundState columns recomputed at executed
         rounds (the sparse dirty-hint walk); ``rows_scored``: score-row
@@ -330,21 +323,11 @@ class MasterSimulator:
             "rows_reused": 0,
         }
 
-    def _calendar_active(self) -> bool:
-        """Whether this run uses the event-calendar platform index.
-
-        Requires no timeline recorder (a recorder observes every slot's
-        full state vector) and a known slot budget (``_cal_last`` — heap
-        sentinels are budget-relative).  Otherwise every boundary sweeps
-        all ``p`` states.
-        """
-        return self.timeline is None and self._cal_last is not None
-
     def _queue_hosts(self) -> set:
         """Workers currently holding at least one queued instance.
 
         Derived from the instance table's live rows — O(live instances),
-        independent of p — for the calendar path's busy-worker loops.
+        independent of p — for the busy-worker loops.
         Invariant (audited): a worker appears here iff its queue is
         non-empty, since every live instance with ``worker is not None``
         sits in exactly that worker's queue and every detach
@@ -363,117 +346,60 @@ class MasterSimulator:
     # ------------------------------------------------------------------ #
     # Crash / state handling.                                              #
     # ------------------------------------------------------------------ #
-    def _handle_states(self, slot: int) -> None:
-        records = self._cal_records
-        if records is not None:
-            # Calendar path: the records ARE the boundary snapshot diff
-            # (net per-processor changes, ascending) — same re-plan
-            # trigger, same events, no O(p) pass.  The calendar's first
-            # boundary takes the sweep path below.
+    def _handle_states(self, slot: int, records: List[tuple]) -> None:
+        """React to this boundary's net state changes.
+
+        ``records`` are the calendar's ``(q, old, new)`` triples — the
+        boundary snapshot diff, ascending ``q`` — so the re-plan trigger,
+        the events and the crash candidates come without an O(p) pass.
+        """
+        if records:
             slist = self._states_list
-            if records:
-                up = int(ProcState.UP)
-                # Dirty workers re-entering the UP set rejoin the sparse
-                # refresh hint here (their hint entry was dropped while
-                # they were out of the scoring candidate set).
-                dirty = self._rs_dirty
-                hint = self._rs_dirty_hint
-                for q, _old, new in records:
-                    if new == up and dirty[q]:
-                        hint.append(q)
-                churned = [
-                    q for q, old, new in records if (new == up) != (old == up)
-                ]
-                if churned:
-                    if self._policy_churn_always:
-                        self._need_replan = True
-                    else:
-                        self._churn_replan(slot, churned, slist)
-                if self.log.enabled:
-                    for q, old, new in records:
-                        self.log.emit(
-                            SimEvent(
-                                slot,
-                                EventKind.PROC_STATE_CHANGE,
-                                worker=q,
-                                detail=(
-                                    f"{ProcState(old).code}"
-                                    f"->{ProcState(new).code}"
-                                ),
-                            )
-                        )
-            # Only a net transition *into* DOWN can crash: DOWN workers
-            # cannot gain work (placements refuse DOWN, transfers need
-            # UP), and a busy worker's DOWN entry always breaks the span
-            # (kind 0/2 in the span search), so its record is fresh.
-            down = int(ProcState.DOWN)
-            prog_started = self._prog_started
-            workers = self.workers
-            candidates = [
-                q
-                for q, _old, new in records
-                if new == down and (prog_started[q] or workers[q].queue)
+            up = int(ProcState.UP)
+            # Dirty workers re-entering the UP set rejoin the sparse
+            # refresh hint here (their hint entry was dropped while they
+            # were out of the scoring candidate set).
+            dirty = self._rs_dirty
+            hint = self._rs_dirty_hint
+            for q, _old, new in records:
+                if new == up and dirty[q]:
+                    hint.append(q)
+            # Re-plan only when the UP set changed: transitions among
+            # RECLAIMED/DOWN of unused processors alter neither the
+            # candidate set nor any Delay estimate.
+            churned = [
+                q for q, old, new in records if (new == up) != (old == up)
             ]
-            self._crash(slot, candidates)
-            return
-        slist = self._states_list
-        prev_list = self._prev_states_list
-        if prev_list is not None:
-            # Fused change detection: one pass over the plain-list state
-            # vectors feeds the re-plan trigger and the log loop (events
-            # in ascending worker order).
-            changed = [
-                q for q in range(len(slist)) if slist[q] != prev_list[q]
-            ]
-            if changed:
-                up = int(ProcState.UP)
-                # Dirty workers re-entering the UP set rejoin the sparse
-                # refresh hint (entries dropped while non-UP).
-                dirty = self._rs_dirty
-                hint = self._rs_dirty_hint
-                for q in changed:
-                    if slist[q] == up and dirty[q]:
-                        hint.append(q)
-                # Re-plan only when the UP set changed: transitions among
-                # RECLAIMED/DOWN of unused processors alter neither the
-                # candidate set nor any Delay estimate.
-                if any(
-                    (slist[q] == up) != (prev_list[q] == up) for q in changed
-                ):
-                    if self._policy_churn_always:
-                        self._need_replan = True
-                    else:
-                        self._churn_replan(
+            if churned:
+                if self._policy_churn_always:
+                    self._need_replan = True
+                else:
+                    self._churn_replan(slot, churned, slist)
+            if self.log.enabled:
+                for q, old, new in records:
+                    self.log.emit(
+                        SimEvent(
                             slot,
-                            [
-                                q
-                                for q in changed
-                                if (slist[q] == up) != (prev_list[q] == up)
-                            ],
-                            slist,
+                            EventKind.PROC_STATE_CHANGE,
+                            worker=q,
+                            detail=(
+                                f"{ProcState(old).code}"
+                                f"->{ProcState(new).code}"
+                            ),
                         )
-                if self.log.enabled:
-                    for q in changed:
-                        self.log.emit(
-                            SimEvent(
-                                slot,
-                                EventKind.PROC_STATE_CHANGE,
-                                worker=q,
-                                detail=(
-                                    f"{ProcState(prev_list[q]).code}"
-                                    f"->{ProcState(slist[q]).code}"
-                                ),
-                            )
-                        )
-        # Only workers carrying progress can crash; the filters mirror
-        # ``prog_received > 0`` / non-empty queues exactly.
+                    )
+        # Only a net transition *into* DOWN can crash: DOWN workers cannot
+        # gain work (placements refuse DOWN, transfers need UP), and a busy
+        # worker's DOWN entry always breaks the span (see _quiet_span), so
+        # its record is fresh.  Only workers carrying progress crash; the
+        # filters mirror ``prog_received > 0`` / non-empty queues exactly.
         down = int(ProcState.DOWN)
         prog_started = self._prog_started
         workers = self.workers
         candidates = [
             q
-            for q in range(len(slist))
-            if slist[q] == down and (prog_started[q] or workers[q].queue)
+            for q, _old, new in records
+            if new == down and (prog_started[q] or workers[q].queue)
         ]
         self._crash(slot, candidates)
 
@@ -708,32 +634,17 @@ class MasterSimulator:
             return False
         if not self.options.replication or self.options.max_replicas == 0:
             return True
+        # The UP count is maintained incrementally and an idle UP worker
+        # exists iff the UP set is larger than the UP slice of the
+        # queue-host set — O(live), never O(p).
+        up_count = self._cal.up_count
+        if up_count <= tbl.n_uncommitted:
+            return True  # replication trigger cannot fire
         up_state = int(ProcState.UP)
-        cal = self._cal
-        if cal is not None:
-            # Calendar path: the UP count is maintained incrementally and
-            # an idle UP worker exists iff the UP set is larger than the
-            # UP slice of the queue-host set — O(live), never O(p).
-            n_uncommitted = tbl.n_uncommitted
-            if cal.up_count <= n_uncommitted:
-                return True  # replication trigger cannot fire
-            slist = self._states_list
-            busy_up = sum(
-                1 for q in self._queue_hosts() if slist[q] == up_state
-            )
-            idle = cal.up_count > busy_up
-        else:
-            n_uncommitted = tbl.n_uncommitted
-            slist = self._states_list
-            if slist.count(up_state) <= n_uncommitted:
-                return True  # replication trigger cannot fire
-            workers = self.workers
-            idle = any(
-                slist[q] == up_state and not workers[q].queue
-                for q in range(len(slist))
-            )
-        if not idle:
-            return True
+        slist = self._states_list
+        busy_up = sum(1 for q in self._queue_hosts() if slist[q] == up_state)
+        if up_count <= busy_up:
+            return True  # no idle UP worker to replicate onto
         return self._replication_saturated()
 
     def _replication_saturated(self) -> bool:
@@ -758,10 +669,7 @@ class MasterSimulator:
         uncommitted = self.app.tasks_per_iteration - len(self._committed)
         tbl = self._tbl
         slist = self._states_list
-        if self._cal is not None:
-            up = self._cal.up_count
-        else:
-            up = slist.count(int(ProcState.UP))
+        up = self._cal.up_count
         if up < uncommitted or up == 0:
             return []
         candidates = []
@@ -879,35 +787,19 @@ class MasterSimulator:
         n_uncommitted = tbl.n_uncommitted
         if n_uncommitted <= 0:
             return
-        up_state = int(ProcState.UP)
         cal = self._cal
-        idle_mask = None
-        idle = None
-        if cal is not None:
-            if cal.up_count <= n_uncommitted:
-                return  # paper's trigger: more UP than remaining tasks
-            # Only queue hosts can be non-idle: mask the (few) busy
-            # workers out of the UP vector, and keep the *mask* — the
-            # candidate loop below then builds each task's allowed set
-            # with O(p) numpy ops instead of O(idle) Python list scans.
-            idle_mask = cal.states_np == up_state
-            for q in self._queue_hosts():
-                idle_mask[q] = False
-            n_idle = int(np.count_nonzero(idle_mask))
-            if n_idle == 0:
-                return
-        else:
-            slist = self._states_list
-            if slist.count(up_state) <= n_uncommitted:
-                return  # paper's trigger: more UP than remaining tasks
-            workers = self.workers
-            idle = [
-                q
-                for q in range(len(slist))
-                if slist[q] == up_state and not workers[q].queue
-            ]
-            if not idle:
-                return
+        if cal.up_count <= n_uncommitted:
+            return  # paper's trigger: more UP than remaining tasks
+        # Only queue hosts can be non-idle: mask the (few) busy workers out
+        # of the UP vector, and keep the *mask* — the candidate loop below
+        # then builds each task's allowed set with O(p) numpy ops instead
+        # of O(idle) Python list scans.
+        idle_mask = cal.states_np == int(ProcState.UP)
+        for q in self._queue_hosts():
+            idle_mask[q] = False
+        n_idle = int(np.count_nonzero(idle_mask))
+        if n_idle == 0:
+            return
         max_instances = 1 + self.options.max_replicas
         place_array = self.scheduler.place_array
         # The per-task aggregates are maintained incrementally, so no pass
@@ -921,30 +813,22 @@ class MasterSimulator:
             key=lambda task_id: (int(live_count[task_id]), task_id),
         )
         for task_id in candidates:
-            exhausted = (n_idle == 0) if idle_mask is not None else not idle
-            if exhausted:
+            if n_idle == 0:
                 break
             if live_count[task_id] >= max_instances:
                 continue
-            task_hosts = tbl.hosts_of_task(task_id)
-            if idle_mask is not None:
-                # Mask arithmetic: the eligibility mask itself is the
-                # allowed form the array schedulers consume (same
-                # candidate set as an ascending index list), so no index
-                # materialisation at all per candidate task.
-                blocked = [q for q in task_hosts if idle_mask[q]]
-                if blocked:
-                    if len(blocked) == n_idle:
-                        continue
-                    amask = idle_mask.copy()
-                    amask[blocked] = False
-                    allowed = amask
-                else:
-                    allowed = idle_mask
-            else:
-                allowed = [q for q in idle if q not in task_hosts]
-                if not allowed:
+            # Mask arithmetic: the eligibility mask itself is the allowed
+            # form the array schedulers consume (same candidate set as an
+            # ascending index list), so no index materialisation at all
+            # per candidate task.
+            blocked = [q for q in tbl.hosts_of_task(task_id) if idle_mask[q]]
+            if blocked:
+                if len(blocked) == n_idle:
                     continue
+                allowed = idle_mask.copy()
+                allowed[blocked] = False
+            else:
+                allowed = idle_mask
             choice = place_array(rs, 1, allowed)[0]
             if choice is None:
                 continue
@@ -958,11 +842,8 @@ class MasterSimulator:
             self._place(replica, choice)
             if replica.worker is not None:
                 self.report.replicas_launched += 1
-                if idle_mask is not None:
-                    idle_mask[choice] = False
-                    n_idle -= 1
-                else:
-                    idle.remove(choice)
+                idle_mask[choice] = False
+                n_idle -= 1
             else:
                 tbl.destroy(replica)
 
@@ -975,21 +856,9 @@ class MasterSimulator:
         dirty = self._rs_dirty
         hint = self._rs_dirty_hint
         slist = self._states_list
-        if self._cal is not None:
-            # Calendar path: a queue implies live hosted instances, so
-            # the queue-host set (O(live)) filtered to UP is exactly the
-            # sweep's candidate list, in the same ascending order.
-            candidates = [
-                q for q in sorted(self._queue_hosts()) if slist[q] == up
-            ]
-        else:
-            # Only UP workers with a queue can compute (ascending order).
-            workers = self.workers
-            candidates = [
-                q
-                for q in range(len(slist))
-                if slist[q] == up and workers[q].queue
-            ]
+        # Only UP workers with a queue can compute, in ascending order; the
+        # queue-host set (O(live)) holds exactly the queue holders.
+        candidates = [q for q in sorted(self._queue_hosts()) if slist[q] == up]
         for q in candidates:
             worker = self.workers[q]
             row = tbl.computing_row[q]
@@ -1083,17 +952,9 @@ class MasterSimulator:
         up = int(ProcState.UP)
         slist = self._states_list
         all_workers = self.workers
-        if self._cal is not None:
-            # Calendar path: O(live) candidates from the queue hosts.
-            workers = [
-                all_workers[q] for q in sorted(self._queue_hosts()) if slist[q] == up
-            ]
-        else:
-            workers = [
-                all_workers[q]
-                for q in range(len(slist))
-                if slist[q] == up and all_workers[q].queue
-            ]
+        workers = [
+            all_workers[q] for q in sorted(self._queue_hosts()) if slist[q] == up
+        ]
         caches = self._request_cache
         for worker in workers:
             if worker.wants_program():
@@ -1202,41 +1063,21 @@ class MasterSimulator:
     # ------------------------------------------------------------------ #
     def _step(self, slot: int) -> bool:
         """Simulate one slot; returns True when the whole run finished."""
+        # Pop the processors whose run ended since the last boundary —
+        # O(churn · log p) — into the calendar's persistent state list and
+        # buffer (DESIGN.md §12); the net-change records are the boundary
+        # snapshot diff.  The run's first boundary pops nothing.
         cal = self._cal
-        if cal is not None:
-            # Calendar path (DESIGN.md §12): pop the processors whose run
-            # ended since the last boundary — O(churn · log p) — and keep
-            # the persistent state list/buffer, instead of p state reads
-            # and a fresh vector per boundary.  The net-change records
-            # replace the sweep path's snapshot diff in _handle_states.
-            self._cal_records = cal.advance(slot)
-            self._states_list = cal.states
-            states = cal.states_np
-            self.op_boundary_workers_touched += cal.last_pops
-            self.op_calendar_pops += cal.last_pops
-        else:
-            if self._calendar_active():
-                # First boundary of a calendar run: full O(p) build, then
-                # the sweep fallback handles this step (records = None).
-                cal = self._cal = PlatformCalendar(self._avail)
-                cal.start(slot, self._cal_last)
-                self._states_list = cal.states
-                states = cal.states_np
-            else:
-                # Sweep: gather states into a Python list (one state_at
-                # per source, cursor-backed O(1) on the RLE traces) and
-                # wrap it zero-copy for the vectorised consumers.
-                slist = [source.state_at(slot) for source in self._avail]
-                states = np.frombuffer(bytes(slist), dtype=np.uint8)
-                self._states_list = slist
-            self._cal_records = None
-            self.op_boundary_workers_touched += len(self.workers)
+        records = cal.advance(slot)
+        states = cal.states_np
+        self.op_boundary_workers_touched += cal.last_pops
+        self.op_calendar_pops += cal.last_pops
         self.steps_executed += 1
         self.op_boundaries += 1
         self._pipeline_changed = False
         if self.timeline is not None:
             self.timeline.begin_slot(states)
-        self._handle_states(slot)
+        self._handle_states(slot, records)
 
         if self._need_replan or self._every_slot:
             self._need_replan = False
@@ -1261,9 +1102,6 @@ class MasterSimulator:
                 self.log.emit(SimEvent(slot, EventKind.RUN_DONE))
                 return True
             self._start_iteration(self.iteration + 1)
-
-        self._prev_states = states
-        self._prev_states_list = self._states_list
         return False
 
     # ------------------------------------------------------------------ #
@@ -1284,61 +1122,30 @@ class MasterSimulator:
         self._next_change_cache[q] = change if change is not None else last + 1
         return change
 
-    def _next_state_entry(
-        self,
-        q: int,
-        slot: int,
-        last: int,
-        target: int,
-        cache: List[Optional[int]],
-    ) -> Optional[int]:
-        """Next slot in ``(slot, last]`` where processor ``q`` enters
-        ``target``, walking the source's change points.
-
-        Cache validity mirrors :meth:`_next_change`: the cached slot is
-        the *first* entry into ``target`` after the boundary that
-        computed it, so the processor is never in ``target`` in between
-        and the value stays correct for any query slot before it.
-        """
-        cached = cache[q]
-        if cached is not None and cached > slot:
-            return cached if cached <= last else None
-        source = self.platform[q].availability
-        change = source.next_change_after(slot, limit=last)
-        while change is not None and source.state_at(change) != target:
-            change = source.next_change_after(change, limit=last)
-        cache[q] = change if change is not None else last + 1
-        return change
-
-    def _next_up_entry(self, q: int, slot: int, last: int) -> Optional[int]:
-        """Next UP entry of processor ``q`` in ``(slot, last]``.
-
-        Only consulted for processors currently not UP whose worker holds
-        no progress: their RECLAIMED↔DOWN wandering is invisible to the
-        simulation (no crash to apply, no UP-set change, and scheduling
-        rounds — which do see the full state vector — happen only at
-        boundaries), so the span may glide over it.  (Currently-UP empty
-        workers always break spans on any change, even under the
-        ``relevant-up`` policy: gliding over an exit would mask a
-        re-entry inside the same span — see the note in
-        :meth:`_quiet_span`.)
-        """
-        return self._next_state_entry(
-            q, slot, last, int(ProcState.UP), self._next_up_cache
-        )
-
     def _next_down_entry(self, q: int, slot: int, last: int) -> Optional[int]:
-        """Next DOWN entry of processor ``q`` in ``(slot, last]``.
+        """Next slot in ``(slot, last]`` where processor ``q`` enters DOWN,
+        walking the source's change points.
 
         Consulted for workers whose only observable transition is the
         DOWN entry that crashes them: program-holding workers with empty
         queues, and — in refined spans — UP workers whose pending
         requests stay outranked and whose compute advances by UP count
-        (see :meth:`_quiet_span`).
+        (see :meth:`_quiet_span`).  Cache validity mirrors
+        :meth:`_next_change`: the cached slot is the *first* DOWN entry
+        after the boundary that computed it, so the processor is never
+        DOWN in between and the value stays correct for any query slot
+        before it.
         """
-        return self._next_state_entry(
-            q, slot, last, int(ProcState.DOWN), self._next_down_cache
-        )
+        cached = self._next_down_cache[q]
+        if cached is not None and cached > slot:
+            return cached if cached <= last else None
+        source = self._avail[q]
+        down = int(ProcState.DOWN)
+        change = source.next_change_after(slot, limit=last)
+        while change is not None and source.state_at(change) != down:
+            change = source.next_change_after(change, limit=last)
+        self._next_down_cache[q] = change if change is not None else last + 1
+        return change
 
     def _round_glidable(self) -> bool:
         """True when no mid-span scheduling round could change anything,
@@ -1382,197 +1189,56 @@ class MasterSimulator:
         ``slot+n+1`` is the next boundary and is simulated in full.  Under
         the ``every-slot`` policy every slot re-plans, so there are no
         quiet slots at all.
-        """
-        if self._every_slot:
-            return 0
-        if self._cal is not None:
-            return self._quiet_span_cal(slot, budget)
-        last = budget - 1
-        if slot >= last:
-            return 0
-        if self._need_replan or self._pipeline_changed:
-            return 0  # next slot re-plans or re-allocates: full step
-        states = self._prev_states_list
-        up = int(ProcState.UP)
-        horizon = last + 1  # exclusive sentinel: quiet through the budget
-        # 1. Availability: the earliest transition that the simulation can
-        #    observe.  With the event log enabled every transition is
-        #    observable (it must be logged), and likewise with a timeline
-        #    recorder attached (every slot's state lands in a row).
-        #    Otherwise observability depends on what the worker carries
-        #    and on whether rounds can act (``glide``):
-        #
-        #    * a granted transfer or a frozen (non-UP) queue: every
-        #      transition matters — it changes the channel allocation or
-        #      resumes/crashes a pipeline;
-        #    * an UP worker with a queue but no grant (``refined``): its
-        #      RECLAIMED wandering is invisible — its pending request was
-        #      already outranked at the boundary (and stays outranked:
-        #      grant priorities only improve; see
-        #      BoundedMultiportNetwork.plan) and its compute progress is
-        #      exactly its UP-slot count, handled arithmetically below —
-        #      so only the DOWN entry that crashes it breaks the span.
-        #      Audit mode disables this (the per-slot ``requested`` count
-        #      in the usage trail does observe the wandering);
-        #    * a resident program with an empty queue: only the DOWN
-        #      entry that wipes it (when rounds are glidable);
-        #    * an empty worker: only the UP-set changes a scheduling
-        #      round could act on — none at all while rounds are
-        #      provably trivial.
-        #
-        #    Scans use the budget-wide ``last`` (not the running horizon):
-        #    cached misses are stored as the sentinel ``last + 1``, which
-        #    is only sound when ``last`` is constant across boundaries.
-        observe_all = self.log.enabled or self.timeline is not None
-        # Under the sticky policy pure churn never triggers a round, so
-        # the glide conditions hold by construction: empty processors are
-        # invisible, program holders matter only through their crashing
-        # DOWN entry, and the refined treatment of wandering (UP,
-        # ungranted) workers is valid without the round-triviality proof
-        # (DESIGN.md §10).  All other round triggers — crashes, commits,
-        # program completions — are span boundaries in their own right.
-        sticky = self._policy.ignores_churn and not observe_all
-        glide = sticky or (not observe_all and self._round_glidable())
-        refined = glide and not self.options.audit
-        self._span_refined = refined
-        # Note on ``relevant-up``: although the policy ignores exits of
-        # empty processors, spans must still break on them — a boundary
-        # diffs states against the *last boundary*, so gliding over an
-        # exit would mask a re-entry inside the same span (UP → … → UP
-        # reads as "no change" and the entry — which the policy does
-        # consider relevant — would never replan, diverging from the
-        # reference).  The policy's gain is therefore fewer executed rounds at
-        # exit boundaries, not longer spans.
-        grant_index = self._grant_index
-        next_change_cache = self._next_change_cache
-        next_up_cache = self._next_up_cache
-        next_down_cache = self._next_down_cache
-        tbl = self._tbl
-        computing_rows = tbl.computing_row
-        objects = tbl.objects
-        avail = self._avail
-        # 2. (fused below) Worker pipelines: the computing instance and
-        #    the granted transfer (grants are stable across the span; see
-        #    BoundedMultiportNetwork.plan) tick one unit per slot —
-        #    except the computing instance of a refined (UP, ungranted)
-        #    worker, which ticks once per *UP* slot and therefore
-        #    completes at its worker's ``compute_remaining``-th UP slot.
-        #    Both the availability and the pipeline bounds for a worker
-        #    come from one pass (PR 5 span-search trim: one iteration,
-        #    O(1) computing lookup off the table, no per-worker method
-        #    calls).
-        self.op_span_scan_workers += len(self.workers)
-        for q, worker in enumerate(self.workers):
-            queue = worker.queue
-            state_up = states[q] == up
-            # kind: 0 = any change, 1 = next UP entry, 2 = next DOWN
-            # entry, None = invisible.  A grant implies a queue, so the
-            # index is only consulted for queue holders.
-            grant = grant_index.get(q) if queue else None
-            if observe_all:
-                kind = 0
-            elif queue:
-                kind = 2 if refined and state_up and grant is None else 0
-            elif worker.prog_received > 0:
-                kind = 2 if glide else 0
-            elif glide:
-                kind = None  # empty worker, rounds can't act: invisible
-            elif state_up:
-                kind = 0
-            else:
-                kind = 1
-            if kind is not None:
-                if kind == 0:
-                    cache = next_change_cache
-                elif kind == 1:
-                    cache = next_up_cache
-                else:
-                    cache = next_down_cache
-                cached = cache[q]  # inline cache hit: the common case
-                if cached is not None and cached > slot:
-                    change = cached if cached <= last else None
-                elif kind == 0:
-                    change = self._next_change(q, slot, last)
-                elif kind == 1:
-                    change = self._next_up_entry(q, slot, last)
-                else:
-                    change = self._next_down_entry(q, slot, last)
-                if change is not None and change < horizon:
-                    horizon = change
-                    if horizon == slot + 1:
-                        return 0
-            if not queue or not state_up:
-                continue  # idle, frozen (RECLAIMED) or wiped: no ticks
-            row = computing_rows[q]
-            computing = objects[row] if row >= 0 else None
-            if grant is None:
-                if refined:
-                    if computing is None:
-                        continue
-                    milestone_slot = avail[q].nth_up_after(
-                        slot,
-                        computing.compute_needed - computing.compute_done,
-                        limit=last,
-                    )
-                    if milestone_slot is not None and milestone_slot < horizon:
-                        horizon = milestone_slot
-                        if horizon == slot + 1:
-                            return 0
-                    continue
-                milestone = None
-            else:
-                grant_kind, grant_inst = grant
-                if grant_kind == "prog":
-                    milestone = worker.t_prog - worker.prog_received
-                else:
-                    milestone = grant_inst.data_needed - grant_inst.data_received
-            if computing is not None:
-                remaining = computing.compute_needed - computing.compute_done
-                if milestone is None or remaining < milestone:
-                    milestone = remaining
-            if milestone is not None and slot + milestone < horizon:
-                horizon = slot + milestone
-                if horizon == slot + 1:
-                    return 0
-        return horizon - slot - 1
 
-    def _quiet_span_cal(self, slot: int, budget: int) -> int:
-        """Calendar-mode quiet-span search: O(busy), never O(p).
+        O(busy), never O(p): only the *busy* workers — queue hosts plus
+        program holders (O(live), from the table's rows and the
+        ``_prog_holders`` mirror) — are visited.  The availability bound
+        splits by regime:
 
-        Same contract as :meth:`_quiet_span`, visiting only the *busy*
-        workers — queue hosts plus program holders (O(live), from the
-        table's rows and the ``_prog_holders`` mirror).  The availability
-        bound splits by regime:
-
-        * **observe_all** (event log attached; the calendar never engages
-          with a timeline): the sweep assigns every worker kind 0, whose
-          minimum is exactly the calendar's heap top — identical spans;
-        * **non-glide**: busy workers are kind 0 and idle non-UP workers
-          kind 1 (their next *UP entry*); bounding both by the heap top
-          is conservative — spans never longer than the sweep's, and an
-          extra boundary at an idle worker's non-UP→non-UP transition is
+        * **observe_all** (an event log or a timeline recorder attached):
+          every transition must be logged or lands in a recorded row, so
+          the calendar's heap top — the platform-wide next transition —
+          bounds the span;
+        * **non-glide** (a round could act on an UP-set change): the heap
+          top bounds the span too.  This is conservative for an idle
+          worker's non-UP→non-UP transition, but such an extra boundary is
           provably a no-op: no UP-set change, no event (the log is off in
           this regime), no crash candidate (idle workers carry nothing),
           and identical grants (same request set; grant priorities are
-          stable — see BoundedMultiportNetwork.plan), so the per-slot
-          trail matches the sweep's span arithmetic bit for bit;
-        * **glide**: idle workers are invisible (kind None) and the heap
-          top must NOT bound the span — only the busy workers' kind 0/2
-          lookups apply, exactly as in the sweep.
+          stable — see BoundedMultiportNetwork.plan);
+        * **glide** (rounds provably trivial, or ``sticky``): idle workers
+          are invisible and the heap top must NOT bound the span.  A
+          granted transfer or a frozen (non-UP) queue breaks on any
+          change; an UP worker with a queue but no grant (``refined``)
+          only on the DOWN entry that crashes it — its pending request was
+          already outranked at the boundary and stays outranked, and its
+          compute progress is its UP-slot count, applied arithmetically
+          (audit mode disables this: the per-slot ``requested`` count in
+          the usage trail observes the wandering); a resident program
+          with an empty queue only on the DOWN entry that wipes it.
 
-        Milestone bounds (transfer/compute completions) are the sweep's,
-        restricted to queue holders — the only workers that can carry
-        grants or computing instances.
+        Milestone bounds (transfer/compute completions) come from the
+        queue holders — the only workers that can carry grants or
+        computing instances.  Lookups use the budget-wide ``last`` (not
+        the running horizon): cached misses are stored as the sentinel
+        ``last + 1``, which is only sound when ``last`` is constant
+        across boundaries.
         """
+        if self._every_slot:
+            return 0
         last = budget - 1
         if slot >= last:
             return 0
         if self._need_replan or self._pipeline_changed:
             return 0  # next slot re-plans or re-allocates: full step
-        states = self._prev_states_list
+        states = self._states_list
         up = int(ProcState.UP)
         horizon = last + 1  # exclusive sentinel: quiet through the budget
-        observe_all = self.log.enabled
+        observe_all = self.log.enabled or self.timeline is not None
+        # Under the sticky policy pure churn never triggers a round, so
+        # the glide conditions hold by construction (DESIGN.md §10).  All
+        # other round triggers — crashes, commits, program completions —
+        # are span boundaries in their own right.
         sticky = self._policy.ignores_churn and not observe_all
         glide = sticky or (not observe_all and self._round_glidable())
         refined = glide and not self.options.audit
@@ -1600,17 +1266,17 @@ class MasterSimulator:
             state_up = states[q] == up
             grant = grant_index.get(q) if queue else None
             if glide:
-                # kind 2 = next DOWN entry, kind 0 = any change — the
-                # sweep's glide assignments for busy workers verbatim.
-                if queue:
-                    kind = 2 if refined and state_up and grant is None else 0
-                else:
-                    kind = 2  # resident program: only the wiping DOWN
-                cache = next_down_cache if kind == 2 else next_change_cache
+                # A resident program without a queue, or a refined worker,
+                # breaks only on its next DOWN entry; anything else on any
+                # change.
+                down_only = not queue or (
+                    refined and state_up and grant is None
+                )
+                cache = next_down_cache if down_only else next_change_cache
                 cached = cache[q]  # inline cache hit: the common case
                 if cached is not None and cached > slot:
                     change = cached if cached <= last else None
-                elif kind == 2:
+                elif down_only:
                     change = self._next_down_entry(q, slot, last)
                 else:
                     change = self._next_change(q, slot, last)
@@ -1654,7 +1320,7 @@ class MasterSimulator:
         return horizon - slot - 1
 
     def _advance_quiet(self, start: int, count: int) -> None:
-        """Apply ``count`` quiet slots (``start .. start+count-1``) in O(p).
+        """Apply ``count`` quiet slots (``start .. start+count-1``) in O(busy).
 
         Every UP worker's computing instance accrues ``count`` compute
         slots and every granted transfer ``count`` channel slots — by
@@ -1662,7 +1328,6 @@ class MasterSimulator:
         completion threshold, no state transition is observable, and the
         grant set would be re-derived identically at each skipped slot.
         """
-        states = self._prev_states
         up = int(ProcState.UP)
         report = self.report
         refined = self._span_refined
@@ -1672,17 +1337,13 @@ class MasterSimulator:
             [] if self.timeline is not None else None
         )
         tbl = self._tbl
-        slist = self._prev_states_list
+        slist = self._states_list
         computing_row = tbl.computing_row
-        # On the calendar path a computing row implies a queued instance,
-        # so the queue-host set covers every computing worker.
-        candidates = (
-            sorted(self._queue_hosts()) if self._cal is not None
-            else range(len(slist))
-        )
+        # A computing row implies a queued instance, so the queue-host set
+        # covers every computing worker.
         computing = [
             (q, tbl.objects[computing_row[q]])
-            for q in candidates
+            for q in sorted(self._queue_hosts())
             if slist[q] == up and computing_row[q] >= 0
         ]
         for q, inst in computing:
@@ -1724,7 +1385,7 @@ class MasterSimulator:
             # and no pipeline crosses a completion threshold — so one row
             # serves the whole span.
             self.timeline.record_quiet_span(
-                states,
+                self._cal.states_np,
                 timeline_compute,
                 [(worker.index, kind) for worker, kind, _ in self._grants],
                 count,
@@ -1734,7 +1395,7 @@ class MasterSimulator:
 
     def _audit_quiet_advance(self) -> None:
         """Audit-mode cross-checks after a quiet-span fast-forward."""
-        states = self._prev_states_list
+        states = self._states_list
         up = int(ProcState.UP)
         requests, _targets = self._gather_requests()
         planned = {(g.worker, g.kind) for g in self.network.plan(requests)}
@@ -1796,15 +1457,19 @@ class MasterSimulator:
         self._start_run(require_positive_int(budget, "max_slots"))
 
     def _start_run(self, budget: int) -> None:
+        cal = self._cal
+        if cal.started:
+            # The run consumes its workers, instances and report.
+            raise RuntimeError("a simulator runs once; build a new one")
         self._resume_budget = budget
-        # The calendar's heap sentinels are budget-relative, so the
-        # engine can only engage once the budget is known.
-        self._cal_last = budget - 1
         self._resume_slot = 0
         self._run_over = False
-        self._next_change_cache = [None] * len(self.workers)
-        self._next_up_cache = [None] * len(self.workers)
-        self._next_down_cache = [None] * len(self.workers)
+        # The calendar's heap sentinels are budget-relative, so it starts
+        # here, where the budget is first known: the run's one O(p) pass
+        # over the platform.
+        cal.start(0, budget - 1)
+        self._states_list = cal.states
+        self.op_boundary_workers_touched += len(self.workers)
 
     def advance_until(self, slot_limit: int) -> bool:
         """Advance until the run ends or the clock reaches ``slot_limit``.
@@ -1880,9 +1545,9 @@ class MasterSimulator:
             assert bool(self._prog_started[q]) == (worker.prog_received > 0), (
                 f"worker {q}: prog_started flag drifted"
             )
-        # Calendar-path invariants (DESIGN.md §12), cheap to verify on
-        # every boundary: the busy-worker mirrors behind the O(busy) span
-        # search must match the queues exactly.
+        # Calendar invariants (DESIGN.md §12), cheap to verify on every
+        # boundary: the busy-worker mirrors behind the O(busy) span search
+        # must match the queues exactly.
         hosts = self._queue_hosts()
         for q, worker in enumerate(self.workers):
             assert (q in hosts) == bool(worker.queue), (
@@ -1892,14 +1557,13 @@ class MasterSimulator:
                 f"worker {q}: prog_holders mirror drifted"
             )
         cal = self._cal
-        if cal is not None:
-            slist = self._states_list
-            assert cal.up_count == slist.count(int(ProcState.UP)), (
-                "calendar up_count drifted"
-            )
-            assert list(cal.states_np) == slist, (
-                "calendar state buffer drifted from its list"
-            )
+        slist = self._states_list
+        assert cal.up_count == slist.count(int(ProcState.UP)), (
+            "calendar up_count drifted"
+        )
+        assert list(cal.states_np) == slist, (
+            "calendar state buffer drifted from its list"
+        )
 
 
 def simulate(

@@ -298,9 +298,9 @@ class PlatformCalendar:
     cursors of :mod:`repro.sim.availability`.  Advancing from one span
     boundary to the next pops only the processors whose current run ended
     in between — O(churned · log p) — instead of re-reading all ``p``
-    states and re-deriving all ``p`` next-transition minima (the O(p)
-    sweep the simulator falls back to when a timeline recorder observes
-    every boundary's full state vector).
+    states and re-deriving all ``p`` next-transition minima.  It is the
+    simulator's only platform index: every boundary of every run, with
+    or without a timeline recorder, reads the platform through it.
 
     Maintained invariants, relied on by the simulator:
 
@@ -336,7 +336,7 @@ class PlatformCalendar:
         self.started = False
 
     def start(self, slot: int, last: int) -> None:
-        """Full O(p) build at the first boundary of a run.
+        """Full O(p) build at the start of a run.
 
         ``last`` is the final in-budget slot; a processor holding its
         state through it gets the sentinel ``last + 1`` (strictly beyond
@@ -377,8 +377,9 @@ class PlatformCalendar:
         re-reads its state once (one RLE cursor hop regardless of how
         many runs the span glided over) and re-arms its heap entry with
         the first transition after ``slot``.  Returns ``(q, old, new)``
-        triples — net changes only, ascending ``q`` — matching what the
-        sweep path's boundary snapshot diff reports.
+        triples — net changes only, ascending ``q`` — matching a snapshot
+        diff of the two boundary state vectors.  Advancing to the slot
+        ``start`` read returns ``[]``: nothing is due there.
         """
         heap = self._heap
         states = self.states

@@ -102,7 +102,7 @@ class ReferenceSimulator:
 
     Same constructor and run API as
     :class:`~repro.sim.master.MasterSimulator` (minus the resumable-run
-    seam), and the same results.
+    seam), and the same results.  Like it, a simulator runs once.
 
     Args:
         platform: the volatile processors and the channel budget.
@@ -148,6 +148,7 @@ class ReferenceSimulator:
         #: Slot of the last executed scheduling round (debounce anchor).
         self._last_round_slot = -(1 << 60)
         self._prev_states: Optional[np.ndarray] = None
+        self._ran = False
         self._instances: List[TaskInstance] = []
         self._committed: set = set()
         self._start_iteration(0)
@@ -166,6 +167,10 @@ class ReferenceSimulator:
         return self._run(require_positive_int(n_slots, "n_slots"))
 
     def _run(self, budget: int) -> SimulationReport:
+        if self._ran:
+            # The run consumes its workers, instances and report.
+            raise RuntimeError("a simulator runs once; build a new one")
+        self._ran = True
         for slot in range(budget):
             finished = self._step(slot)
             self.report.slots_simulated = slot + 1

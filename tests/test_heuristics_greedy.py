@@ -25,6 +25,7 @@ from repro.core.heuristics.registry import (
 )
 from repro.core.heuristics.ud import UdScheduler
 from repro.core.markov import MarkovAvailabilityModel
+from repro.sim.platform import Platform, Processor
 from repro.types import ProcState
 
 
@@ -276,6 +277,33 @@ class TestHeapPlacementEquivalence:
         assert sched_a.place(ctx, n_tasks) == self.reference_place(
             sched_b, ctx, n_tasks
         )
+
+
+class TestZeroTaskPlacement:
+    """A placement of no tasks scores no candidate: for ``clairvoyant``
+    every score is a ground-truth trace walk."""
+
+    @pytest.mark.parametrize("name", ["clairvoyant", "ud-exact"])
+    def test_place_zero_tasks_scores_nothing(self, name, monkeypatch):
+        views = [view(q, speed=q + 1) for q in range(6)]
+        platform = Platform(
+            [Processor.from_trace(q, q + 1, [0] * 50) for q in range(6)],
+            ncom=2,
+        )
+        scheduler = make_scheduler(name, platform=platform)
+        calls = []
+        score = scheduler.score
+
+        def counting_score(*args):
+            calls.append(args)
+            return score(*args)
+
+        monkeypatch.setattr(scheduler, "score", counting_score)
+        ctx = context(views)
+        assert scheduler.place(ctx, 0) == []
+        assert calls == []
+        assert len(scheduler.place(ctx, 1)) == 1
+        assert calls  # the counter does see a real placement's scores
 
 
 class TestPassive:

@@ -350,6 +350,51 @@ class TestGuards:
             )
 
 
+class TestRunsOnce:
+    """A finished simulator refuses a second run instead of returning a
+    report corrupted by the first run's state."""
+
+    @staticmethod
+    def _finished(simulator):
+        scenario = ScenarioGenerator(12061).scenario(20, 10, 5, 0)
+        platform = scenario.build_platform(0)
+        sim = simulator(
+            platform,
+            scenario.app,
+            make_scheduler("emct*", platform=platform),
+            rng=scenario.scheduler_rng(0, "emct*"),
+        )
+        report = sim.run(max_slots=60_000)
+        assert report.completed_iterations == scenario.app.iterations
+        return sim
+
+    def test_second_run_raises(self, simulator):
+        sim = self._finished(simulator)
+        with pytest.raises(RuntimeError, match="runs once"):
+            sim.run(max_slots=60_000)
+
+    def test_run_slots_after_run_raises(self, simulator):
+        sim = self._finished(simulator)
+        with pytest.raises(RuntimeError, match="runs once"):
+            sim.run_slots(100)
+
+    def test_begin_run_after_run_raises(self):
+        sim = self._finished(MasterSimulator)
+        with pytest.raises(RuntimeError, match="runs once"):
+            sim.begin_run()
+
+    def test_rejected_budget_does_not_consume_the_run(self, simulator):
+        sim = simulator(
+            trace_platform(["u" * 20], [1]),
+            IterativeApplication(tasks_per_iteration=1, iterations=1,
+                                 t_prog=1, t_data=0),
+            MctScheduler(),
+        )
+        with pytest.raises(ValueError):
+            sim.run(max_slots=0)
+        assert sim.run(max_slots=20).makespan == 2
+
+
 class TestDeterministicSchedulerDefault:
     """Runs without an explicit scheduler rng are reproducible."""
 

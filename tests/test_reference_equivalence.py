@@ -330,8 +330,9 @@ class TestOptionVariants:
 
 
 class TestTimeline:
-    """A timeline recorder forces the fast path onto its per-boundary
-    sweep; quiet spans fill the recorder in batch."""
+    """A timeline recorder makes every availability transition observable:
+    the calendar breaks a span at each one, and quiet spans fill the
+    recorder in batch."""
 
     @pytest.mark.parametrize("cell", [(5, 5, 1), (20, 10, 5)])
     @pytest.mark.parametrize("heuristic", ["emct*", "random2w"])
@@ -341,7 +342,19 @@ class TestTimeline:
             scenario, heuristic, budget=60_000, timeline=True, audit=True
         )
         assert sim.timeline.matrix().shape[0] == report.slots_simulated
-        assert sim.op_counts["calendar_pops"] == 0  # sweep arm
+        assert sim.op_counts["calendar_pops"] > 0  # the calendar drives it
+
+    @pytest.mark.parametrize("policy", ["event", "sticky"])
+    def test_p400_timeline_identical(self, policy):
+        """A recorder on a large platform: reports, logs, audit trails and
+        timeline matrices match the reference under a policy that glides
+        without observers (sticky) and one that does not (event)."""
+        (report, _, _), sim = assert_scenario_equivalent(
+            large_grid(p=400), "mct", budget=600, timeline=True,
+            replan_policy=policy,
+        )
+        assert sim.timeline.matrix().shape == (report.slots_simulated, 400)
+        assert sim.op_counts["calendar_pops"] > 0
 
     def test_fast_path_still_spans_with_timeline(self):
         scenario = ScenarioGenerator(12061).scenario(20, 10, 5, 0)
@@ -519,7 +532,7 @@ class TestResume:
 
     @pytest.mark.parametrize("stride", [1, 25, BUDGET])
     @pytest.mark.parametrize("timeline", [False, True],
-                             ids=["calendar", "sweep"])
+                             ids=["no-timeline", "timeline"])
     def test_paused_run_matches_reference(self, timeline, stride):
         scenario = large_grid()
         paused = self._paused(scenario, stride, timeline)
@@ -555,7 +568,7 @@ class TestChurnScaling:
         counts, p = self._counts()
         boundaries = counts["boundaries"]
         assert boundaries > 0
-        # One full O(p) build at the first boundary, then only pops —
+        # One full O(p) build at the run's start, then only pops —
         # a per-boundary sweep would touch p × boundaries.
         assert counts["boundary_workers_touched"] == p + counts["calendar_pops"]
         assert counts["boundary_workers_touched"] < boundaries * p / 10
