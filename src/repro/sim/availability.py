@@ -25,8 +25,7 @@ All sources share one contract (:class:`AvailabilitySource`):
   span-stepped simulator core is built on (DESIGN.md §6): the first slot
   after ``slot`` whose state differs from ``state_at(slot)``.
 * ``block(start, stop)`` / ``materialized(length)`` — batched state
-  reads (tests, belief fitting, :meth:`~repro.sim.platform.Platform.
-  states_block`).
+  reads (tests, belief fitting).
 * ``up_count_in`` / ``nth_up_after`` — UP-slot arithmetic for the
   span-stepped refined-glide path.
 

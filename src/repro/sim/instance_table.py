@@ -1,45 +1,21 @@
-"""Structure-of-arrays bookkeeping for the master's live task instances.
+"""Row store for the master's live task instances (DESIGN.md §9).
 
-PR 3's array-backed scheduler left the *simulator body* as the dominant
-per-run cost: the master kept its live instances in a Python list and
-answered every question about them by scanning it — triviality checks and
-glide analysis at every span boundary, unpinned collection every round,
-replication counts, sibling lookups at commit, and an O(instances) list
-rebuild per destroyed instance.  :class:`InstanceTable` replaces the list
-with a table of *rows* (slots reused through a free list) holding parallel
-columns plus incrementally maintained aggregates, so each of those scans
-becomes a column operation or an O(1) counter read (DESIGN.md §9).
+The master keeps its live instances in :class:`InstanceTable`: *rows*
+(slots reused through a free list) holding the
+:class:`~repro.sim.worker.TaskInstance` records in ``objects[row]``, plus
+aggregates maintained incrementally at every mutation, so the body's
+questions — triviality checks and glide analysis at every span boundary,
+unpinned collection every round, replication counts, sibling lookups at
+commit — are O(1) reads instead of scans.
 
-**Columns** (indexed by row):
-
-===============  ============  ==========================================
-column           storage       meaning
-===============  ============  ==========================================
-``task_id``      int32 array   task index within the iteration (-1 dead)
-``replica_id``   int16 array   0 original, 1.. replicas
-``pinned``       bool array    work has begun (data started or computing)
-``computing``    bool array    currently its worker's computing instance
-``alive``        bool array    row is live
-``seq``          int64 array   creation order (the instance ``uid``)
-===============  ============  ==========================================
-
-The columns deliberately exclude per-round-churning placement state:
-every scheduling round re-plans every unpinned instance (tens of
-thousands of placements per run), so a mirrored ``worker``/queue-length
-column would be written far more often than it is read.  The hosting
-worker stays on the instance record (``inst.worker``) and queue lengths
-are ``len(worker.queue)`` — both already O(1) — while the table tracks
-only what changes at *event* rate.
-
-``objects[row]`` holds the live :class:`~repro.sim.worker.TaskInstance`
-record carrying the per-slot progress counters (``data_received``,
-``compute_done``, and the remaining work derived from them); those tick
-every simulated slot, where Python attribute writes beat numpy scalar
-writes decisively, so they stay on the record — the table's columns
-change only at *events* (creation, pinning, compute start, crash,
-commit), mirroring the RoundState maintenance discipline (§8).
-
-**Aggregates**, maintained incrementally at every mutation:
+Each fact has one owner.  The instance record owns its identity
+(``task_id``, ``replica_id``, ``uid``), its progress counters
+(``data_received``, ``compute_done``; they tick every simulated slot)
+and its placement (``inst.worker``; every round re-plans every unpinned
+instance).  A row is live iff ``objects[row] is not None``, and pinned
+iff it is *not* in the ``unpinned`` set.  The table owns only what
+changes at *event* rate (creation, pinning, compute start, crash,
+commit), mirroring the RoundState maintenance discipline (§8):
 
 * per task (numpy arrays): ``live_count``, ``replica_mask`` (bitmask of
   live replica ids), ``original_row`` (row of the live original, -1
@@ -48,7 +24,7 @@ commit), mirroring the RoundState maintenance discipline (§8).
 * per worker: ``computing_row`` (row of the computing instance, -1 when
   idle) — the O(1) lookup the compute/span loops use instead of a queue
   scan;
-* scalars: ``n_live``, the ``unpinned`` row set (O(1) round-triviality /
+* scalars: the ``unpinned`` row set (O(1) round-triviality /
   glide checks via its size), ``n_uncommitted``, and ``repl_deficit``
   (uncommitted tasks with fewer than ``max_instances`` live instances —
   replication is saturated exactly when it is zero).
@@ -56,8 +32,8 @@ commit), mirroring the RoundState maintenance discipline (§8).
 ``ops`` counts structural mutations (adds, destroys, pins, compute
 starts, releases) and feeds the benchmark's ``instance_ops`` column.
 
-The master's audit mode cross-checks every column and aggregate against
-a brute-force rebuild (:meth:`audit`), the same belt-and-braces pattern
+The master's audit mode cross-checks every aggregate against a
+brute-force rebuild (:meth:`audit`), the same belt-and-braces pattern
 the incremental RoundState uses.
 """
 
@@ -105,13 +81,7 @@ class InstanceTable:
             capacity = max(8, n_tasks * max_instances)
         elif capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
-        # Columns.
-        self.task_id = np.full(capacity, -1, dtype=np.int32)
-        self.replica_id = np.zeros(capacity, dtype=np.int16)
-        self.pinned = np.zeros(capacity, dtype=bool)
-        self.computing = np.zeros(capacity, dtype=bool)
-        self.alive = np.zeros(capacity, dtype=bool)
-        self.seq = np.zeros(capacity, dtype=np.int64)
+        #: The live instance of each row; ``None`` marks a free row.
         self.objects: List[Optional[TaskInstance]] = [None] * capacity
         #: Dead rows available for reuse; popped LIFO so row churn stays
         #: compact (lowest rows are recycled first after a reset).
@@ -126,7 +96,6 @@ class InstanceTable:
         self.computing_row: List[int] = [-1] * n_workers
         # Scalars.
         self.unpinned: set = set()
-        self.n_live = 0
         self.n_uncommitted = n_tasks
         self.repl_deficit = n_tasks
         #: Structural mutation counter (benchmark diagnostic).
@@ -142,11 +111,7 @@ class InstanceTable:
     # ------------------------------------------------------------------ #
     def reset(self) -> None:
         """Clear every row and aggregate for a fresh iteration."""
-        capacity = len(self.task_id)
-        self.task_id[:] = -1
-        self.pinned[:] = False
-        self.computing[:] = False
-        self.alive[:] = False
+        capacity = len(self.objects)
         self.objects = [None] * capacity
         self.free = list(range(capacity - 1, -1, -1))
         self.live_count[:] = 0
@@ -157,19 +122,12 @@ class InstanceTable:
             rows.clear()
         self.computing_row = [-1] * self.n_workers
         self.unpinned = set()
-        self.n_live = 0
         self.n_uncommitted = self.n_tasks
         self.repl_deficit = self.n_tasks
 
     def _grow(self) -> None:
-        old = len(self.task_id)
+        old = len(self.objects)
         new = 2 * old
-        for name in ("task_id", "replica_id", "pinned", "computing", "alive", "seq"):
-            column = getattr(self, name)
-            grown = np.zeros(new, dtype=column.dtype)
-            grown[:old] = column
-            setattr(self, name, grown)
-        self.task_id[old:] = -1
         self.objects.extend([None] * old)
         self.free.extend(range(new - 1, old - 1, -1))
 
@@ -183,12 +141,6 @@ class InstanceTable:
         row = self.free.pop()
         inst.row = row
         task = inst.task_id
-        self.task_id[row] = task
-        self.replica_id[row] = inst.replica_id
-        self.pinned[row] = False
-        self.computing[row] = False
-        self.alive[row] = True
-        self.seq[row] = inst.uid
         self.objects[row] = inst
         if inst.replica_id == 0:
             self.original_row[task] = row
@@ -199,7 +151,6 @@ class InstanceTable:
         self.replica_mask[task] |= 1 << inst.replica_id
         self.rows_of[task].append(row)
         self.unpinned.add(row)
-        self.n_live += 1
         self.ops += 1
         return row
 
@@ -210,43 +161,34 @@ class InstanceTable:
         destroy *before* detaching the instance from its worker queue (or
         after :meth:`on_crash`, which clears the per-worker state)."""
         row = inst.row
-        task = int(self.task_id[row])
+        task = inst.task_id
         host = inst.worker
         if host is not None and self.computing_row[host] == row:
             self.computing_row[host] = -1
-        if not self.pinned[row]:
-            self.unpinned.discard(row)
+        self.unpinned.discard(row)
         count = int(self.live_count[task]) - 1
         self.live_count[task] = count
         if count == self.max_instances - 1 and not self.committed[task]:
             self.repl_deficit += 1
-        self.replica_mask[task] &= ~(1 << int(self.replica_id[row]))
+        self.replica_mask[task] &= ~(1 << inst.replica_id)
         if self.original_row[task] == row:
             self.original_row[task] = -1
         self.rows_of[task].remove(row)
-        self.task_id[row] = -1
-        self.pinned[row] = False
-        self.computing[row] = False
-        self.alive[row] = False
         self.objects[row] = None
         self.free.append(row)
         inst.row = -1
-        self.n_live -= 1
         self.ops += 1
 
     def pin(self, inst: TaskInstance) -> None:
         """Mark work begun (first data slot or computation start)."""
         row = inst.row
-        if not self.pinned[row]:
-            self.pinned[row] = True
+        if row in self.unpinned:
             self.unpinned.discard(row)
             self.ops += 1
 
     def start_computing(self, inst: TaskInstance) -> None:
         """Record the worker's computing instance (pins it if needed)."""
-        row = inst.row
-        self.computing[row] = True
-        self.computing_row[inst.worker] = row
+        self.computing_row[inst.worker] = inst.row
         self.pin(inst)
 
     def release(self, inst: TaskInstance) -> None:
@@ -258,10 +200,7 @@ class InstanceTable:
         host = inst.worker
         if host is not None and self.computing_row[host] == row:
             self.computing_row[host] = -1
-        if self.pinned[row]:
-            self.pinned[row] = False
-            self.unpinned.add(row)
-        self.computing[row] = False
+        self.unpinned.add(row)
         self.ops += 1
 
     def on_crash(self, host: int) -> None:
@@ -291,9 +230,9 @@ class InstanceTable:
         """Rows of live unpinned instances, ascending."""
         return sorted(self.unpinned)
 
-    def live_rows(self) -> np.ndarray:
-        """All live rows, ascending."""
-        return np.nonzero(self.alive)[0]
+    def live_instances(self) -> List[TaskInstance]:
+        """Every live instance, in row order."""
+        return [inst for inst in self.objects if inst is not None]
 
     def uncommitted_tasks(self) -> np.ndarray:
         """Task ids not yet committed, ascending."""
@@ -320,32 +259,25 @@ class InstanceTable:
     # Audit.                                                               #
     # ------------------------------------------------------------------ #
     def audit(self, instances: List[TaskInstance], committed: set) -> None:
-        """Assert every column and aggregate against a brute-force rebuild
-        from the reference instance list (master audit mode)."""
-        assert self.n_live == len(instances), (
-            f"n_live {self.n_live} != {len(instances)} live instances"
-        )
+        """Assert every aggregate against a brute-force rebuild from the
+        reference instance list and committed-task set (master audit
+        mode)."""
         by_row = {}
         for inst in instances:
             row = inst.row
-            assert 0 <= row < len(self.task_id), f"bad row {row} on {inst}"
+            assert 0 <= row < len(self.objects), f"bad row {row} on {inst}"
             assert row not in by_row, f"row {row} assigned twice"
             by_row[row] = inst
-            assert bool(self.alive[row])
-            assert self.task_id[row] == inst.task_id
-            assert self.replica_id[row] == inst.replica_id
-            assert bool(self.pinned[row]) == inst.pinned
             assert (row in self.unpinned) == (not inst.pinned)
-            assert self.seq[row] == inst.uid
             assert self.objects[row] is inst
-        assert int(np.count_nonzero(self.alive)) == len(instances)
+        assert sum(inst is not None for inst in self.objects) == len(instances)
         assert len(self.unpinned) == sum(1 for i in instances if not i.pinned)
         for task in range(self.n_tasks):
             rows = [inst.row for inst in instances if inst.task_id == task]
             assert self.live_count[task] == len(rows)
             assert sorted(self.rows_of[task]) == sorted(rows)
             # rows_of preserves creation order (the commit path relies on it).
-            seqs = [int(self.seq[row]) for row in self.rows_of[task]]
+            seqs = [self.objects[row].uid for row in self.rows_of[task]]
             assert seqs == sorted(seqs), f"task {task}: rows_of out of order"
             mask = 0
             original = -1
@@ -368,5 +300,5 @@ class InstanceTable:
             f"repl_deficit {self.repl_deficit} != rebuilt {deficit}"
         )
         assert sorted(self.free) == sorted(
-            set(range(len(self.task_id))) - set(by_row)
+            set(range(len(self.objects))) - set(by_row)
         )

@@ -43,12 +43,20 @@ each fully simulated slot the simulator computes the next slot at which
 *anything* can change — the earliest relevant availability transition,
 granted-transfer completion, compute completion, or pending re-plan — and
 advances all counters arithmetically across the quiet gap in O(p) instead
-of O(p·span).  The live instances sit in the structure-of-arrays
+of O(p·span).  The live instances sit in the row store
 :class:`~repro.sim.instance_table.InstanceTable` (DESIGN.md §9), the
 schedulers read an incrementally maintained
 :class:`~repro.core.heuristics.base.RoundState` (§8), and an event
 calendar (§12) — the only platform index — touches only the processors
 whose availability run ended at a boundary.
+
+**One owner per fact.**  The instance records own identity, progress
+and placement; the table owns the event-rate aggregates, commit state
+included; the calendar owns each processor's state and next transition
+(the span search reads ``PlatformCalendar.next_change``).  The master
+keeps one busy-worker mirror, ``_prog_holders``, and derives its
+boundary counters (``op_counts``) from ``steps_executed`` and the
+calendar's pop count.
 
 **The reference** (DESIGN.md §3).  None of this machinery may change a
 result: :class:`~repro.sim.reference.ReferenceSimulator`, a plain
@@ -150,20 +158,17 @@ class MasterSimulator:
             target_iterations=app.iterations, heuristic_name=scheduler.name
         )
 
-        # Iteration state: the live instances sit in the structure-of-
-        # arrays InstanceTable (DESIGN.md §9).
+        # Iteration state: the live instances and the commit state sit
+        # in the InstanceTable (DESIGN.md §9).
         self.iteration = 0
         self._tbl = InstanceTable(
             app.tasks_per_iteration,
             len(self.workers),
             1 + self.options.max_replicas,
         )
-        #: Mirrors ``prog_received > 0`` per worker (crash-candidate filter).
-        self._prog_started = [False] * len(self.workers)
         #: Per-worker reuse cache for frozen TransferRequest objects,
         #: keyed by (kind, started, is_replica) — see _gather_requests.
         self._request_cache: List[dict] = [{} for _ in self.workers]
-        self._committed: set[int] = set()  # committed task_ids, this iteration
         self._start_iteration(0)
 
         self._avail = [proc.availability for proc in platform]
@@ -191,15 +196,15 @@ class MasterSimulator:
         # Span-stepping state (DESIGN.md §6): the grants of the last fully
         # simulated slot (reused verbatim across the quiet span), whether
         # that slot changed the pipeline shape (a data transfer finishing
-        # re-opens the allocation problem), and per-processor caches of
-        # the next availability transition and DOWN entry.
+        # re-opens the allocation problem), and a per-processor cache of
+        # the next DOWN entry (the next transition of any kind is the
+        # calendar's, DESIGN.md §12).
         self._pipeline_changed = False
         self._span_refined = False
         self._grants: List[tuple] = []
         self._grant_index: Dict[int, tuple] = {}
         self._grant_counts = (0, 0, 0)
-        self._next_change_cache: List[Optional[int]] = [None] * len(self.workers)
-        self._next_down_cache: List[Optional[int]] = [None] * len(self.workers)
+        self._next_down_cache: List[int] = [-1] * len(self.workers)
 
         # The platform index (DESIGN.md §12): the event calendar holds the
         # state vector of the last boundary — as a plain Python list
@@ -210,8 +215,9 @@ class MasterSimulator:
         self._cal = PlatformCalendar(self._avail)
         self._states_list: List[int] = []  # the calendar's, once started
         #: Workers with a partial or resident program (mirrors
-        #: ``prog_received > 0``): together with the queue hosts these are
-        #: the only workers the span search must visit.
+        #: ``prog_received > 0``): the crash-candidate filter, and together
+        #: with the queue hosts the only workers the span search must
+        #: visit.
         self._prog_holders: set = set()
 
         # Sparse companion of the RoundState dirty flags (layer 2 of the
@@ -222,13 +228,10 @@ class MasterSimulator:
         self._rs_dirty_hint: List[int] = list(range(len(self.workers)))
 
         #: Operation-count instrumentation (diagnostics; ``op_counts``
-        #: bundles them).  Touched workers: state reads — p at the
-        #: calendar's start, then its heap pops at each boundary.  Span
-        #: scans: workers visited by the quiet-span search.  Refreshes:
-        #: RoundState columns recomputed at executed rounds.
-        self.op_boundaries = 0
-        self.op_boundary_workers_touched = 0
-        self.op_calendar_pops = 0
+        #: bundles them with the counts it derives from ``steps_executed``
+        #: and the calendar).  Span scans: workers visited by the
+        #: quiet-span search.  Refreshes: RoundState columns recomputed at
+        #: executed rounds.
         self.op_span_scan_workers = 0
         self.op_round_refreshed = 0
 
@@ -274,7 +277,6 @@ class MasterSimulator:
     # ------------------------------------------------------------------ #
     def _start_iteration(self, iteration: int) -> None:
         self.iteration = iteration
-        self._committed = set()
         originals = [
             TaskInstance(
                 iteration=iteration,
@@ -298,9 +300,9 @@ class MasterSimulator:
     def op_counts(self) -> Dict[str, int]:
         """Operation-count instrumentation (DESIGN.md §12).
 
-        ``boundaries``: fully simulated slots; ``boundary_workers_
-        touched``: state reads summed over the run (p at the calendar's
-        start, then its heap pops at each boundary);
+        ``boundaries``: fully simulated slots (``steps_executed``);
+        ``boundary_workers_touched``: state reads summed over the run (p
+        at the calendar's start, then its heap pops at each boundary);
         ``calendar_pops``: total heap pops;
         ``span_scan_workers``: workers visited by the quiet-span search;
         ``round_refreshed``: RoundState columns recomputed at executed
@@ -313,10 +315,13 @@ class MasterSimulator:
         asserted on these in ``tests/test_reference_equivalence.py``,
         not just benchmarked.
         """
+        cal = self._cal
         return {
-            "boundaries": self.op_boundaries,
-            "boundary_workers_touched": self.op_boundary_workers_touched,
-            "calendar_pops": self.op_calendar_pops,
+            "boundaries": self.steps_executed,
+            "boundary_workers_touched": (
+                len(self.workers) + cal.pops if cal.started else 0
+            ),
+            "calendar_pops": cal.pops,
             "span_scan_workers": self.op_span_scan_workers,
             "round_refreshed": self.op_round_refreshed,
             "rows_scored": getattr(self.scheduler, "rows_scored", 0),
@@ -326,21 +331,16 @@ class MasterSimulator:
     def _queue_hosts(self) -> set:
         """Workers currently holding at least one queued instance.
 
-        Derived from the instance table's live rows — O(live instances),
-        independent of p — for the busy-worker loops.
+        Derived from the instance table's live instances — O(live
+        instances), independent of p — for the busy-worker loops.
         Invariant (audited): a worker appears here iff its queue is
         non-empty, since every live instance with ``worker is not None``
         sits in exactly that worker's queue and every detach
         (``reset_instance``/``crash``/``remove_instance``) clears the
         instance's ``worker`` field in the same step.
         """
-        tbl = self._tbl
-        objects = tbl.objects
-        hosts = set()
-        for row in tbl.live_rows().tolist():
-            worker = objects[row].worker
-            if worker is not None:
-                hosts.add(worker)
+        hosts = {inst.worker for inst in self._tbl.objects if inst is not None}
+        hosts.discard(None)
         return hosts
 
     # ------------------------------------------------------------------ #
@@ -394,12 +394,12 @@ class MasterSimulator:
         # its record is fresh.  Only workers carrying progress crash; the
         # filters mirror ``prog_received > 0`` / non-empty queues exactly.
         down = int(ProcState.DOWN)
-        prog_started = self._prog_started
+        prog_holders = self._prog_holders
         workers = self.workers
         candidates = [
             q
             for q, _old, new in records
-            if new == down and (prog_started[q] or workers[q].queue)
+            if new == down and (q in prog_holders or workers[q].queue)
         ]
         self._crash(slot, candidates)
 
@@ -417,7 +417,6 @@ class MasterSimulator:
                 hint.append(q)
             lost = worker.crash()
             tbl.on_crash(q)
-            self._prog_started[q] = False
             self._prog_holders.discard(q)
             for inst in lost:
                 self.report.comm_slots_wasted += inst.data_received
@@ -513,7 +512,6 @@ class MasterSimulator:
         rs.slot = slot
         rs.state = states
         dirty = self._rs_dirty
-        t_data = self.app.t_data
         workers = self.workers
         up = int(ProcState.UP)
         eager_all = self.options.audit  # the audit cross-check reads all p
@@ -552,7 +550,7 @@ class MasterSimulator:
             if not eager_all and slist[q] != up:
                 continue
             worker = workers[q]
-            delay, pinned_count = worker.delay_and_pinned(t_data)
+            delay, pinned_count = worker.delay_and_pinned()
             changed.append(q)
             delays.append(delay)
             pinned_counts.append(pinned_count)
@@ -590,7 +588,7 @@ class MasterSimulator:
             return
         rs = self._rs
         worker = self.workers[q]
-        delay, pinned_count = worker.delay_and_pinned(self.app.t_data)
+        delay, pinned_count = worker.delay_and_pinned()
         rs.delay[q] = delay
         rs.pinned_count[q] = pinned_count
         prog_remaining = worker.prog_remaining
@@ -601,12 +599,11 @@ class MasterSimulator:
     def _audit_round_state(self) -> None:
         """Audit-mode cross-check: incremental columns == full rebuild."""
         rs = self._rs
-        t_data = self.app.t_data
         for q, worker in enumerate(self.workers):
             pinned = worker.pinned_instances()
-            assert rs.delay[q] == worker.delay_estimate(t_data, pinned), (
+            assert rs.delay[q] == worker.delay_estimate(pinned), (
                 f"worker {q}: incremental delay {int(rs.delay[q])} != "
-                f"rebuilt {worker.delay_estimate(t_data, pinned)}"
+                f"rebuilt {worker.delay_estimate(pinned)}"
             )
             assert rs.pinned_count[q] == len(pinned), (
                 f"worker {q}: incremental pinned_count drifted"
@@ -666,8 +663,8 @@ class MasterSimulator:
         task is rarely worth the resent data).  Candidates are returned in
         ascending task order (originals are unique per task).
         """
-        uncommitted = self.app.tasks_per_iteration - len(self._committed)
         tbl = self._tbl
+        uncommitted = tbl.n_uncommitted
         slist = self._states_list
         up = self._cal.up_count
         if up < uncommitted or up == 0:
@@ -676,7 +673,7 @@ class MasterSimulator:
         reclaimed = int(ProcState.RECLAIMED)
         for task_id in tbl.uncommitted_tasks().tolist():
             row = int(tbl.original_row[task_id])
-            if row < 0 or not tbl.pinned[row]:
+            if row < 0 or row in tbl.unpinned:
                 continue
             inst = tbl.objects[row]
             host = inst.worker
@@ -890,7 +887,6 @@ class MasterSimulator:
                 self._commit(slot, current)
 
     def _commit(self, slot: int, inst: TaskInstance) -> None:
-        self._committed.add(inst.task_id)
         self._tbl.commit_task(inst.task_id)
         self.report.tasks_committed += 1
         self._need_replan = True
@@ -1001,7 +997,6 @@ class MasterSimulator:
                 nprog += 1
                 grants.append((worker, "prog", None))
                 if worker.prog_received == 0:
-                    self._prog_started[worker.index] = True
                     self._prog_holders.add(worker.index)
                     self.log.emit(
                         SimEvent(
@@ -1070,10 +1065,7 @@ class MasterSimulator:
         cal = self._cal
         records = cal.advance(slot)
         states = cal.states_np
-        self.op_boundary_workers_touched += cal.last_pops
-        self.op_calendar_pops += cal.last_pops
         self.steps_executed += 1
-        self.op_boundaries += 1
         self._pipeline_changed = False
         if self.timeline is not None:
             self.timeline.begin_slot(states)
@@ -1089,9 +1081,9 @@ class MasterSimulator:
         if self.options.audit:
             for worker in self.workers:
                 worker.check_invariants()
-            self._audit_instance_table()
+            self._audit_instance_table(slot)
 
-        if len(self._committed) >= self.app.tasks_per_iteration:
+        if self._tbl.n_uncommitted == 0:
             self.report.iteration_end_slots.append(slot)
             self.report.completed_iterations += 1
             self.log.emit(
@@ -1107,45 +1099,27 @@ class MasterSimulator:
     # ------------------------------------------------------------------ #
     # Span-stepped execution (DESIGN.md §6).                               #
     # ------------------------------------------------------------------ #
-    def _next_change(self, q: int, slot: int, last: int) -> Optional[int]:
-        """Next slot in ``(slot, last]`` where processor ``q`` changes state.
-
-        Cached per processor: a value computed at an earlier boundary is
-        the *first* change after that boundary, so it stays correct for
-        any query slot before it (the state is constant in between).  A
-        miss up to ``last`` is cached as the sentinel ``last + 1``.
-        """
-        cached = self._next_change_cache[q]
-        if cached is not None and cached > slot:
-            return cached if cached <= last else None
-        change = self.platform[q].availability.next_change_after(slot, limit=last)
-        self._next_change_cache[q] = change if change is not None else last + 1
-        return change
-
-    def _next_down_entry(self, q: int, slot: int, last: int) -> Optional[int]:
+    def _next_down_entry(self, q: int, slot: int, last: int) -> int:
         """Next slot in ``(slot, last]`` where processor ``q`` enters DOWN,
-        walking the source's change points.
+        walking the source's change points; ``last + 1`` when it does not.
 
         Consulted for workers whose only observable transition is the
         DOWN entry that crashes them: program-holding workers with empty
         queues, and — in refined spans — UP workers whose pending
         requests stay outranked and whose compute advances by UP count
-        (see :meth:`_quiet_span`).  Cache validity mirrors
-        :meth:`_next_change`: the cached slot is the *first* DOWN entry
-        after the boundary that computed it, so the processor is never
-        DOWN in between and the value stays correct for any query slot
-        before it.
+        (see :meth:`_quiet_span`).  Cached per processor: the cached slot
+        is the *first* DOWN entry after the boundary that computed it, so
+        the processor is never DOWN in between and the value stays
+        correct for any query slot before it.
         """
-        cached = self._next_down_cache[q]
-        if cached is not None and cached > slot:
-            return cached if cached <= last else None
         source = self._avail[q]
         down = int(ProcState.DOWN)
         change = source.next_change_after(slot, limit=last)
         while change is not None and source.state_at(change) != down:
             change = source.next_change_after(change, limit=last)
-        self._next_down_cache[q] = change if change is not None else last + 1
-        return change
+        entry = change if change is not None else last + 1
+        self._next_down_cache[q] = entry
+        return entry
 
     def _round_glidable(self) -> bool:
         """True when no mid-span scheduling round could change anything,
@@ -1191,7 +1165,7 @@ class MasterSimulator:
         quiet slots at all.
 
         O(busy), never O(p): only the *busy* workers — queue hosts plus
-        program holders (O(live), from the table's rows and the
+        program holders (O(live), from the table's live instances and the
         ``_prog_holders`` mirror) — are visited.  The availability bound
         splits by regime:
 
@@ -1209,7 +1183,8 @@ class MasterSimulator:
         * **glide** (rounds provably trivial, or ``sticky``): idle workers
           are invisible and the heap top must NOT bound the span.  A
           granted transfer or a frozen (non-UP) queue breaks on any
-          change; an UP worker with a queue but no grant (``refined``)
+          change — its calendar entry, the first transition after this
+          boundary; an UP worker with a queue but no grant (``refined``)
           only on the DOWN entry that crashes it — its pending request was
           already outranked at the boundary and stays outranked, and its
           compute progress is its UP-slot count, applied arithmetically
@@ -1219,10 +1194,10 @@ class MasterSimulator:
 
         Milestone bounds (transfer/compute completions) come from the
         queue holders — the only workers that can carry grants or
-        computing instances.  Lookups use the budget-wide ``last`` (not
-        the running horizon): cached misses are stored as the sentinel
-        ``last + 1``, which is only sound when ``last`` is constant
-        across boundaries.
+        computing instances.  DOWN-entry lookups use the budget-wide
+        ``last`` (not the running horizon): cached misses are stored as
+        the sentinel ``last + 1``, which is only sound when ``last`` is
+        constant across boundaries (the calendar's sentinel is the same).
         """
         if self._every_slot:
             return 0
@@ -1250,7 +1225,7 @@ class MasterSimulator:
                 if horizon == slot + 1:
                     return 0
         grant_index = self._grant_index
-        next_change_cache = self._next_change_cache
+        next_change = self._cal.next_change
         next_down_cache = self._next_down_cache
         tbl = self._tbl
         computing_rows = tbl.computing_row
@@ -1272,15 +1247,13 @@ class MasterSimulator:
                 down_only = not queue or (
                     refined and state_up and grant is None
                 )
-                cache = next_down_cache if down_only else next_change_cache
-                cached = cache[q]  # inline cache hit: the common case
-                if cached is not None and cached > slot:
-                    change = cached if cached <= last else None
-                elif down_only:
-                    change = self._next_down_entry(q, slot, last)
+                if down_only:
+                    change = next_down_cache[q]  # inline cache hit: common
+                    if change <= slot:
+                        change = self._next_down_entry(q, slot, last)
                 else:
-                    change = self._next_change(q, slot, last)
-                if change is not None and change < horizon:
+                    change = next_change[q]  # the calendar's, > slot
+                if change < horizon:
                     horizon = change
                     if horizon == slot + 1:
                         return 0
@@ -1469,7 +1442,6 @@ class MasterSimulator:
         # over the platform.
         cal.start(0, budget - 1)
         self._states_list = cal.states
-        self.op_boundary_workers_touched += len(self.workers)
 
     def advance_until(self, slot_limit: int) -> bool:
         """Advance until the run ends or the clock reaches ``slot_limit``.
@@ -1518,20 +1490,25 @@ class MasterSimulator:
 
     def _finalize(self) -> None:
         # Leftover instances at end-of-run are waste.
-        tbl = self._tbl
-        for inst in [tbl.objects[row] for row in tbl.live_rows().tolist()]:
+        for inst in self._tbl.live_instances():
             self.report.comm_slots_wasted += inst.data_received
             self.report.compute_slots_wasted += inst.compute_done
         if self.options.audit:
             self.network.verify_invariants()
 
-    def _audit_instance_table(self) -> None:
-        """Audit-mode cross-check: incremental InstanceTable columns and
-        aggregates == a brute-force rebuild from the live objects and
-        worker queues (DESIGN.md §9; mirrors :meth:`_audit_round_state`)."""
+    def _audit_instance_table(self, slot: int) -> None:
+        """Audit-mode cross-check: incremental InstanceTable aggregates,
+        busy-worker mirrors and calendar == a brute-force rebuild from the
+        live objects, worker queues and availability sources (DESIGN.md
+        §9 and §12; mirrors :meth:`_audit_round_state`)."""
         tbl = self._tbl
-        live = [tbl.objects[row] for row in tbl.live_rows().tolist()]
-        tbl.audit(live, self._committed)
+        live = tbl.live_instances()
+        # Originals are destroyed only at their task's commit, so the
+        # committed tasks are exactly those without a live original.
+        committed = set(range(tbl.n_tasks)) - {
+            inst.task_id for inst in live if not inst.is_replica
+        }
+        tbl.audit(live, committed)
         for q, worker in enumerate(self.workers):
             row = tbl.computing_row[q]
             current = worker.computing_instance
@@ -1542,12 +1519,8 @@ class MasterSimulator:
                     f"worker {q}: computing_row {row} != instance row "
                     f"{current.row}"
                 )
-            assert bool(self._prog_started[q]) == (worker.prog_received > 0), (
-                f"worker {q}: prog_started flag drifted"
-            )
-        # Calendar invariants (DESIGN.md §12), cheap to verify on every
-        # boundary: the busy-worker mirrors behind the O(busy) span search
-        # must match the queues exactly.
+        # The busy-worker mirrors behind the O(busy) span search must
+        # match the queues exactly.
         hosts = self._queue_hosts()
         for q, worker in enumerate(self.workers):
             assert (q in hosts) == bool(worker.queue), (
@@ -1556,15 +1529,7 @@ class MasterSimulator:
             assert (q in self._prog_holders) == (worker.prog_received > 0), (
                 f"worker {q}: prog_holders mirror drifted"
             )
-        cal = self._cal
-        slist = self._states_list
-        assert cal.up_count == slist.count(int(ProcState.UP)), (
-            "calendar up_count drifted"
-        )
-        assert list(cal.states_np) == slist, (
-            "calendar state buffer drifted from its list"
-        )
-
+        self._cal.audit(slot)
 
 def simulate(
     platform: Platform,

@@ -252,19 +252,6 @@ class Platform:
             count=len(self.processors),
         )
 
-    def states_block(self, start: int, stop: int) -> np.ndarray:
-        """Ground-truth states for slots ``[start, stop)``, all processors.
-
-        The batched companion of :meth:`states_at`: returns a
-        ``(stop - start, p)`` ``uint8`` matrix whose row ``t - start``
-        equals ``states_at(t)``.  Used by analyses that want whole
-        windows without p × span Python calls.
-        """
-        return np.stack(
-            [proc.availability.block(start, stop) for proc in self.processors],
-            axis=1,
-        )
-
     def next_change_after(self, slot: int, *, limit: Optional[int] = None):
         """First slot ``> slot`` where *any* processor's state changes.
 
@@ -280,14 +267,6 @@ class Platform:
             if change is not None and (horizon is None or change < horizon):
                 horizon = change
         return horizon
-
-    def up_indices_at(self, slot: int) -> list[int]:
-        """Indices of processors UP at ``slot``, ascending."""
-        return [
-            proc.index
-            for proc in self.processors
-            if proc.state_at(slot) == ProcState.UP
-        ]
 
 
 class PlatformCalendar:
@@ -312,13 +291,19 @@ class PlatformCalendar:
       sentinel ``last + 1`` when it holds its state through the budget),
       so ``peek()`` is the platform-wide next-transition slot and the
       heap never empties;
+    * ``next_change[q]`` is processor ``q``'s heap-entry slot — after an
+      ``advance(slot)``, the first transition strictly after ``slot``
+      (``last + 1`` when none is due through the budget).  The calendar
+      is the one owner of each processor's next transition; the span
+      search reads this list instead of re-querying the sources;
     * ``up_count`` equals ``states.count(UP)``;
     * ``advance`` returns the *net* per-processor changes since the
       previous boundary — exactly what a snapshot diff of the two
       boundary state vectors yields — in ascending processor order.
 
-    ``pops``/``last_pops`` count heap pops (total / last advance): the
-    per-boundary touched-worker metric behind the O(churn) claim.
+    ``pops`` counts heap pops: the touched-worker metric behind the
+    O(churn) claim.  :meth:`audit` cross-checks the heap and
+    ``next_change`` against the sources (simulator audit mode).
     """
 
     def __init__(self, sources: Sequence[AvailabilitySource]) -> None:
@@ -329,10 +314,10 @@ class PlatformCalendar:
         #: buffers are writable through ``np.frombuffer``).
         self.states_np = np.frombuffer(self._buf, dtype=np.uint8)
         self._heap: List[Tuple[int, int]] = []
+        self.next_change: List[int] = []
         self._last = 0
         self.up_count = 0
         self.pops = 0
-        self.last_pops = 0
         self.started = False
 
     def start(self, slot: int, last: int) -> None:
@@ -346,7 +331,7 @@ class PlatformCalendar:
         up = int(ProcState.UP)
         buf = self._buf
         states: List[int] = []
-        heap: List[Tuple[int, int]] = []
+        next_change: List[int] = []
         up_count = 0
         for q, source in enumerate(self.sources):
             state = source.state_at(slot)
@@ -355,9 +340,11 @@ class PlatformCalendar:
             if state == up:
                 up_count += 1
             change = source.next_change_after(slot, limit=last)
-            heap.append((change if change is not None else last + 1, q))
+            next_change.append(change if change is not None else last + 1)
+        heap = list(zip(next_change, range(len(next_change))))
         heapq.heapify(heap)
         self.states = states
+        self.next_change = next_change
         self._heap = heap
         self.up_count = up_count
         self.started = True
@@ -385,6 +372,7 @@ class PlatformCalendar:
         states = self.states
         buf = self._buf
         sources = self.sources
+        next_change = self.next_change
         last = self._last
         up = int(ProcState.UP)
         records: List[Tuple[int, int, int]] = []
@@ -395,7 +383,10 @@ class PlatformCalendar:
             source = sources[q]
             new = source.state_at(slot)
             change = source.next_change_after(slot, limit=last)
-            heapq.heappush(heap, (change if change is not None else last + 1, q))
+            if change is None:
+                change = last + 1
+            next_change[q] = change
+            heapq.heappush(heap, (change, q))
             old = states[q]
             if new != old:
                 states[q] = new
@@ -406,7 +397,30 @@ class PlatformCalendar:
                     self.up_count += 1
                 records.append((q, old, new))
         self.pops += pops
-        self.last_pops = pops
         if len(records) > 1:
             records.sort()
         return records
+
+    def audit(self, slot: int) -> None:
+        """Assert the invariants above against the sources, after the
+        ``advance(slot)`` of a boundary (simulator audit mode)."""
+        last = self._last
+        for q, source in enumerate(self.sources):
+            change = source.next_change_after(slot, limit=last)
+            expected = change if change is not None else last + 1
+            assert self.next_change[q] == expected, (
+                f"processor {q}: calendar next transition "
+                f"{self.next_change[q]} != {expected} after slot {slot}"
+            )
+            assert self.states[q] == source.state_at(slot), (
+                f"processor {q}: calendar state drifted at slot {slot}"
+            )
+        assert sorted(self._heap) == sorted(
+            zip(self.next_change, range(len(self.sources)))
+        ), "calendar heap drifted from next_change"
+        assert self.up_count == self.states.count(int(ProcState.UP)), (
+            "calendar up_count drifted"
+        )
+        assert list(self.states_np) == self.states, (
+            "calendar state buffer drifted from its list"
+        )

@@ -77,7 +77,7 @@ def eager_context(
                 state=_STATE_TABLE[states[proc.index]],
                 belief=proc.belief,
                 has_program=worker.has_program,
-                delay=worker.delay_estimate(app.t_data, pinned),
+                delay=worker.delay_estimate(pinned),
                 pinned_count=len(pinned),
                 prog_remaining=worker.prog_remaining,
                 pinned_pipeline=tuple(

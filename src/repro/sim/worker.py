@@ -21,6 +21,14 @@ State-transition effects:
 * RECLAIMED — everything freezes; progress resumes untouched on return to UP.
 * DOWN — program, task data and partial results are all lost
   (:meth:`WorkerRuntime.crash`).
+
+Ownership: a :class:`TaskInstance` is the one record of its identity
+(``task_id``, ``replica_id``, ``uid``), progress and placement
+(``worker``); the master's :class:`~repro.sim.instance_table.
+InstanceTable` row points at it and keeps only event-rate aggregates
+(DESIGN.md §9).  A :class:`WorkerRuntime` owns its program progress and
+queue; the span-stepped master reads milestones (remaining program,
+data and compute slots) straight off these records (DESIGN.md §6).
 """
 
 from __future__ import annotations
@@ -64,8 +72,8 @@ class TaskInstance:
             ``None`` while unplaced.
         computing: True once computation has begun.
         row: the master's store slot — the instance's row in the
-            structure-of-arrays :class:`~repro.sim.instance_table.
-            InstanceTable`; -1 while unregistered.
+            :class:`~repro.sim.instance_table.InstanceTable`; -1 while
+            unregistered.
             Maintained by the owning store, never by the instance.
     """
 
@@ -191,10 +199,6 @@ class WorkerRuntime:
         """Instances whose work has begun (not re-plannable)."""
         return [inst for inst in self.queue if inst.pinned]
 
-    def planned_instances(self) -> List[TaskInstance]:
-        """Instances assigned but not yet started (re-plannable)."""
-        return [inst for inst in self.queue if not inst.pinned]
-
     # ------------------------------------------------------------------ #
     # Pipeline queries used by the slot loop.                              #
     # ------------------------------------------------------------------ #
@@ -237,46 +241,10 @@ class WorkerRuntime:
         """True when a program transfer (or resume) is useful this slot."""
         return not self.has_program and bool(self.queue)
 
-    def slots_to_next_milestone(
-        self,
-        granted_kind: Optional[str] = None,
-        granted_instance: Optional[TaskInstance] = None,
-    ) -> Optional[int]:
-        """Slots until this worker's pipeline next crosses a threshold.
-
-        Used by the span-stepped master (DESIGN.md §6): while the worker
-        stays UP with an unchanged channel grant, its pipeline advances
-        purely linearly — the only discrete events are the currently
-        computing instance finishing, a granted program transfer
-        completing, or a granted data transfer completing.  This returns
-        the minimum of those distances (``None`` when the worker has no
-        active progress at all), so the master can take the min across
-        workers to bound the skip-ahead span.
-
-        Args:
-            granted_kind: ``"prog"``/``"data"`` when the network granted
-                this worker a channel this slot, else ``None``.
-            granted_instance: the instance receiving data for a
-                ``"data"`` grant.
-        """
-        horizons = []
-        computing = self.computing_instance
-        if computing is not None:
-            horizons.append(computing.compute_remaining)
-        if granted_kind == "prog":
-            horizons.append(self.prog_remaining)
-        elif granted_kind == "data":
-            if granted_instance is None:
-                raise ValueError("data grant needs its receiving instance")
-            horizons.append(granted_instance.data_remaining)
-        return min(horizons) if horizons else None
-
     # ------------------------------------------------------------------ #
     # Delay(q) — Section 6.3.1.                                            #
     # ------------------------------------------------------------------ #
-    def delay_estimate(
-        self, t_data: int, pinned: Optional[List[TaskInstance]] = None
-    ) -> int:
+    def delay_estimate(self, pinned: Optional[List[TaskInstance]] = None) -> int:
         """The paper's ``Delay(q)``: slots before current activities finish.
 
         Estimated under the paper's simplifying assumptions: the worker
@@ -291,8 +259,6 @@ class WorkerRuntime:
           starting no earlier than its data completion.
 
         Args:
-            t_data: the application's data transfer length (unused in the
-                estimate itself; kept for signature stability).
             pinned: the result of :meth:`pinned_instances`, when the
                 caller already holds it — this runs once per processor
                 per scheduling round, so the repeated queue scan shows
@@ -310,7 +276,7 @@ class WorkerRuntime:
             cpu_free = start + inst.compute_remaining
         return max(comm_free, cpu_free)
 
-    def delay_and_pinned(self, t_data: int) -> tuple:
+    def delay_and_pinned(self) -> tuple:
         """Fused ``(delay_estimate, pinned_count)`` in one queue walk.
 
         Hot path of the array scheduler API: the incremental
@@ -320,10 +286,6 @@ class WorkerRuntime:
         (same integer arithmetic, same result — cross-checked against the
         unfused pair in the master's audit mode) and inlines the
         per-instance properties.
-
-        Args:
-            t_data: kept for signature symmetry with
-                :meth:`delay_estimate` (unused there too).
         """
         comm_free = self.t_prog - self.prog_received
         if comm_free < 0:

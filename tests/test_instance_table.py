@@ -1,7 +1,7 @@
 """The structure-of-arrays instance store (DESIGN.md §9).
 
 Unit tests for :class:`~repro.sim.instance_table.InstanceTable` itself:
-free-list reuse, aggregate/column invariants against a brute-force
+free-list reuse, aggregate invariants against a brute-force
 rebuild (the same :meth:`InstanceTable.audit` the master's audit mode
 runs), and the O(1) saturation/unpinned counters.  End-to-end, the
 simulator built on the table is checked against the reference in
@@ -43,7 +43,7 @@ class TestInstanceTableUnit:
         insts = [self._inst(t) for t in range(3)]
         rows = [tbl.add(inst) for inst in insts]
         assert rows == sorted(rows)  # free list pops ascending after reset
-        assert tbl.n_live == 3
+        assert tbl.live_instances() == insts
         assert tbl.n_unpinned == 3
         assert tbl.repl_deficit == 3  # nobody saturated yet
         assert not tbl.replication_saturated
@@ -68,7 +68,7 @@ class TestInstanceTableUnit:
                 inst = self._inst(task, replica_id=rid)
                 tbl.add(inst)
                 insts.append(inst)
-        assert len(tbl.task_id) >= 24  # grew past the initial 4 rows
+        assert len(tbl.objects) >= 24  # grew past the initial 4 rows
         tbl.audit(insts, committed=set())
         # Rows allocated before the growth are untouched.
         for inst in insts:
@@ -138,7 +138,7 @@ class TestInstanceTableUnit:
         r1 = self._inst(0, replica_id=1)
         for inst in (orig, r2, r1):
             tbl.add(inst)
-        uids = [tbl.seq[row] for row in tbl.rows_of[0]]
+        uids = [tbl.objects[row].uid for row in tbl.rows_of[0]]
         assert uids == sorted(uids)  # creation order == uid order
 
     def test_randomized_ops_against_bruteforce(self):
@@ -151,7 +151,7 @@ class TestInstanceTableUnit:
         committed = set()
         for _ in range(600):
             op = rng.integers(0, 6)
-            if op == 0 and tbl.n_live < n_tasks * max_instances:
+            if op == 0 and len(live) < n_tasks * max_instances:
                 task = int(rng.integers(0, n_tasks))
                 used = {
                     inst.replica_id for inst in live if inst.task_id == task
@@ -208,11 +208,11 @@ class TestInstanceTableUnit:
             tbl.add(inst)
         tbl.commit_task(0)
         tbl.reset()
-        assert tbl.n_live == 0
+        assert tbl.live_instances() == []
         assert tbl.n_unpinned == 0
         assert tbl.n_uncommitted == 2
         assert tbl.repl_deficit == 2
-        assert len(tbl.free) == len(tbl.task_id)
+        assert len(tbl.free) == len(tbl.objects)
         tbl.audit([], committed=set())
 
 

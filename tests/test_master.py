@@ -426,3 +426,54 @@ class TestDeterministicSchedulerDefault:
 
         # Different explicit streams may disagree; the same stream must not.
         assert makespan(3) == makespan(3)
+
+
+class TestPinnedOpCounts:
+    """Regression pin: the operation counters of one seeded cell.
+
+    ``op_counts`` derives ``boundaries`` from ``steps_executed`` and the
+    touched/pop counts from the event calendar; these values were
+    recorded when the simulator still kept a separate counter for each,
+    so any drift in the body's boundary, refresh or instance work shows
+    up here even when the reports stay equal.
+    """
+
+    PINNED = {
+        ("mct", "event"): (830, 946, 926, 1220, 2711, 3515, 2314),
+        ("mct", "sticky"): (758, 1000, 980, 2062, 1538, 2060, 1679),
+        ("emct*", "event"): (846, 964, 944, 1195, 2594, 3670, 2307),
+        ("emct*", "sticky"): (791, 1020, 1000, 2131, 1552, 2175, 1799),
+        ("random2w", "event"): (1043, 1243, 1223, 1774, 3210, 0, 2526),
+        ("random2w", "sticky"): (877, 1166, 1146, 2935, 2006, 0, 2006),
+    }
+
+    @pytest.mark.parametrize("heuristic,policy", sorted(PINNED))
+    def test_counts_match_pin(self, heuristic, policy):
+        scenario = ScenarioGenerator(12061).scenario(20, 5, 3, 0)
+        platform = scenario.build_platform(0)
+        sim = MasterSimulator(
+            platform,
+            scenario.app,
+            make_scheduler(heuristic, platform=platform),
+            options=SimulatorOptions(replan_policy=policy),
+            rng=scenario.scheduler_rng(0, heuristic),
+        )
+        sim.run()
+        counts = sim.op_counts
+        observed = (
+            counts["boundaries"],
+            counts["boundary_workers_touched"],
+            counts["calendar_pops"],
+            counts["span_scan_workers"],
+            counts["round_refreshed"],
+            counts["rows_scored"],
+            sim.instance_ops,
+        )
+        assert observed == self.PINNED[heuristic, policy]
+        assert sim.steps_executed == counts["boundaries"]
+        assert counts["rows_reused"] == 0
+        assert sorted(counts) == [
+            "boundaries", "boundary_workers_touched", "calendar_pops",
+            "round_refreshed", "rows_reused", "rows_scored",
+            "span_scan_workers",
+        ]

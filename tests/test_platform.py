@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.markov import MarkovAvailabilityModel
-from repro.sim.platform import Platform, Processor
+from repro.sim.platform import Platform, PlatformCalendar, Processor
 from repro.types import ProcState
 
 
@@ -57,11 +57,6 @@ class TestPlatform:
         assert list(platform.states_at(0)) == [0, 2]
         assert list(platform.states_at(1)) == [1, 0]
 
-    def test_up_indices_at(self):
-        platform = Platform([trace_proc(0, "ur"), trace_proc(1, "uu")], ncom=1)
-        assert platform.up_indices_at(0) == [0, 1]
-        assert platform.up_indices_at(1) == [1]
-
     def test_homogeneity(self):
         assert Platform([trace_proc(0), trace_proc(1)], ncom=1).is_homogeneous
         assert not Platform(
@@ -89,27 +84,7 @@ class TestPlatform:
             Platform([trace_proc(0)], ncom=0)
 
 
-class TestStatesBlock:
-    def test_states_block_matches_states_at(self):
-        import numpy as np
-
-        from repro.core.markov import MarkovAvailabilityModel
-
-        model = MarkovAvailabilityModel.from_self_loops(0.9, 0.85, 0.9)
-        platform = Platform(
-            [
-                Processor.from_markov(
-                    q, 2, model, np.random.default_rng(40 + q)
-                )
-                for q in range(4)
-            ],
-            ncom=2,
-        )
-        block = platform.states_block(10, 40)
-        assert block.shape == (30, 4)
-        for offset, slot in enumerate(range(10, 40)):
-            assert block[offset].tolist() == platform.states_at(slot).tolist()
-
+class TestNextChange:
     def test_platform_next_change_after(self):
         platform = Platform(
             [
@@ -120,3 +95,39 @@ class TestStatesBlock:
         )
         assert platform.next_change_after(0) == 2  # P1 moves first
         assert platform.next_change_after(3, limit=3) is None
+
+
+class TestPlatformCalendar:
+    def _sources(self, p=12, seed=90):
+        return [
+            Processor.from_markov(q, 1, model(), np.random.default_rng(seed + q))
+            .availability
+            for q in range(p)
+        ]
+
+    def test_next_change_tracks_sources(self):
+        sources = self._sources()
+        mirror = self._sources()  # same streams, queried independently
+        cal = PlatformCalendar(sources)
+        last = 400
+        cal.start(0, last)
+        slot = 0
+        rng = np.random.default_rng(3)
+        while slot < last:
+            slot = min(last, slot + int(rng.integers(1, 9)))
+            cal.advance(slot)
+            for q, source in enumerate(mirror):
+                change = source.next_change_after(slot, limit=last)
+                expected = change if change is not None else last + 1
+                assert cal.next_change[q] == expected
+                assert cal.states[q] == source.state_at(slot)
+            assert cal.peek() == min(cal.next_change)
+            cal.audit(slot)
+
+    def test_audit_flags_a_stale_entry(self):
+        cal = PlatformCalendar(self._sources())
+        cal.start(0, 400)
+        cal.advance(10)
+        cal.next_change[3] += 1
+        with pytest.raises(AssertionError, match="calendar next transition"):
+            cal.audit(10)

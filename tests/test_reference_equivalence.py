@@ -585,6 +585,40 @@ class TestChurnScaling:
         assert counts["calendar_pops"] < boundaries * p / 10
 
 
+class TestCalendarNextChange:
+    """The calendar is the one owner of each processor's next transition
+    (DESIGN.md §12): the glide span search reads ``cal.next_change``, and
+    audit mode checks that list against the sources at every boundary."""
+
+    @pytest.mark.parametrize("policy", ["event", "sticky"])
+    def test_audited_glide_runs_match_reference(self, policy):
+        # No log: the span search glides, reading the calendar's list.
+        assert_scenario_equivalent(
+            large_grid(), "mct", budget=600, with_log=False, audit=True,
+            replan_policy=policy,
+        )
+
+    def test_audit_catches_a_stale_next_change(self):
+        scenario = large_grid()
+        platform = scenario.build_platform(0)
+        sim = MasterSimulator(
+            platform,
+            scenario.app,
+            make_scheduler("mct", platform=platform),
+            options=SimulatorOptions(audit=True, replan_policy="sticky"),
+            rng=scenario.scheduler_rng(0, "mct"),
+        )
+        sim.begin_run(max_slots=600)
+        sim.advance_until(100)
+        cal = sim._cal
+        # The latest entry is not popped at the next boundary, so nothing
+        # but the audit can notice that it went stale.
+        q = max(range(len(platform)), key=cal.next_change.__getitem__)
+        cal.next_change[q] -= 1
+        with pytest.raises(AssertionError, match="calendar next transition"):
+            sim.advance_until(600)
+
+
 # ---------------------------------------------------------------------- #
 # The RoundState compatibility shim against the eager snapshot.           #
 # ---------------------------------------------------------------------- #
@@ -601,9 +635,10 @@ class _ShimProbe(Scheduler):
 
     def place_array(self, rs, n_tasks, allowed=None):
         sim = self.sim
-        tbl = sim._tbl
-        remaining = int(
-            np.count_nonzero(tbl.alive & ~tbl.pinned & (tbl.replica_id == 0))
+        remaining = sum(
+            1
+            for inst in sim._tbl.objects
+            if inst is not None and not inst.pinned and not inst.is_replica
         )
         eager = eager_context(
             sim.platform, sim.workers, sim.app, rs.slot, rs.state, remaining,

@@ -120,7 +120,6 @@ class TestQueueInspection:
         planned = make_instance(task_id=1)
         worker.queue.extend([pinned, planned])
         assert worker.pinned_instances() == [pinned]
-        assert worker.planned_instances() == [planned]
 
 
 class TestNextDataTarget:
@@ -192,12 +191,12 @@ class TestDelayEstimate:
     def test_idle_worker_with_program(self):
         worker = make_worker(t_prog=2)
         worker.prog_received = 2
-        assert worker.delay_estimate(t_data=3) == 0
+        assert worker.delay_estimate() == 0
 
     def test_missing_program_counts(self):
         worker = make_worker(t_prog=5)
         worker.prog_received = 2
-        assert worker.delay_estimate(t_data=3) == 3
+        assert worker.delay_estimate() == 3
 
     def test_computing_instance_counts_remaining(self):
         worker = make_worker(t_prog=0, speed=4)
@@ -207,7 +206,7 @@ class TestDelayEstimate:
         inst.compute_needed = 4
         inst.compute_done = 1
         worker.queue.append(inst)
-        assert worker.delay_estimate(t_data=2) == 3
+        assert worker.delay_estimate() == 3
 
     def test_pipeline_with_prefetch(self):
         # Computing: 5 compute slots left. Prefetch: 1 data slot left, then
@@ -221,12 +220,12 @@ class TestDelayEstimate:
         prefetch.data_received = 1
         prefetch.compute_needed = 4
         worker.queue.extend([computing, prefetch])
-        assert worker.delay_estimate(t_data=2) == 9
+        assert worker.delay_estimate() == 9
 
     def test_planned_instances_ignored(self):
         worker = make_worker(t_prog=0)
         worker.queue.append(make_instance())  # unpinned
-        assert worker.delay_estimate(t_data=5) == 0
+        assert worker.delay_estimate() == 0
 
 
 class TestCrash:
@@ -293,43 +292,3 @@ class TestInvariants:
         worker.queue.append(inst)
         with pytest.raises(AssertionError, match="records worker"):
             worker.check_invariants()
-
-
-class TestSlotsToNextMilestone:
-    def _worker(self):
-        return WorkerRuntime(index=0, speed_w=5, t_prog=3)
-
-    def test_no_activity_is_none(self):
-        assert self._worker().slots_to_next_milestone() is None
-
-    def test_computing_instance_bounds(self):
-        worker = self._worker()
-        inst = TaskInstance(iteration=0, task_id=0, replica_id=0,
-                            data_needed=0, compute_needed=5, compute_done=2,
-                            computing=True, worker=0)
-        worker.queue.append(inst)
-        assert worker.slots_to_next_milestone() == 3
-
-    def test_granted_prog_transfer(self):
-        worker = self._worker()
-        worker.prog_received = 1
-        inst = TaskInstance(iteration=0, task_id=0, replica_id=0,
-                            data_needed=2, worker=0)
-        worker.queue.append(inst)
-        assert worker.slots_to_next_milestone("prog") == 2
-
-    def test_granted_data_transfer_takes_min_with_compute(self):
-        worker = self._worker()
-        computing = TaskInstance(iteration=0, task_id=0, replica_id=0,
-                                 data_needed=0, compute_needed=9,
-                                 compute_done=1, computing=True, worker=0)
-        staged = TaskInstance(iteration=0, task_id=1, replica_id=0,
-                              data_needed=4, data_received=1, worker=0)
-        worker.queue.extend([computing, staged])
-        assert worker.slots_to_next_milestone("data", staged) == 3
-
-    def test_data_grant_requires_instance(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            self._worker().slots_to_next_milestone("data")
