@@ -6,17 +6,32 @@ the *shape* conclusions that are robust even at smoke scale:
 
 * every random heuristic has a worse average dfb than the best greedy
   heuristic;
-* the table is internally consistent (dfb ≥ 0, wins sum ≥ instances).
+* the table is internally consistent (dfb ≥ 0, wins sum ≥ instances);
+* at scale 1, the paper-fidelity pin: the exact Spearman rho between the
+  run's average-dfb ranking and the paper's, and their top-5 overlap.
 
 Finer-grained shape targets (EMCT ≤ MCT, the exact ranking) need larger
 samples; they are recorded in EXPERIMENTS.md from medium-scale runs.
 """
 
-from repro.experiments.table2 import render_table2, run_table2
+from repro.experiments.replan_study import _spearman
+from repro.experiments.table2 import PAPER_TABLE2, render_table2, run_table2
 
 # A reduced but still grid-shaped slice: all n values, one ncom, three
 # wmin levels spanning the x-axis of Figure 2.
 REDUCED = dict(n_values=(5, 20), ncom_values=(5,), wmin_values=(1, 5, 10))
+
+# Paper-fidelity pin, read at scale 1 only.  Runs are bit-deterministic,
+# so at this fixed seed both values are exact: a change that keeps the
+# campaign records identical leaves them unchanged.  A change that moves
+# either pin must say why in CHANGES.md.
+PINNED_RHO = 0.9730392156862745
+PINNED_TOP5_OVERLAP = 5
+
+
+def _ranking(dfb_by_name):
+    """Names best (lowest average dfb) first, ties broken by name."""
+    return sorted(dfb_by_name, key=lambda name: (dfb_by_name[name], name))
 
 
 def test_table2_regeneration(benchmark, scale):
@@ -46,3 +61,12 @@ def test_table2_regeneration(benchmark, scale):
         assert dfb >= 0.0
         assert wins >= 0
     assert sum(w for _, w in rows.values()) >= result.campaign.instances
+
+    if scale == 1:
+        measured = _ranking({name: dfb for name, (dfb, _) in rows.items()})
+        paper = _ranking({name: dfb for name, (dfb, _) in PAPER_TABLE2.items()})
+        rho = _spearman(paper, measured)
+        overlap = len(set(measured[:5]) & set(paper[:5]))
+        print(f"ranking vs paper: rho={rho!r}, top-5 overlap={overlap}/5")
+        assert rho == PINNED_RHO
+        assert overlap == PINNED_TOP5_OVERLAP

@@ -31,9 +31,10 @@ legacy scalar heuristics raise.
 owns it (normally :class:`~repro.sim.master.MasterSimulator`) writes the
 dynamic columns in place and is responsible for keeping them equal to what
 the legacy eager snapshot would contain at every scheduling round.  The
-master maintains them *incrementally* — O(changed processors) per round,
-see DESIGN.md §8 for the event → dirty-column table — instead of rebuilding
-p views from scratch.  Mutators must call :meth:`invalidate` after a batch
+master recomputes, at each executed round, the processors it touched
+since the previous one (DESIGN.md §8 lists the touching events) instead
+of rebuilding p views from scratch; the columns carry no maintenance
+state of their own.  Mutators must call :meth:`invalidate` after a batch
 of column writes so the lazy compatibility caches are dropped.
 
 **Compatibility shim.**  :meth:`view` materialises a single legacy
@@ -181,21 +182,7 @@ class RoundState:
         #: counter so tokens never collide across RoundState instances.
         self.version = next(_VERSION_COUNTER)
 
-        #: Per-processor dirty flags for the owner's incremental refresh
-        #: (DESIGN.md §8/§9): the owner sets ``dirty[q] = 1`` at every
-        #: mutation that can move processor ``q``'s worker-derived columns
-        #: and clears flags as it recomputes them.  Owned here so the
-        #: maintenance contract travels with the state object; hot paths
-        #: may hold a local alias (it is a plain mutable ``bytearray``).
-        #: Starts all-dirty: no column is current until first refreshed.
-        self.dirty = bytearray(b"\x01" * p)
-
         self._pipeline_provider = pipeline_provider or (lambda q: ())
-        #: Optional owner hook called with a processor index before a lazy
-        #: ``ProcessorView`` materialises: owners that defer column updates
-        #: for processors outside the scoring set (the master skips
-        #: non-UP workers) use it to bring those columns current on demand.
-        self.freshen: Optional[Callable[[int], None]] = None
         self._belief_columns: Dict[str, np.ndarray] = {}
         self._belief_column_lists: Dict[str, list] = {}
         self._speed_list: Optional[list] = None
@@ -300,8 +287,6 @@ class RoundState:
         if cached is None:
             from .base import ProcessorView  # local import: base imports us
 
-            if self.freshen is not None:
-                self.freshen(q)
             cached = ProcessorView(
                 index=q,
                 speed_w=int(self.speed_w[q]),

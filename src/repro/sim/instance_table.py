@@ -17,10 +17,12 @@ iff it is *not* in the ``unpinned`` set.  The table owns only what
 changes at *event* rate (creation, pinning, compute start, crash,
 commit), mirroring the RoundState maintenance discipline (§8):
 
-* per task (numpy arrays): ``live_count``, ``replica_mask`` (bitmask of
-  live replica ids), ``original_row`` (row of the live original, -1
-  after commit), ``committed``; plus ``rows_of[t]`` — live rows in
-  creation order (the commit path's sibling lookup);
+* per task: ``rows_of[t]`` — live rows in creation order (the commit
+  path's sibling lookup).  Every other per-task fact derives from it:
+  the live count is ``len(rows_of[t])``; the original is created first
+  and destroyed only at its task's commit, so it is ``rows_of[t][0]``;
+  and a task is committed exactly when it has no live row (the commit
+  path destroys the rows, then calls :meth:`commit_task`);
 * per worker: ``computing_row`` (row of the computing instance, -1 when
   idle) — the O(1) lookup the compute/span loops use instead of a queue
   scan;
@@ -40,8 +42,6 @@ the incremental RoundState uses.
 from __future__ import annotations
 
 from typing import List, Optional
-
-import numpy as np
 
 from .worker import TaskInstance
 
@@ -86,11 +86,7 @@ class InstanceTable:
         #: Dead rows available for reuse; popped LIFO so row churn stays
         #: compact (lowest rows are recycled first after a reset).
         self.free: List[int] = list(range(capacity - 1, -1, -1))
-        # Per-task aggregates.
-        self.live_count = np.zeros(n_tasks, dtype=np.int32)
-        self.replica_mask = np.zeros(n_tasks, dtype=np.int64)
-        self.original_row = np.full(n_tasks, -1, dtype=np.int32)
-        self.committed = np.zeros(n_tasks, dtype=bool)
+        # Per-task aggregate.
         self.rows_of: List[List[int]] = [[] for _ in range(n_tasks)]
         # Per-worker aggregates.
         self.computing_row: List[int] = [-1] * n_workers
@@ -114,10 +110,6 @@ class InstanceTable:
         capacity = len(self.objects)
         self.objects = [None] * capacity
         self.free = list(range(capacity - 1, -1, -1))
-        self.live_count[:] = 0
-        self.replica_mask[:] = 0
-        self.original_row[:] = -1
-        self.committed[:] = False
         for rows in self.rows_of:
             rows.clear()
         self.computing_row = [-1] * self.n_workers
@@ -135,21 +127,17 @@ class InstanceTable:
     # Structural mutations.                                                #
     # ------------------------------------------------------------------ #
     def add(self, inst: TaskInstance) -> int:
-        """Register a freshly created (unplaced, unpinned) instance."""
+        """Register a freshly created (unplaced, unpinned) instance of an
+        uncommitted task; a task's original is added before its replicas."""
         if not self.free:
             self._grow()
         row = self.free.pop()
         inst.row = row
-        task = inst.task_id
         self.objects[row] = inst
-        if inst.replica_id == 0:
-            self.original_row[task] = row
-        count = int(self.live_count[task]) + 1
-        self.live_count[task] = count
-        if count == self.max_instances and not self.committed[task]:
+        rows = self.rows_of[inst.task_id]
+        rows.append(row)
+        if len(rows) == self.max_instances:
             self.repl_deficit -= 1
-        self.replica_mask[task] |= 1 << inst.replica_id
-        self.rows_of[task].append(row)
         self.unpinned.add(row)
         self.ops += 1
         return row
@@ -161,19 +149,14 @@ class InstanceTable:
         destroy *before* detaching the instance from its worker queue (or
         after :meth:`on_crash`, which clears the per-worker state)."""
         row = inst.row
-        task = inst.task_id
         host = inst.worker
         if host is not None and self.computing_row[host] == row:
             self.computing_row[host] = -1
         self.unpinned.discard(row)
-        count = int(self.live_count[task]) - 1
-        self.live_count[task] = count
-        if count == self.max_instances - 1 and not self.committed[task]:
+        rows = self.rows_of[inst.task_id]
+        if len(rows) == self.max_instances:
             self.repl_deficit += 1
-        self.replica_mask[task] &= ~(1 << inst.replica_id)
-        if self.original_row[task] == row:
-            self.original_row[task] = -1
-        self.rows_of[task].remove(row)
+        rows.remove(row)
         self.objects[row] = None
         self.free.append(row)
         inst.row = -1
@@ -210,11 +193,11 @@ class InstanceTable:
         self.ops += 1
 
     def commit_task(self, task: int) -> None:
-        """Mark a task committed (sibling rows are destroyed separately)."""
-        self.committed[task] = True
+        """Count a task committed once its rows are destroyed: with no
+        live row it is committed, and it leaves the deficit."""
+        assert not self.rows_of[task], f"task {task} committed with live rows"
         self.n_uncommitted -= 1
-        if self.live_count[task] < self.max_instances:
-            self.repl_deficit -= 1
+        self.repl_deficit -= 1
         self.ops += 1
 
     # ------------------------------------------------------------------ #
@@ -234,9 +217,9 @@ class InstanceTable:
         """Every live instance, in row order."""
         return [inst for inst in self.objects if inst is not None]
 
-    def uncommitted_tasks(self) -> np.ndarray:
-        """Task ids not yet committed, ascending."""
-        return np.nonzero(~self.committed)[0]
+    def uncommitted_tasks(self) -> List[int]:
+        """Task ids not yet committed (with a live row), ascending."""
+        return [task for task, rows in enumerate(self.rows_of) if rows]
 
     def hosts_of_task(self, task: int) -> set:
         """Workers currently hosting a live instance of ``task``."""
@@ -249,9 +232,10 @@ class InstanceTable:
 
     def free_replica_id(self, task: int) -> int:
         """Lowest replica id in ``1..max_instances`` not currently live."""
-        mask = int(self.replica_mask[task])
+        objects = self.objects
+        live = {objects[row].replica_id for row in self.rows_of[task]}
         rid = 1
-        while mask >> rid & 1:
+        while rid in live:
             rid += 1
         return rid
 
@@ -274,27 +258,26 @@ class InstanceTable:
         assert len(self.unpinned) == sum(1 for i in instances if not i.pinned)
         for task in range(self.n_tasks):
             rows = [inst.row for inst in instances if inst.task_id == task]
-            assert self.live_count[task] == len(rows)
             assert sorted(self.rows_of[task]) == sorted(rows)
             # rows_of preserves creation order (the commit path relies on it).
             seqs = [self.objects[row].uid for row in self.rows_of[task]]
             assert seqs == sorted(seqs), f"task {task}: rows_of out of order"
-            mask = 0
-            original = -1
-            for inst in instances:
-                if inst.task_id == task:
-                    mask |= 1 << inst.replica_id
-                    if inst.replica_id == 0:
-                        original = inst.row
-            assert self.replica_mask[task] == mask
-            assert self.original_row[task] == original
-            assert bool(self.committed[task]) == (task in committed)
+            # Committed means no live row; otherwise the original comes
+            # first and every replica id is distinct.
+            assert (task in committed) == (not rows), (
+                f"task {task}: committed must mean no live row"
+            )
+            rids = [self.objects[row].replica_id for row in self.rows_of[task]]
+            assert len(set(rids)) == len(rids), f"task {task}: duplicate ids"
+            assert not rids or rids[0] == 0, (
+                f"task {task}: the original must be its first row"
+            )
         assert self.n_uncommitted == self.n_tasks - len(committed)
         deficit = sum(
             1
             for task in range(self.n_tasks)
             if task not in committed
-            and self.live_count[task] < self.max_instances
+            and len(self.rows_of[task]) < self.max_instances
         )
         assert self.repl_deficit == deficit, (
             f"repl_deficit {self.repl_deficit} != rebuilt {deficit}"

@@ -51,12 +51,15 @@ calendar (§12) — the only platform index — touches only the processors
 whose availability run ended at a boundary.
 
 **One owner per fact.**  The instance records own identity, progress
-and placement; the table owns the event-rate aggregates, commit state
-included; the calendar owns each processor's state and next transition
-(the span search reads ``PlatformCalendar.next_change``).  The master
-keeps one busy-worker mirror, ``_prog_holders``, and derives its
-boundary counters (``op_counts``) from ``steps_executed`` and the
-calendar's pop count.
+and placement; the table owns the event-rate aggregates, and commit
+state derives from its row lists; the calendar owns the availability
+sources and each processor's state and next transition (the span search
+reads ``PlatformCalendar.sources`` and ``next_change``).  The master
+keeps one busy-worker mirror, ``_prog_holders``, one grant dict per
+boundary (``_grants``) and one set of workers touched since the last
+executed round (``_touched``), which the next round's refresh
+recomputes in full; it derives its boundary counters (``op_counts``)
+from ``steps_executed`` and the calendar's pop count.
 
 **The reference** (DESIGN.md §3).  None of this machinery may change a
 result: :class:`~repro.sim.reference.ReferenceSimulator`, a plain
@@ -171,7 +174,6 @@ class MasterSimulator:
         self._request_cache: List[dict] = [{} for _ in self.workers]
         self._start_iteration(0)
 
-        self._avail = [proc.availability for proc in platform]
         self._need_replan = True
 
         # The parsed replan policy decides which events set
@@ -194,15 +196,15 @@ class MasterSimulator:
         self.steps_executed = 0
 
         # Span-stepping state (DESIGN.md §6): the grants of the last fully
-        # simulated slot (reused verbatim across the quiet span), whether
-        # that slot changed the pipeline shape (a data transfer finishing
+        # simulated slot (worker index -> ``(kind, instance)``, in grant
+        # order; reused verbatim across the quiet span), whether that
+        # slot changed the pipeline shape (a data transfer finishing
         # re-opens the allocation problem), and a per-processor cache of
         # the next DOWN entry (the next transition of any kind is the
         # calendar's, DESIGN.md §12).
         self._pipeline_changed = False
         self._span_refined = False
-        self._grants: List[tuple] = []
-        self._grant_index: Dict[int, tuple] = {}
+        self._grants: Dict[int, tuple] = {}
         self._grant_counts = (0, 0, 0)
         self._next_down_cache: List[int] = [-1] * len(self.workers)
 
@@ -211,8 +213,9 @@ class MasterSimulator:
         # (``_states_list``; int loops beat per-element numpy reads ~2× at
         # the paper's p = 20 — DESIGN.md §9) and as a zero-copy uint8
         # view — and is started in ``_start_run`` once the budget is known
-        # (its heap sentinels are budget-relative).
-        self._cal = PlatformCalendar(self._avail)
+        # (its heap sentinels are budget-relative).  Its ``sources`` list
+        # is the simulator's one handle on the availability sources.
+        self._cal = PlatformCalendar([proc.availability for proc in platform])
         self._states_list: List[int] = []  # the calendar's, once started
         #: Workers with a partial or resident program (mirrors
         #: ``prog_received > 0``): the crash-candidate filter, and together
@@ -220,12 +223,12 @@ class MasterSimulator:
         #: visit.
         self._prog_holders: set = set()
 
-        # Sparse companion of the RoundState dirty flags (layer 2 of the
-        # large-p engine): the indices flagged since the last refresh, so
-        # `_refresh_round_state` walks O(dirty) candidates instead of all
-        # p flags.  Guarded appends (only on a 0 -> 1 edge) keep it
-        # duplicate-free up to `_freshen_worker_columns` clears.
-        self._rs_dirty_hint: List[int] = list(range(len(self.workers)))
+        #: Workers whose RoundState columns may have moved since the last
+        #: executed round: every mutation that can move a worker's delay,
+        #: pinned count or program progress adds it, and the next
+        #: `_refresh_round_state` recomputes them all and clears the set.
+        #: Starts with every worker: no column is current until refreshed.
+        self._touched: set = set(range(len(self.workers)))
 
         #: Operation-count instrumentation (diagnostics; ``op_counts``
         #: bundles them with the counts it derives from ``steps_executed``
@@ -239,9 +242,9 @@ class MasterSimulator:
         # arrays RoundState the schedulers consume, maintained
         # *incrementally* — every mutation that can move a per-processor
         # column (pin/unpin, transfer progress, program completion, crash,
-        # commit, quiet-span fast-forward) flags the processor in
-        # `_rs_dirty`, and `_refresh_round_state` recomputes only the
-        # flagged columns at the next scheduling round.
+        # commit, quiet-span fast-forward) adds the worker to `_touched`,
+        # and `_refresh_round_state` recomputes only those columns at the
+        # next scheduling round.
         self._rs = RoundState(
             speed_w=[proc.speed_w for proc in platform],
             beliefs=[proc.belief for proc in platform],
@@ -251,11 +254,6 @@ class MasterSimulator:
             rng=self.rng,
             pipeline_provider=self._pinned_pipeline_of,
         )
-        self._rs.freshen = self._freshen_worker_columns
-        #: Local alias of the RoundState's dirty flags (same bytearray):
-        #: the flags live on the state object (DESIGN.md §8), the master
-        #: writes them at every mutating touch point.
-        self._rs_dirty = self._rs.dirty
 
         # Run-loop state (begin_run/advance_until/finish_run; run and
         # run_slots drive the same three calls).
@@ -306,7 +304,7 @@ class MasterSimulator:
         ``calendar_pops``: total heap pops;
         ``span_scan_workers``: workers visited by the quiet-span search;
         ``round_refreshed``: RoundState columns recomputed at executed
-        rounds (the sparse dirty-hint walk); ``rows_scored``: score-row
+        rounds (the touched workers); ``rows_scored``: score-row
         elements the scheduler built, one row per round and contention
         factor (0 for schedulers on the compatibility shim);
         ``rows_reused``: always 0 — nothing carries score rows across
@@ -356,14 +354,6 @@ class MasterSimulator:
         if records:
             slist = self._states_list
             up = int(ProcState.UP)
-            # Dirty workers re-entering the UP set rejoin the sparse
-            # refresh hint here (their hint entry was dropped while they
-            # were out of the scoring candidate set).
-            dirty = self._rs_dirty
-            hint = self._rs_dirty_hint
-            for q, _old, new in records:
-                if new == up and dirty[q]:
-                    hint.append(q)
             # Re-plan only when the UP set changed: transitions among
             # RECLAIMED/DOWN of unused processors alter neither the
             # candidate set nor any Delay estimate.
@@ -406,15 +396,11 @@ class MasterSimulator:
     def _crash(self, slot: int, candidates: List[int]) -> None:
         """Crash each candidate worker (DOWN while carrying progress)."""
         tbl = self._tbl
-        dirty = self._rs_dirty
-        hint = self._rs_dirty_hint
         for q in candidates:
             worker = self.workers[q]
             # Account wasted effort before wiping progress.
             self.report.comm_slots_wasted += worker.prog_received
-            if not dirty[q]:  # program + pipeline wiped
-                dirty[q] = 1
-                hint.append(q)
+            self._touched.add(q)  # program + pipeline wiped
             lost = worker.crash()
             tbl.on_crash(q)
             self._prog_holders.discard(q)
@@ -447,9 +433,7 @@ class MasterSimulator:
         if inst.worker is not None:
             # Destroying a pinned instance moves the worker's delay and
             # pinned count; marking unconditionally is cheap and idempotent.
-            if not self._rs_dirty[inst.worker]:
-                self._rs_dirty[inst.worker] = 1
-                self._rs_dirty_hint.append(inst.worker)
+            self._touched.add(inst.worker)
             self.workers[inst.worker].remove_instance(inst)
         reset_instance(inst)
 
@@ -499,69 +483,33 @@ class MasterSimulator:
     ) -> RoundState:
         """Bring the incrementally maintained RoundState up to this round.
 
-        O(changed processors): the state column is the (already computed)
+        O(touched processors): the state column is the (already computed)
         state vector, and the worker-derived columns — ``delay``,
         ``pinned_count``, ``has_program``, ``prog_remaining`` — are
-        recomputed only for processors flagged dirty since the last round.
-        The per-worker recompute is the same ``delay_estimate`` the
-        reference simulator's eager snapshot calls, so refreshed columns
-        are bit-identical to a from-scratch rebuild (cross-checked in
-        audit mode).
+        recomputed for every worker in ``_touched``, whatever its state,
+        after which the set is cleared.  The per-worker recompute is the
+        same ``delay_estimate`` the reference simulator's eager snapshot
+        calls, so refreshed columns are bit-identical to a from-scratch
+        rebuild (cross-checked over all p columns in audit mode).
         """
         rs = self._rs
         rs.slot = slot
         rs.state = states
-        dirty = self._rs_dirty
-        workers = self.workers
-        up = int(ProcState.UP)
-        eager_all = self.options.audit  # the audit cross-check reads all p
-        slist = self._states_list
-        changed: List[int] = []
-        delays: List[int] = []
-        pinned_counts: List[int] = []
-        prog_remainings: List[int] = []
-        if eager_all:
-            # Audit mode refreshes every dirty worker (the cross-check
-            # reads all p columns) and verifies the sparse hint list
-            # covers every set flag of a *scoring candidate* (dirty non-UP
-            # workers legitimately leave the hint; they rejoin on their
-            # next observed transition to UP) before resetting it.
-            hint_set = set(self._rs_dirty_hint)
-            assert all(
-                q in hint_set
-                for q in range(len(dirty))
-                if dirty[q] and slist[q] == up
-            ), "dirty UP flag set outside the sparse hint list"
-            candidates = range(len(dirty))
-        else:
-            # Sparse walk (DESIGN.md §12): only the indices flagged since
-            # the last refresh — O(dirty), never O(p).  Flags cleared by
-            # the freshen shim skip.  Non-UP workers stay flagged but are
-            # *dropped* from the hint (their columns are only readable
-            # through the RoundState.freshen shim while non-UP);
-            # `_handle_states` re-appends them the moment a boundary
-            # observes their transition back to UP, so the walk stays
-            # O(dirty candidates) instead of carrying every dirty non-UP
-            # worker round after round.
-            candidates = self._rs_dirty_hint
-        for q in candidates:
-            if not dirty[q]:
-                continue
-            if not eager_all and slist[q] != up:
-                continue
-            worker = workers[q]
-            delay, pinned_count = worker.delay_and_pinned()
-            changed.append(q)
-            delays.append(delay)
-            pinned_counts.append(pinned_count)
-            prog_remaining = worker.t_prog - worker.prog_received
-            prog_remainings.append(prog_remaining if prog_remaining > 0 else 0)
-            dirty[q] = 0
-        # In-place clear: mutation sites may hold a live alias of the
-        # hint list; rebinding would strand their appends on a dead list.
-        del self._rs_dirty_hint[:]
-        self.op_round_refreshed += len(changed)
-        if changed:
+        touched = self._touched
+        if touched:
+            workers = self.workers
+            changed = list(touched)
+            touched.clear()
+            delays: List[int] = []
+            pinned_counts: List[int] = []
+            prog_remainings: List[int] = []
+            for q in changed:
+                worker = workers[q]
+                delay, pinned_count = worker.delay_and_pinned()
+                delays.append(delay)
+                pinned_counts.append(pinned_count)
+                prog_remainings.append(worker.prog_remaining)
+            self.op_round_refreshed += len(changed)
             # One vectorised scatter per column beats per-element numpy
             # assignments by an order of magnitude at p ≈ 20.
             index = np.array(changed, dtype=np.intp)
@@ -575,26 +523,6 @@ class MasterSimulator:
         if self.options.audit:
             self._audit_round_state()
         return rs
-
-    def _freshen_worker_columns(self, q: int) -> None:
-        """RoundState.freshen hook: bring one worker's columns current.
-
-        Called when the compatibility shim materialises a
-        :class:`ProcessorView` for a processor the incremental refresh
-        skipped (non-UP workers are outside every scoring path).
-        """
-        dirty = self._rs_dirty
-        if not dirty[q]:
-            return
-        rs = self._rs
-        worker = self.workers[q]
-        delay, pinned_count = worker.delay_and_pinned()
-        rs.delay[q] = delay
-        rs.pinned_count[q] = pinned_count
-        prog_remaining = worker.prog_remaining
-        rs.prog_remaining[q] = prog_remaining
-        rs.has_program[q] = prog_remaining == 0
-        dirty[q] = 0
 
     def _audit_round_state(self) -> None:
         """Audit-mode cross-check: incremental columns == full rebuild."""
@@ -671,9 +599,9 @@ class MasterSimulator:
             return []
         candidates = []
         reclaimed = int(ProcState.RECLAIMED)
-        for task_id in tbl.uncommitted_tasks().tolist():
-            row = int(tbl.original_row[task_id])
-            if row < 0 or row in tbl.unpinned:
+        for task_id in tbl.uncommitted_tasks():
+            row = tbl.rows_of[task_id][0]  # the original (DESIGN.md §9)
+            if row in tbl.unpinned:
                 continue
             inst = tbl.objects[row]
             host = inst.worker
@@ -688,9 +616,7 @@ class MasterSimulator:
         for inst in self._proactive_candidates():
             self.report.comm_slots_wasted += inst.data_received
             self.report.compute_slots_wasted += inst.compute_done
-            if not self._rs_dirty[inst.worker]:  # pinned work discarded
-                self._rs_dirty[inst.worker] = 1
-                self._rs_dirty_hint.append(inst.worker)
+            self._touched.add(inst.worker)  # pinned work discarded
             self._tbl.release(inst)  # reads inst.worker: before detach
             self.workers[inst.worker].remove_instance(inst)
             reset_instance(inst)  # back to the pool, progress discarded
@@ -799,20 +725,20 @@ class MasterSimulator:
             return
         max_instances = 1 + self.options.max_replicas
         place_array = self.scheduler.place_array
-        # The per-task aggregates are maintained incrementally, so no pass
-        # over the live instances is needed at all.  Reading them per
+        # A task's live count is the length of its row list, so no pass
+        # over the live instances is needed at all.  Reading it per
         # visited candidate is exact: the loop below only ever *adds*
         # replicas for the task it is visiting, and it never revisits a
         # task.  Least-replicated tasks first; ties toward the lowest id.
-        live_count = tbl.live_count
+        rows_of = tbl.rows_of
         candidates = sorted(
-            tbl.uncommitted_tasks().tolist(),
-            key=lambda task_id: (int(live_count[task_id]), task_id),
+            tbl.uncommitted_tasks(),
+            key=lambda task_id: (len(rows_of[task_id]), task_id),
         )
         for task_id in candidates:
             if n_idle == 0:
                 break
-            if live_count[task_id] >= max_instances:
+            if len(rows_of[task_id]) >= max_instances:
                 continue
             # Mask arithmetic: the eligibility mask itself is the allowed
             # form the array schedulers consume (same candidate set as an
@@ -850,8 +776,7 @@ class MasterSimulator:
     def _compute_step(self, slot: int) -> None:
         tbl = self._tbl
         up = int(ProcState.UP)
-        dirty = self._rs_dirty
-        hint = self._rs_dirty_hint
+        touched = self._touched
         slist = self._states_list
         # Only UP workers with a queue can compute, in ascending order; the
         # queue-host set (O(live)) holds exactly the queue holders.
@@ -877,9 +802,7 @@ class MasterSimulator:
                     )
                 )
             current.compute_done += 1
-            if not dirty[q]:  # delay shrank (or pin began)
-                dirty[q] = 1
-                hint.append(q)
+            touched.add(q)  # delay shrank (or pin began)
             self.report.compute_slots_spent += 1
             if self.timeline is not None:
                 self.timeline.mark_compute(q)
@@ -887,7 +810,6 @@ class MasterSimulator:
                 self._commit(slot, current)
 
     def _commit(self, slot: int, inst: TaskInstance) -> None:
-        self._tbl.commit_task(inst.task_id)
         self.report.tasks_committed += 1
         self._need_replan = True
         self.log.emit(
@@ -902,10 +824,9 @@ class MasterSimulator:
         )
         # Remove the committed instance and cancel all siblings, in
         # creation (uid) order: the table's per-task row list appends in
-        # creation order.
-        siblings = [
-            self._tbl.objects[row] for row in list(self._tbl.rows_of[inst.task_id])
-        ]
+        # creation order.  The task is committed once its rows are gone.
+        tbl = self._tbl
+        siblings = [tbl.objects[row] for row in list(tbl.rows_of[inst.task_id])]
         for sibling in siblings:
             if sibling is inst:
                 self._destroy_instance(sibling)
@@ -927,6 +848,7 @@ class MasterSimulator:
                 )
             )
             self._destroy_instance(sibling)
+        tbl.commit_task(inst.task_id)
 
     # ------------------------------------------------------------------ #
     # Transfer step.                                                       #
@@ -981,21 +903,18 @@ class MasterSimulator:
 
     def _transfer_step(self, slot: int) -> None:
         requests, targets = self._gather_requests()
-        grants: List[tuple] = []
+        grants: Dict[int, tuple] = {}
         nprog = 0
-        dirty = self._rs_dirty
-        hint = self._rs_dirty_hint
+        touched = self._touched
         for grant in self.network.allocate(slot, requests):
             worker = self.workers[grant.worker]
-            if not dirty[grant.worker]:  # prog/data progress moves delay
-                dirty[grant.worker] = 1
-                hint.append(grant.worker)
+            touched.add(grant.worker)  # prog/data progress moves delay
             self.report.comm_slots_spent += 1
             if self.timeline is not None:
                 self.timeline.mark_transfer(worker.index, grant.kind)
             if grant.kind == "prog":
                 nprog += 1
-                grants.append((worker, "prog", None))
+                grants[worker.index] = ("prog", None)
                 if worker.prog_received == 0:
                     self._prog_holders.add(worker.index)
                     self.log.emit(
@@ -1015,7 +934,7 @@ class MasterSimulator:
                     )
             else:
                 inst = targets[grant.worker]
-                grants.append((worker, "data", inst))
+                grants[worker.index] = ("data", inst)
                 if not inst.data_started:
                     self._tbl.pin(inst)  # first data slot pins
                     self.log.emit(
@@ -1048,9 +967,6 @@ class MasterSimulator:
                         )
                     )
         self._grants = grants
-        self._grant_index = {
-            worker.index: (kind, inst) for worker, kind, inst in grants
-        }
         self._grant_counts = (nprog, len(grants) - nprog, len(requests))
 
     # ------------------------------------------------------------------ #
@@ -1112,7 +1028,7 @@ class MasterSimulator:
         the processor is never DOWN in between and the value stays
         correct for any query slot before it.
         """
-        source = self._avail[q]
+        source = self._cal.sources[q]
         down = int(ProcState.DOWN)
         change = source.next_change_after(slot, limit=last)
         while change is not None and source.state_at(change) != down:
@@ -1218,19 +1134,20 @@ class MasterSimulator:
         glide = sticky or (not observe_all and self._round_glidable())
         refined = glide and not self.options.audit
         self._span_refined = refined
+        cal = self._cal
         if not glide:
-            nxt = self._cal.peek()  # platform-wide next transition, O(1)
+            nxt = cal.peek()  # platform-wide next transition, O(1)
             if nxt < horizon:
                 horizon = nxt
                 if horizon == slot + 1:
                     return 0
-        grant_index = self._grant_index
-        next_change = self._cal.next_change
+        grants = self._grants
+        next_change = cal.next_change
         next_down_cache = self._next_down_cache
         tbl = self._tbl
         computing_rows = tbl.computing_row
         objects = tbl.objects
-        avail = self._avail
+        sources = cal.sources
         workers = self.workers
         busy = self._queue_hosts()
         busy.update(self._prog_holders)
@@ -1239,7 +1156,7 @@ class MasterSimulator:
             worker = workers[q]
             queue = worker.queue
             state_up = states[q] == up
-            grant = grant_index.get(q) if queue else None
+            grant = grants.get(q) if queue else None
             if glide:
                 # A resident program without a queue, or a refined worker,
                 # breaks only on its next DOWN entry; anything else on any
@@ -1265,7 +1182,7 @@ class MasterSimulator:
                 if refined:
                     if computing is None:
                         continue
-                    milestone_slot = avail[q].nth_up_after(
+                    milestone_slot = sources[q].nth_up_after(
                         slot,
                         computing.compute_needed - computing.compute_done,
                         limit=last,
@@ -1304,8 +1221,9 @@ class MasterSimulator:
         up = int(ProcState.UP)
         report = self.report
         refined = self._span_refined
-        dirty = self._rs_dirty
-        hint = self._rs_dirty_hint
+        touched = self._touched
+        grants = self._grants
+        sources = self._cal.sources
         timeline_compute: Optional[List[int]] = (
             [] if self.timeline is not None else None
         )
@@ -1320,33 +1238,28 @@ class MasterSimulator:
             if slist[q] == up and computing_row[q] >= 0
         ]
         for q, inst in computing:
-            if refined and q not in self._grant_index:
+            if refined and q not in grants:
                 # May freeze and resume inside the span: progress is
                 # the worker's UP-slot count over the window.
-                ticks = self.platform[q].availability.up_count_in(
-                    start, start + count
-                )
+                ticks = sources[q].up_count_in(start, start + count)
             else:
                 ticks = count  # UP throughout (any transition breaks)
             if ticks:
                 inst.compute_done += ticks
                 report.compute_slots_spent += ticks
-                if not dirty[q]:
-                    dirty[q] = 1
-                    hint.append(q)
+                touched.add(q)
             if timeline_compute is not None:
                 # With a recorder attached every transition is a span
                 # boundary, so the worker computes on every quiet slot.
                 timeline_compute.append(q)
-        for worker, kind, inst in self._grants:
+        workers = self.workers
+        for q, (kind, inst) in grants.items():
             if kind == "prog":
-                worker.prog_received += count
+                workers[q].prog_received += count
             else:
                 inst.data_received += count
             report.comm_slots_spent += count
-            if not dirty[worker.index]:
-                dirty[worker.index] = 1
-                hint.append(worker.index)
+            touched.add(q)
         nprog, ndata, requested = self._grant_counts
         self.network.record_span(
             start, count, nprog=nprog, ndata=ndata, requested=requested
@@ -1360,7 +1273,7 @@ class MasterSimulator:
             self.timeline.record_quiet_span(
                 self._cal.states_np,
                 timeline_compute,
-                [(worker.index, kind) for worker, kind, _ in self._grants],
+                [(q, kind) for q, (kind, _) in grants.items()],
                 count,
             )
         if self.options.audit:
@@ -1372,14 +1285,16 @@ class MasterSimulator:
         up = int(ProcState.UP)
         requests, _targets = self._gather_requests()
         planned = {(g.worker, g.kind) for g in self.network.plan(requests)}
-        granted = {(worker.index, kind) for worker, kind, _ in self._grants}
+        granted = {(q, kind) for q, (kind, _) in self._grants.items()}
         assert planned == granted, (
             f"grant set drifted mid-span: boundary {sorted(granted)} vs "
             f"replanned {sorted(planned)}"
         )
-        for worker, kind, inst in self._grants:
+        for q, (kind, inst) in self._grants.items():
             remaining = (
-                worker.prog_remaining if kind == "prog" else inst.data_remaining
+                self.workers[q].prog_remaining
+                if kind == "prog"
+                else inst.data_remaining
             )
             assert remaining >= 1, "granted transfer overshot its completion"
         for worker in self.workers:

@@ -252,22 +252,6 @@ class Platform:
             count=len(self.processors),
         )
 
-    def next_change_after(self, slot: int, *, limit: Optional[int] = None):
-        """First slot ``> slot`` where *any* processor's state changes.
-
-        Returns ``None`` when every processor holds its state through
-        ``limit``.  The span-stepped simulator uses finer-grained
-        (relevance-filtered, cached) per-source queries; this helper is
-        the simple whole-platform form for tools and tests.
-        """
-        horizon: Optional[int] = None
-        for proc in self.processors:
-            bound = limit if horizon is None else horizon - 1
-            change = proc.availability.next_change_after(slot, limit=bound)
-            if change is not None and (horizon is None or change < horizon):
-                horizon = change
-        return horizon
-
 
 class PlatformCalendar:
     """Platform-wide event calendar over the availability sources.

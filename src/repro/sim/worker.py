@@ -281,7 +281,7 @@ class WorkerRuntime:
 
         Hot path of the array scheduler API: the incremental
         :class:`~repro.core.heuristics.base.RoundState` refresh recomputes
-        both columns for every dirty worker each scheduling round, so this
+        both columns for every touched worker each scheduling round, so this
         fuses the pinned scan into :meth:`delay_estimate`'s timeline walk
         (same integer arithmetic, same result — cross-checked against the
         unfused pair in the master's audit mode) and inlines the

@@ -1,4 +1,4 @@
-"""The structure-of-arrays instance store (DESIGN.md §9).
+"""The instance row store (DESIGN.md §9).
 
 Unit tests for :class:`~repro.sim.instance_table.InstanceTable` itself:
 free-list reuse, aggregate invariants against a brute-force
@@ -52,13 +52,15 @@ class TestInstanceTableUnit:
     def test_free_list_reuse(self):
         tbl = InstanceTable(2, 2, 2)
         a, b = self._inst(0), self._inst(1)
-        row_a = tbl.add(a)
+        tbl.add(a)
         tbl.add(b)
-        tbl.destroy(a)
-        assert a.row == -1
         c = self._inst(0, replica_id=1)
-        assert tbl.add(c) == row_a  # the freed row is recycled
-        tbl.audit([b, c], committed=set())
+        row_c = tbl.add(c)
+        tbl.destroy(c)  # a round drops the unpinned replica
+        assert c.row == -1
+        d = self._inst(0, replica_id=1)
+        assert tbl.add(d) == row_c  # the freed row is recycled
+        tbl.audit([a, b, d], committed=set())
 
     def test_grow_preserves_rows(self):
         tbl = InstanceTable(12, 2, 2, capacity=4)  # forces doubling
@@ -76,19 +78,23 @@ class TestInstanceTableUnit:
 
     def test_pin_and_release_track_unpinned_set(self):
         tbl = InstanceTable(2, 2, 2)
-        inst = self._inst(0)
-        row = tbl.add(inst)
+        insts = [self._inst(t) for t in range(2)]
+        for other in insts:
+            tbl.add(other)
+        inst = insts[0]
+        row = inst.row
         inst.worker = 1
         inst.data_received = 1  # pinned per the instance's own rule
         tbl.pin(inst)
-        assert tbl.n_unpinned == 0
+        assert tbl.n_unpinned == 1
         assert row not in tbl.unpinned
         tbl.pin(inst)  # idempotent
-        assert tbl.n_unpinned == 0
+        assert tbl.n_unpinned == 1
         reset_instance(inst)
         tbl.release(inst)
-        assert tbl.n_unpinned == 1
-        tbl.audit([inst], committed=set())
+        assert tbl.n_unpinned == 2
+        assert row in tbl.unpinned
+        tbl.audit(insts, committed=set())
 
     def test_computing_row_lifecycle(self):
         tbl = InstanceTable(2, 3, 2)
@@ -114,10 +120,13 @@ class TestInstanceTableUnit:
         assert tbl.replication_saturated
         tbl.destroy(replicas[0])
         assert not tbl.replication_saturated
-        # A committed task stops counting toward the deficit.
+        # A committed task stops counting toward the deficit: the commit
+        # destroys the task's rows, then counts it committed.
+        tbl.destroy(originals[0])
+        assert not tbl.replication_saturated
         tbl.commit_task(0)
         assert tbl.replication_saturated
-        tbl.audit([originals[0], originals[1], replicas[1]], committed={0})
+        tbl.audit([originals[1], replicas[1]], committed={0})
 
     def test_free_replica_id_lowest_gap(self):
         tbl = InstanceTable(1, 1, 3)
@@ -141,25 +150,70 @@ class TestInstanceTableUnit:
         uids = [tbl.objects[row].uid for row in tbl.rows_of[0]]
         assert uids == sorted(uids)  # creation order == uid order
 
+    def test_audit_rejects_replica_before_original(self):
+        tbl = InstanceTable(1, 1, 2)
+        replica, original = self._inst(0, replica_id=1), self._inst(0)
+        tbl.add(replica)
+        tbl.add(original)
+        with pytest.raises(AssertionError, match="original must be its first"):
+            tbl.audit([replica, original], committed=set())
+
+    def test_audit_rejects_replica_without_original(self):
+        # The master rebuilds the committed set from the live originals,
+        # so a replica outliving its original reads as a committed task
+        # with a live row.
+        tbl = InstanceTable(1, 1, 2)
+        original, replica = self._inst(0), self._inst(0, replica_id=1)
+        tbl.add(original)
+        tbl.add(replica)
+        tbl.destroy(original)
+        with pytest.raises(AssertionError, match="committed must mean"):
+            tbl.audit([replica], committed={0})
+
+    def test_commit_requires_destroyed_rows(self):
+        tbl = InstanceTable(1, 1, 2)
+        tbl.add(self._inst(0))
+        with pytest.raises(AssertionError, match="committed with live rows"):
+            tbl.commit_task(0)
+
     def test_randomized_ops_against_bruteforce(self):
         """Random add/pin/compute/release/destroy/commit sequences keep
-        every incremental aggregate equal to the brute-force rebuild."""
+        every incremental aggregate equal to the brute-force rebuild.
+
+        The sequences follow the simulator's lifecycle: an iteration adds
+        every original first, replicas join uncommitted tasks only,
+        originals are destroyed only inside a commit (after which the
+        task is counted committed), and a fully committed iteration
+        resets the table for the next one."""
         rng = np.random.default_rng(4242)
         n_tasks, n_workers, max_instances = 5, 4, 3
         tbl = InstanceTable(n_tasks, n_workers, max_instances)
         live = []
         committed = set()
+
+        def start_iteration():
+            tbl.reset()
+            live.clear()
+            committed.clear()
+            for task in range(n_tasks):
+                inst = self._inst(task)
+                tbl.add(inst)
+                live.append(inst)
+
+        start_iteration()
+        iterations = 1
         for _ in range(600):
             op = rng.integers(0, 6)
-            if op == 0 and len(live) < n_tasks * max_instances:
+            if op == 0:
                 task = int(rng.integers(0, n_tasks))
                 used = {
                     inst.replica_id for inst in live if inst.task_id == task
                 }
                 free_ids = [
-                    r for r in range(max_instances) if r not in used
+                    r for r in range(1, max_instances) if r not in used
                 ]
-                if free_ids:
+                if task not in committed and free_ids:
+                    assert tbl.free_replica_id(task) == free_ids[0]
                     inst = self._inst(task, replica_id=free_ids[0])
                     tbl.add(inst)
                     live.append(inst)
@@ -187,8 +241,10 @@ class TestInstanceTableUnit:
                         tbl.release(inst)
                         reset_instance(inst)
             elif op == 4 and live:
-                inst = live.pop(int(rng.integers(0, len(live))))
-                tbl.destroy(inst)
+                inst = live[int(rng.integers(0, len(live)))]
+                if inst.is_replica:
+                    live.remove(inst)
+                    tbl.destroy(inst)
             elif op == 5:
                 task = int(rng.integers(0, n_tasks))
                 if task not in committed:
@@ -200,12 +256,19 @@ class TestInstanceTableUnit:
                     committed.add(task)
                     tbl.commit_task(task)
             tbl.audit(live, committed)
+            if len(committed) == n_tasks:
+                start_iteration()
+                iterations += 1
+                tbl.audit(live, committed)
+        assert iterations > 1  # the run crossed iteration boundaries
 
     def test_reset_clears_everything(self):
         tbl = InstanceTable(2, 2, 2)
         insts = [self._inst(t) for t in range(2)]
         for inst in insts:
             tbl.add(inst)
+        tbl.add(self._inst(1, replica_id=1))
+        tbl.destroy(insts[0])  # task 0 commits: rows first, then the count
         tbl.commit_task(0)
         tbl.reset()
         assert tbl.live_instances() == []
@@ -213,7 +276,12 @@ class TestInstanceTableUnit:
         assert tbl.n_uncommitted == 2
         assert tbl.repl_deficit == 2
         assert len(tbl.free) == len(tbl.objects)
-        tbl.audit([], committed=set())
+        assert tbl.rows_of == [[], []]
+        # The next iteration adds its originals into the cleared table.
+        fresh = [self._inst(t, iteration=1) for t in range(2)]
+        for inst in fresh:
+            tbl.add(inst)
+        tbl.audit(fresh, committed=set())
 
 
 class TestInstanceOps:

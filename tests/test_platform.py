@@ -84,19 +84,6 @@ class TestPlatform:
             Platform([trace_proc(0)], ncom=0)
 
 
-class TestNextChange:
-    def test_platform_next_change_after(self):
-        platform = Platform(
-            [
-                Processor.from_trace(0, 1, [0, 0, 0, 1, 1]),
-                Processor.from_trace(1, 1, [0, 0, 1, 1, 1]),
-            ],
-            ncom=1,
-        )
-        assert platform.next_change_after(0) == 2  # P1 moves first
-        assert platform.next_change_after(3, limit=3) is None
-
-
 class TestPlatformCalendar:
     def _sources(self, p=12, seed=90):
         return [

@@ -119,9 +119,6 @@ def test_rewound_sources_answer_like_fresh_ones(truth):
         np.testing.assert_array_equal(
             rewound.states_at(slot), fresh.states_at(slot)
         )
-        assert rewound.next_change_after(slot, limit=HORIZON) == (
-            fresh.next_change_after(slot, limit=HORIZON)
-        )
 
 
 @pytest.mark.usefixtures("short_chunks")
