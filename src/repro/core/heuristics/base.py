@@ -57,29 +57,23 @@ from .round_state import RoundState
 _VECTOR_MIN_P = 128
 
 
-def _is_bool_mask(allowed) -> bool:
-    """True when ``allowed`` is a boolean eligibility mask over all p
-    processors (the replication loop's native form at large p) rather
-    than a sequence of processor indices."""
-    return isinstance(allowed, np.ndarray) and allowed.dtype == np.bool_
+def _uniform_factor(k: int, n_active: int, n_tasks: int, ncom: int) -> Optional[int]:
+    """The contention factor of every score a placement call evaluates,
+    or ``None`` when it can vary within the call.
 
+    Over ``k`` candidates of which ``n_active`` already hold pinned work,
+    every factor evaluation of an ``n_tasks``-placement call sees an
+    active count in ``[n_active, min(k, n_active + min(k - n_active,
+    n_tasks) + 1)]`` (``n_active`` only grows, by one per first placement
+    on a pinned-free candidate), and ``ceil(·/ncom)`` is monotone, so
+    when the two endpoints agree the factor is provably constant.
+    """
+    upper = n_active + min(k - n_active, n_tasks) + 1
+    if upper > k:
+        upper = k
+    factor = max(1, -(-n_active // ncom))
+    return factor if factor == max(1, -(-upper // ncom)) else None
 
-def _allowed_as_mask(allowed, p: int) -> np.ndarray:
-    """``allowed`` as a length-``p`` boolean mask (no copy if it is one)."""
-    if _is_bool_mask(allowed):
-        return allowed
-    mask = np.zeros(p, dtype=bool)
-    idx = np.asarray(allowed, dtype=np.intp)
-    if idx.size:
-        mask[idx] = True
-    return mask
-
-
-def _allowed_as_set(allowed) -> set:
-    """``allowed`` as a set of processor indices (scalar-path form)."""
-    if _is_bool_mask(allowed):
-        return set(np.nonzero(allowed)[0].tolist())
-    return {int(q) for q in allowed}
 
 __all__ = [
     "ProcessorView",
@@ -236,9 +230,9 @@ class Scheduler(abc.ABC):
         Args:
             ctx: the scheduling context.
             n_tasks: how many instances to place.
-            allowed: optional subset of processor indices that may be used
-                (the master restricts replica placement to idle workers).
-                Defaults to all UP processors.
+            allowed: optional sequence of the processor indices that may
+                be used (the reference simulator restricts replica
+                placement to idle workers).  Defaults to all UP processors.
 
         Returns:
             A list of length ``n_tasks`` with the chosen processor index
@@ -269,18 +263,23 @@ class Scheduler(abc.ABC):
         self,
         rs: RoundState,
         n_tasks: int,
-        allowed: Optional[Sequence[int]] = None,
+        allowed: Optional[np.ndarray] = None,
     ) -> List[Optional[int]]:
         """Assign ``n_tasks`` instances from an array-backed round state.
 
         The array-path twin of :meth:`place`; the master calls this with
-        its incrementally maintained :class:`RoundState`.  The base
-        implementation is the compatibility shim: it materialises the lazy
-        legacy context (:meth:`RoundState.as_context`) and runs the scalar
-        path, so any external :class:`Scheduler` subclass keeps working —
-        and keeps producing bit-identical placements — without changes.
+        its incrementally maintained :class:`RoundState`.  ``allowed`` is
+        ``None`` (every UP processor) or a length-p boolean mask of the
+        eligible processors (the master's idle mask for replicas).  The
+        base implementation is the compatibility shim: it converts the
+        mask to an index list once, materialises the lazy legacy context
+        (:meth:`RoundState.as_context`) and runs the scalar path, so any
+        external :class:`Scheduler` subclass keeps working — and keeps
+        producing bit-identical placements — without changes.
         Batch-capable subclasses override this.
         """
+        if allowed is not None:
+            allowed = np.flatnonzero(allowed).tolist()
         return self.place(rs.as_context(), n_tasks, allowed)
 
     # No simulator code calls this; it stays only because the end-to-end
@@ -294,7 +293,7 @@ class Scheduler(abc.ABC):
         ups = ctx.up_processors()
         if allowed is None:
             return ups
-        allowed_set = _allowed_as_set(allowed)
+        allowed_set = set(allowed)
         return [view for view in ups if view.index in allowed_set]
 
     @abc.abstractmethod
@@ -505,10 +504,9 @@ class GreedyScheduler(Scheduler):
         processors up, the assembly runs as numpy gathers over the column
         arrays instead — exact integer/copy operations, so the resulting
         lists are element-for-element identical — and the UP index array
-        is kept (``up_arr``) for the vectorised single-placement path.
-        Every replication placement and heap re-validation then runs on
-        list lookups and scalar ops.  Nothing survives a refresh: the
-        next ``rs.version`` rebuilds the cache from the columns.
+        is kept (``up_arr``) for the large-p argmin loop
+        (:meth:`_place_argmin`).  Nothing survives a refresh: the next
+        ``rs.version`` rebuilds the cache from the columns.
         """
         if self._round_version != rs.version:
             up_state = int(ProcState.UP)
@@ -531,7 +529,6 @@ class GreedyScheduler(Scheduler):
                 "pinned_zero_arr": pinned_zero_arr,
                 "row0": {},
                 "row0_arr": {},
-                "row0_nan": {},
                 "ct": {},
                 "gathers": None,
                 "belief": {},
@@ -604,111 +601,48 @@ class GreedyScheduler(Scheduler):
                 )
         return ct_bases
 
-    def _place_one(self, rs: RoundState, cache: dict, allowed):
-        """Fused single-placement path (the replication-call shape).
+    def _place_one(self, rs: RoundState, cache: dict, allowed) -> list:
+        """Small-p single placement (the replication-call shape).
 
         One placement is the lazy heap's first pop — the minimum
-        ``(score, index)`` pair — so when the contention factor is uniform
+        ``(key, index)`` pair — so when the contention factor is uniform
         across the candidates this selects it in a single pass over the
         cached ``n_q = 0`` score row, with no candidate lists, heap, or
         re-scores.  Returns ``NotImplemented`` when the factor genuinely
         varies (two initial factors straddle a ``ncom`` boundary), sending
-        the caller to the general path.  From ``_VECTOR_MIN_P`` processors
-        the whole call — allowed mask, active count, and the final masked
-        argmin — runs vectorised (:meth:`_place_one_large`).
+        the caller to the general path.  A NaN key means the candidate
+        lacks a belief: it raises the legacy error on the first such
+        candidate in ascending index order, as the scalar loop does.
         """
-        if cache["up_arr"] is not None:
-            return self._place_one_large(rs, cache, allowed)
         up_list = cache["up_list"]
-        allowed_set = None if allowed is None else _allowed_as_set(allowed)
+        mask = None if allowed is None else allowed.tolist()
         if not self.use_contention_factor or rs.ncom is None:
             factor = 1
         else:
             pinned_zero = cache["pinned_zero"]
             n_active = 0
             k = 0
-            if allowed_set is None:
+            if mask is None:
                 k = len(up_list)
                 n_active = k - sum(pinned_zero)
             else:
                 for i, q in enumerate(up_list):
-                    if q in allowed_set:
+                    if mask[q]:
                         k += 1
                         if not pinned_zero[i]:
                             n_active += 1
             if k == 0:
                 return [None]
-            ncom = rs.ncom
-            upper = n_active + (2 if n_active < k else 1)
-            if upper > k:
-                upper = k
-            factor = max(1, -(-n_active // ncom))
-            if factor != max(1, -(-upper // ncom)):
+            factor = _uniform_factor(k, n_active, 1, rs.ncom)
+            if factor is None:
                 return NotImplemented  # mixed factors: general path
         row0 = self._row0(rs, cache, factor)
-        return self._place_one_scan(rs, cache, row0, allowed_set)
-
-    def _place_one_large(self, rs: RoundState, cache: dict, allowed):
-        """Vectorised :meth:`_place_one` twin for large platforms.
-
-        The allowed set becomes a boolean mask over the UP array, the
-        contention active-count becomes two masked ``count_nonzero``
-        calls, and the selection is one masked argmin — ``argmin``
-        returns the first occurrence of the minimum and ``up_list`` is
-        ascending, so the tie-break (lowest index) matches the scalar
-        scan exactly.  NaN keys (missing beliefs among the candidates)
-        fall back to the scalar scan, which owns the error semantics.
-        """
-        up_list = cache["up_list"]
-        if not up_list:
-            return [None]
-        up_arr = cache["up_arr"]
-        sel = None
-        if allowed is not None:
-            sel = _allowed_as_mask(allowed, len(rs))[up_arr]
-            k = int(np.count_nonzero(sel))
-            if k == 0:
-                return [None]
-        else:
-            k = len(up_list)
-        if not self.use_contention_factor or rs.ncom is None:
-            factor = 1
-        else:
-            pinned_zero = cache["pinned_zero_arr"]
-            if sel is None:
-                n_active = k - int(np.count_nonzero(pinned_zero))
-            else:
-                n_active = int(np.count_nonzero(sel & ~pinned_zero))
-            ncom = rs.ncom
-            upper = n_active + (2 if n_active < k else 1)
-            if upper > k:
-                upper = k
-            factor = max(1, -(-n_active // ncom))
-            if factor != max(1, -(-upper // ncom)):
-                return NotImplemented  # mixed factors: general path
-        keys = self._row0_keys(rs, cache, factor)
-        if self._row0_nan(rs, cache, factor):
-            row0 = self._row0(rs, cache, factor)
-            allowed_set = None if allowed is None else _allowed_as_set(allowed)
-            return self._place_one_scan(rs, cache, row0, allowed_set)
-        if sel is not None:
-            keys = np.where(sel, keys, np.inf)
-        return [up_list[int(keys.argmin())]]
-
-    def _place_one_scan(self, rs: RoundState, cache: dict, row0: list,
-                        allowed_set) -> list:
-        """The scalar single-placement scan over the ``n_q = 0`` row.
-
-        Shared tail of both :meth:`_place_one` paths; also the owner of
-        the legacy missing-belief error semantics (raise on the first
-        NaN-scored *candidate* in ascending index order).
-        """
         sign = -1.0 if self.maximize else 1.0
         needs = self._belief_needs
         best_q = None
         best_key = 0.0
-        for i, q in enumerate(cache["up_list"]):
-            if allowed_set is not None and q not in allowed_set:
+        for i, q in enumerate(up_list):
+            if mask is not None and not mask[q]:
                 continue
             key = sign * row0[i]
             if key != key and needs is not None:  # NaN: candidate lacks belief
@@ -716,7 +650,60 @@ class GreedyScheduler(Scheduler):
             if best_q is None or key < best_key or (key == best_key and q < best_q):
                 best_q = q
                 best_key = key
-        return [best_q] if best_q is not None else [None]
+        return [best_q]
+
+    def _place_argmin(
+        self, rs: RoundState, cache: dict, n_tasks: int, allowed
+    ) -> list:
+        """Large-p placement: one masked argmin per task over the UP positions.
+
+        The keys are the memoised signed ``n_q = 0`` row; positions outside
+        ``allowed`` read ``+inf`` (every CT-based score is finite), and each
+        placed position is re-scored in place.  ``argmin`` returns the
+        first occurrence of the minimum and ``up_list`` ascends, so each
+        pick is the lazy heap's lexicographic minimum ``(key, q)``.  A row
+        holding a NaN (a processor without a belief) has its candidates
+        checked, raising the legacy error for the first belief-less one in
+        ascending order as the scalar loop does; a NaN outside ``allowed``
+        is masked to ``+inf`` like any other non-candidate.  Returns
+        ``NotImplemented`` when the contention factor can vary within the
+        call, sending the caller to the contended heap loop.
+        """
+        up_list = cache["up_list"]
+        up_arr = cache["up_arr"]
+        sel = None if allowed is None else allowed[up_arr]
+        k = len(up_list) if sel is None else int(np.count_nonzero(sel))
+        if k == 0:
+            return [None] * n_tasks
+        if not self.use_contention_factor or rs.ncom is None:
+            factor = 1
+        else:
+            pinned_zero = cache["pinned_zero_arr"]
+            if sel is not None:
+                pinned_zero = sel & pinned_zero
+            n_active = k - int(np.count_nonzero(pinned_zero))
+            factor = _uniform_factor(k, n_active, n_tasks, rs.ncom)
+            if factor is None:
+                return NotImplemented  # mixed factors: contended heap loop
+        keys, has_nan = self._row0_keys(rs, cache, factor)
+        if has_nan:
+            rs.require_beliefs(
+                up_arr if sel is None else up_arr[sel], self._belief_needs
+            )
+        working = keys.copy() if sel is None else np.where(sel, keys, np.inf)
+        base, step = self._ct_bases(rs, cache, factor)
+        sign = -1.0 if self.maximize else 1.0
+        score_ct = self._score_ct_one
+        placements: List[Optional[int]] = []
+        nq: Dict[int, int] = {}
+        while True:
+            i = int(working.argmin())
+            placements.append(up_list[i])
+            if len(placements) == n_tasks:
+                return placements
+            count = nq.get(i, 0) + 1
+            nq[i] = count
+            working[i] = sign * score_ct(rs, cache, base[i] + count * step[i], i)
 
     def _row0(self, rs: RoundState, cache: dict, factor: int) -> list:
         """Every UP processor's score at ``n_q = 0``, memoised per round.
@@ -733,129 +720,94 @@ class GreedyScheduler(Scheduler):
             self.rows_scored += len(row)
         return row
 
-    def _row0_keys(self, rs: RoundState, cache: dict, factor: int) -> np.ndarray:
-        """The ``n_q = 0`` row as a signed float64 array, memoised per round.
+    def _row0_keys(self, rs: RoundState, cache: dict, factor: int) -> tuple:
+        """The ``n_q = 0`` row as a signed float64 array, and whether it
+        holds a NaN, memoised per round.
 
         ``sign * value`` in float64 is the same operation element-wise or
         vectorised, so these keys equal the scalar paths' keys bit for
-        bit.  Hoisting the list→ndarray conversion here (one per round ×
-        factor, instead of one per *placement*) is what keeps a large-p
-        replication round from paying O(up) conversions per replica.
+        bit.  Hoisting the list→ndarray conversion and the NaN test here
+        (one per round × factor, instead of one per *placement*) is what
+        keeps a large-p replication round from paying O(up) conversions
+        per replica.
         """
-        keys = cache["row0_arr"].get(factor)
-        if keys is None:
+        entry = cache["row0_arr"].get(factor)
+        if entry is None:
             sign = -1.0 if self.maximize else 1.0
             keys = sign * np.asarray(
                 self._row0(rs, cache, factor), dtype=np.float64
             )
-            cache["row0_arr"][factor] = keys
-            cache["row0_nan"][factor] = bool(np.isnan(keys).any())
-        return keys
-
-    def _row0_nan(self, rs: RoundState, cache: dict, factor: int) -> bool:
-        """Whether the signed ``n_q = 0`` row holds any NaN, memoised.
-
-        A NaN key means a candidate lacks a belief, and every vectorised
-        argmin must yield to the scalar scan that owns those error
-        semantics (``argmin`` would select the NaN first; the scalar
-        comparisons never do).  The answer is a per-round constant, so
-        checking the full row once here replaces an O(up) ``isnan`` per
-        placement.  The full-row check is a conservative superset of any
-        masked subset: a NaN outside the allowed mask also routes to the
-        scalar scan, which simply skips it.
-        """
-        nan_any = cache["row0_nan"].get(factor)
-        if nan_any is None:
-            self._row0_keys(rs, cache, factor)
-            nan_any = cache["row0_nan"][factor]
-        return nan_any
+            entry = cache["row0_arr"][factor] = (keys, bool(np.isnan(keys).any()))
+        return entry
 
     def place_array(
         self,
         rs: RoundState,
         n_tasks: int,
-        allowed: Optional[Sequence[int]] = None,
+        allowed: Optional[np.ndarray] = None,
     ) -> List[Optional[int]]:
         """Array-path greedy placement over cached per-round score rows.
 
-        The ``n_q = 0`` score row (memoised per round and factor, shared
-        with every replication placement) seeds the lazy heap; the
-        one-by-one loop, ``n_q``/``n_active`` bookkeeping, and
-        lowest-index tie-break are the legacy :meth:`place` loop verbatim,
-        with re-scores computed per element from the cached CT
-        coefficients.  Two exact shortcuts replace the legacy re-validation
-        re-scores: without contention a heap entry can never go stale (its
-        key is refreshed whenever its ``n_q`` moves, and nothing else
-        enters its score), and with contention an entry is stale only when
-        its applicable factor differs from the factor it was scored at —
-        in both cases the comparison the legacy loop performs would
-        succeed, so popping directly is bit-identical.  Heap keys are the
-        same float64 values in the same ``(key, index)`` order as the
-        scalar path, so the produced assignments are too.  A single
-        placement (the replication-call shape) goes through the fused
-        :meth:`_place_one`; only on mixed contention factors does it fall
-        through to the contended heap loop, whose first pop is the same
-        minimum ``(key, index)`` pair.
+        ``allowed`` is ``None`` or a length-p boolean mask (see
+        :meth:`Scheduler.place_array`).  The one-by-one loop, the
+        ``n_q``/``n_active`` bookkeeping and the lowest-index tie-break
+        are the legacy :meth:`place` loop's, with every score read from
+        the ``n_q = 0`` row (memoised per round and contention factor,
+        shared with every replication placement) or re-scored from the
+        cached CT coefficients.  From ``_VECTOR_MIN_P`` processors, every
+        call whose contention factor is constant runs the masked argmin
+        loop (:meth:`_place_argmin`); below it, a single placement runs
+        the fused scan (:meth:`_place_one`) and larger batches the lazy
+        heap.  Two exact shortcuts replace the legacy re-validation
+        re-scores: without contention a heap entry can never go stale
+        (its key is refreshed whenever its ``n_q`` moves, and nothing
+        else enters its score), and with contention an entry is stale
+        only when its applicable factor differs from the factor it was
+        scored at — in both cases the comparison the legacy loop performs
+        would succeed, so popping directly is bit-identical.  Heap keys
+        are the same float64 values in the same ``(key, index)`` order
+        as the scalar path, so the produced assignments are too.  Mixed
+        contention factors at any p run the contended heap loop, whose
+        first pop is the same minimum ``(key, index)`` pair.
         """
         if not self.batch_scoring:
             return super().place_array(rs, n_tasks, allowed)
         if n_tasks == 0:
             return []  # nothing to place: skip candidate setup and scoring
         cache = self._round_setup(rs)
-        if n_tasks == 1:
-            single = self._place_one(rs, cache, allowed)
-            if single is not NotImplemented:
-                return single
+        if cache["up_arr"] is not None:
+            placed = self._place_argmin(rs, cache, n_tasks, allowed)
+        elif n_tasks == 1:
+            placed = self._place_one(rs, cache, allowed)
+        else:
+            placed = NotImplemented
+        if placed is not NotImplemented:
+            return placed
         up_list = cache["up_list"]
         if allowed is None:
             positions = None  # identity: candidate j is UP position j
             cand_list = up_list
             pinned_zero = cache["pinned_zero"]
-        elif cache["up_arr"] is not None:
-            up_arr = cache["up_arr"]
-            sel = _allowed_as_mask(allowed, len(rs))[up_arr]
-            positions = np.nonzero(sel)[0].tolist()
-            cand_list = up_arr[sel].tolist()
-            pinned_zero = cache["pinned_zero_arr"][sel].tolist()
         else:
-            allowed_set = _allowed_as_set(allowed)
-            positions = [i for i, q in enumerate(up_list) if q in allowed_set]
+            mask = allowed.tolist()
+            positions = [i for i, q in enumerate(up_list) if mask[q]]
             cand_list = [up_list[i] for i in positions]
             all_pinned_zero = cache["pinned_zero"]
             pinned_zero = [all_pinned_zero[i] for i in positions]
         k = len(cand_list)
         if k == 0:
             return [None] * n_tasks
-        no_pinned = sum(pinned_zero)
-        n_active = k - no_pinned
+        n_active = k - sum(pinned_zero)
         sign = -1.0 if self.maximize else 1.0
-        contended = self.use_contention_factor and rs.ncom is not None
         ncom = rs.ncom
-
-        # Resolve the contention factor up front where possible: within
-        # this call every factor evaluation sees an active count in
-        # ``[n_active, min(k, n_active + min(no_pinned, n_tasks) + 1)]``
-        # (``n_active`` only grows, by one per first placement on a
-        # pinned-free candidate), and ``ceil(·/ncom)`` is monotone — so if
-        # the two endpoints agree the factor is provably constant and the
-        # whole call runs the cheap uniform path, exactly as the scalar
-        # loop would have computed it.
-        if not contended:
+        if not self.use_contention_factor or ncom is None:
             uniform_factor: Optional[int] = 1
         else:
-            growth = no_pinned if no_pinned < n_tasks else n_tasks
-            upper = n_active + growth + 1
-            if upper > k:
-                upper = k
-            factor_low = max(1, -(-n_active // ncom))
-            factor_high = max(1, -(-upper // ncom))
-            uniform_factor = factor_low if factor_low == factor_high else None
+            uniform_factor = _uniform_factor(k, n_active, n_tasks, ncom)
 
         # Initial speculative scores: nq = 0 everywhere, so each candidate
         # speculates itself newly active iff it has no pinned work; at
         # most two distinct contention factors occur among them.
-        keys_arr = None
-        keys = None
         if uniform_factor is not None:
             keys_factor = uniform_factor
         else:
@@ -878,57 +830,18 @@ class GreedyScheduler(Scheduler):
                         keys.append(sign * row_base[i])
         if keys_factor is not None:
             # One factor for every initial key: read the memoised row.
-            if cache["up_arr"] is not None:
-                karr = self._row0_keys(rs, cache, keys_factor)
-                keys_arr = karr if positions is None else karr.take(positions)
+            row0 = self._row0(rs, cache, keys_factor)
+            if positions is None:
+                keys = [sign * value for value in row0]
             else:
-                row0 = self._row0(rs, cache, keys_factor)
-                if positions is None:
-                    keys = [sign * value for value in row0]
-                else:
-                    keys = [sign * row0[i] for i in positions]
-        # Conservative per-round constant (see :meth:`_row0_nan`): a NaN
-        # anywhere in the source row — even outside ``positions`` — routes
-        # this call to the scalar paths, which own the NaN semantics.
-        nan_any = (
-            self._row0_nan(rs, cache, keys_factor)
-            if keys_arr is not None
-            else None
-        )
-        if self._belief_needs is not None:
-            nan_hit = (
-                nan_any
-                if nan_any is not None
-                else any(key != key for key in keys)
-            )
-            if nan_hit:
-                # A NaN key means a *candidate* lacks a belief model: raise
-                # the legacy error for the first such candidate, as the
-                # scalar heap-init scoring (ascending candidate order) would.
-                rs.require_beliefs(cand_list, self._belief_needs)
+                keys = [sign * row0[i] for i in positions]
+        if self._belief_needs is not None and any(key != key for key in keys):
+            # A NaN key means a *candidate* lacks a belief model: raise the
+            # legacy error for the first such candidate, as the scalar
+            # heap-init scoring (ascending candidate order) would.
+            rs.require_beliefs(cand_list, self._belief_needs)
         placements: List[Optional[int]] = []
         score_ct = self._score_ct_one
-        if uniform_factor is not None and keys_arr is not None and not nan_any:
-            # Large-p uniform-factor loop over the key *array*: each pop is
-            # an argmin (first occurrence of the minimum = the heap's
-            # (key, cand, j) lexicographic minimum, since ``cand_list``
-            # ascends with ``j`` and keys are NaN-free) and each replace
-            # is one store — no O(k) tuple-heap build per call.
-            base, step = self._ct_bases(rs, cache, uniform_factor)
-            working = keys_arr.copy()
-            nq = [0] * k
-            for _ in range(n_tasks):
-                j = int(working.argmin())
-                placements.append(cand_list[j])
-                count = nq[j] + 1
-                nq[j] = count
-                i = j if positions is None else positions[j]
-                working[j] = sign * score_ct(
-                    rs, cache, base[i] + count * step[i], i
-                )
-            return placements
-        if keys is None:
-            keys = keys_arr.tolist()
         heap = [(keys[j], cand_list[j], j) for j in range(k)]
         heapq.heapify(heap)
         nq = [0] * k
@@ -953,7 +866,6 @@ class GreedyScheduler(Scheduler):
                     ),
                 )
             return placements
-
         # Contended loop: a heap entry goes stale only when its applicable
         # factor moved (entry_factor tracks the factor it was scored at).
         ct_cache = cache["ct"]

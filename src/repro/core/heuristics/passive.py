@@ -23,7 +23,9 @@ identity to survive the re-planning boundary.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from ...types import ProcState
 from .base import RoundState, Scheduler, SchedulingContext
@@ -50,7 +52,7 @@ class PassiveScheduler(Scheduler):
         self,
         ctx: SchedulingContext,
         n_tasks: int,
-        allowed=None,
+        allowed: Optional[Sequence[int]] = None,
     ) -> List[Optional[int]]:
         # Replica batches (restricted `allowed`) go straight to the inner
         # heuristic: replication is orthogonal to passivity.
@@ -87,7 +89,7 @@ class PassiveScheduler(Scheduler):
         self,
         rs: RoundState,
         n_tasks: int,
-        allowed=None,
+        allowed: Optional[np.ndarray] = None,
     ) -> List[Optional[int]]:
         """Array path: the sticky-memory logic over the state column.
 

@@ -21,7 +21,7 @@ reliability signal.  The paper finds the ``w`` variants uniformly better
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -91,7 +91,7 @@ class RandomScheduler(Scheduler):
         self,
         rs: RoundState,
         n_tasks: int,
-        allowed: Optional[Sequence[int]] = None,
+        allowed: Optional[np.ndarray] = None,
     ) -> List[Optional[int]]:
         """Array path: same per-task uniform draws over the UP index array."""
         cand = rs.up_candidates(allowed)
@@ -195,7 +195,7 @@ class WeightedRandomScheduler(Scheduler):
         self,
         rs: RoundState,
         n_tasks: int,
-        allowed: Optional[Sequence[int]] = None,
+        allowed: Optional[np.ndarray] = None,
     ) -> List[Optional[int]]:
         """Array path: a constant number of numpy calls per call.
 
@@ -208,7 +208,7 @@ class WeightedRandomScheduler(Scheduler):
         keeps one ``rng.integers`` per task).
         """
         if self._variant is None:
-            return self.place(rs.as_context(), n_tasks, allowed)
+            return super().place_array(rs, n_tasks, allowed)
         cand = rs.up_candidates(allowed)
         if cand.size == 0:
             return [None] * n_tasks

@@ -250,29 +250,23 @@ class RoundState:
     # ------------------------------------------------------------------ #
     # Candidate selection.                                                 #
     # ------------------------------------------------------------------ #
-    def up_candidates(self, allowed: Optional[Sequence[int]] = None) -> np.ndarray:
+    def up_candidates(self, allowed: Optional[np.ndarray] = None) -> np.ndarray:
         """Indices of UP processors (ascending), optionally restricted.
 
         Mirrors the legacy ``Scheduler._candidates`` semantics:
-        ``allowed=None`` means every UP processor; otherwise the UP set is
-        filtered to the allowed indices, order preserved.  The UP index
-        array is computed once per round (cached until :meth:`invalidate`;
-        a round's replication loop asks once per replica) and returned
-        as-is for ``allowed=None`` — callers must not mutate it.
+        ``allowed=None`` means every UP processor; otherwise ``allowed`` is
+        a length-p boolean mask and the UP set is filtered to it, order
+        preserved.  The UP index array is computed once per round (cached
+        until :meth:`invalidate`; a round's replication loop asks once per
+        replica) and returned as-is for ``allowed=None`` — callers must
+        not mutate it.
         """
         up = self._up
         if up is None:
             up = self._up = np.nonzero(self.state == int(ProcState.UP))[0]
         if allowed is None:
             return up
-        if isinstance(allowed, np.ndarray) and allowed.dtype == np.bool_:
-            # Boolean eligibility mask over all p processors (the
-            # replication loop's native form at large p).
-            return up[allowed[up]]
-        allowed_set = {int(a) for a in allowed}
-        return np.array(
-            [q for q in up.tolist() if q in allowed_set], dtype=np.intp
-        )
+        return up[allowed[up]]
 
     # ------------------------------------------------------------------ #
     # Compatibility shim (lazy legacy views).                              #
@@ -333,51 +327,3 @@ class RoundState:
         if self._views:
             self._views = {}
         self._ctx = None
-
-    # ------------------------------------------------------------------ #
-    # Construction from legacy snapshots (tests, benchmarks).              #
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_views(
-        cls,
-        views,
-        *,
-        slot: int = 0,
-        t_prog: int,
-        t_data: int,
-        ncom: Optional[int],
-        remaining_tasks: int = 0,
-        rng: np.random.Generator,
-    ) -> "RoundState":
-        """Build a :class:`RoundState` from eager legacy ``ProcessorView``s.
-
-        The views must be the complete, index-ordered processor list (the
-        same invariant ``SchedulingContext.processors`` documents).
-        """
-        views = list(views)
-        for position, view in enumerate(views):
-            if view.index != position:
-                raise ValueError(
-                    f"views must be index-ordered and complete; position "
-                    f"{position} holds index {view.index}"
-                )
-        pipelines = [tuple(view.pinned_pipeline) for view in views]
-        rs = cls(
-            speed_w=[view.speed_w for view in views],
-            beliefs=[view.belief for view in views],
-            t_prog=t_prog,
-            t_data=t_data,
-            ncom=ncom,
-            rng=rng,
-            pipeline_provider=lambda q: pipelines[q],
-            slot=slot,
-            remaining_tasks=remaining_tasks,
-        )
-        for q, view in enumerate(views):
-            rs.state[q] = int(view.state)
-            rs.delay[q] = view.delay
-            rs.pinned_count[q] = view.pinned_count
-            rs.has_program[q] = view.has_program
-            rs.prog_remaining[q] = view.prog_remaining
-        return rs
-

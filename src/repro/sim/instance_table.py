@@ -221,15 +221,6 @@ class InstanceTable:
         """Task ids not yet committed (with a live row), ascending."""
         return [task for task, rows in enumerate(self.rows_of) if rows]
 
-    def hosts_of_task(self, task: int) -> set:
-        """Workers currently hosting a live instance of ``task``."""
-        objects = self.objects
-        return {
-            objects[row].worker
-            for row in self.rows_of[task]
-            if objects[row].worker is not None
-        }
-
     def free_replica_id(self, task: int) -> int:
         """Lowest replica id in ``1..max_instances`` not currently live."""
         objects = self.objects

@@ -714,9 +714,9 @@ class MasterSimulator:
         if cal.up_count <= n_uncommitted:
             return  # paper's trigger: more UP than remaining tasks
         # Only queue hosts can be non-idle: mask the (few) busy workers out
-        # of the UP vector, and keep the *mask* — the candidate loop below
-        # then builds each task's allowed set with O(p) numpy ops instead
-        # of O(idle) Python list scans.
+        # of the UP vector, and keep the *mask* — it is the allowed form
+        # every replica placement below takes, with no per-task index
+        # lists.
         idle_mask = cal.states_np == int(ProcState.UP)
         for q in self._queue_hosts():
             idle_mask[q] = False
@@ -740,19 +740,8 @@ class MasterSimulator:
                 break
             if len(rows_of[task_id]) >= max_instances:
                 continue
-            # Mask arithmetic: the eligibility mask itself is the allowed
-            # form the array schedulers consume (same candidate set as an
-            # ascending index list), so no index materialisation at all
-            # per candidate task.
-            blocked = [q for q in tbl.hosts_of_task(task_id) if idle_mask[q]]
-            if blocked:
-                if len(blocked) == n_idle:
-                    continue
-                allowed = idle_mask.copy()
-                allowed[blocked] = False
-            else:
-                allowed = idle_mask
-            choice = place_array(rs, 1, allowed)[0]
+            # The task's hosts hold it in their queues, so they are off the mask.
+            choice = place_array(rs, 1, idle_mask)[0]
             if choice is None:
                 continue
             replica = TaskInstance(

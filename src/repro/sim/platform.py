@@ -18,7 +18,7 @@ trace (see :mod:`repro.sim.availability`).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -56,15 +56,34 @@ def random_views(rng, p=8, with_belief=True, t_data=3):
 
 
 def round_state_from(views, *, seed=5, t_data=3, ncom=4, remaining=6):
-    return RoundState.from_views(
-        views,
-        slot=17,
+    """A RoundState whose columns hold the given index-ordered views."""
+    pipelines = [tuple(view.pinned_pipeline) for view in views]
+    rs = RoundState(
+        speed_w=[view.speed_w for view in views],
+        beliefs=[view.belief for view in views],
         t_prog=5,
         t_data=t_data,
         ncom=ncom,
-        remaining_tasks=remaining,
         rng=np.random.default_rng(seed),
+        pipeline_provider=lambda q: pipelines[q],
+        slot=17,
+        remaining_tasks=remaining,
     )
+    for q, view in enumerate(views):
+        assert view.index == q, "views must be index-ordered and complete"
+        rs.state[q] = int(view.state)
+        rs.delay[q] = view.delay
+        rs.pinned_count[q] = view.pinned_count
+        rs.has_program[q] = view.has_program
+        rs.prog_remaining[q] = view.prog_remaining
+    return rs
+
+
+def mask_of(p, indices):
+    """The length-``p`` boolean ``allowed`` mask ``place_array`` takes."""
+    mask = np.zeros(p, dtype=bool)
+    mask[list(indices)] = True
+    return mask
 
 
 #: The paper's nine random heuristics (Section 6.2).
@@ -88,18 +107,13 @@ class TestRoundStateContainer:
             assert bool(rs.has_program[q]) == view.has_program
             assert rs.prog_remaining[q] == view.prog_remaining
 
-    def test_from_views_rejects_unordered(self):
-        views = random_views(np.random.default_rng(1))
-        with pytest.raises(ValueError, match="index-ordered"):
-            round_state_from(list(reversed(views)))
-
     def test_up_candidates_match_legacy_filter(self):
         views = random_views(np.random.default_rng(2), p=12)
         rs = round_state_from(views)
         expected = [v.index for v in views if v.state == ProcState.UP]
         assert rs.up_candidates().tolist() == expected
         allowed = [1, 3, 5, 7, 9, 11]
-        assert rs.up_candidates(allowed).tolist() == [
+        assert rs.up_candidates(mask_of(12, allowed)).tolist() == [
             q for q in expected if q in allowed
         ]
 
@@ -215,8 +229,21 @@ class TestBatchScalarBitIdentity:
         self.test_three_way_identity(factory, seed, p=_VECTOR_MIN_P + 2)
 
 
+#: A platform size on each side of the list/numpy split: below
+#: ``_VECTOR_MIN_P`` single placements run the fused scan and batches the
+#: heap; from it up, uniform-factor calls run the masked argmin loop.
+LARGE_P = _VECTOR_MIN_P + 5
+
+
+def p_sizes(small):
+    return pytest.mark.parametrize("p", [small, LARGE_P], ids=["small", "large"])
+
+
 class TestPlaceArrayAgainstLegacyPlace:
-    """place_array == place over randomized standalone round states."""
+    """place_array == place over randomized standalone round states.
+
+    The array side takes ``allowed`` as a boolean mask, the scalar side as
+    an index list — the forms the master and the reference pass."""
 
     NAMES = [
         "mct", "mct*", "emct", "emct*", "lw", "lw*", "ud", "ud*",
@@ -225,9 +252,10 @@ class TestPlaceArrayAgainstLegacyPlace:
 
     @pytest.mark.parametrize("name", NAMES)
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_same_placements(self, name, seed):
+    @p_sizes(9)
+    def test_same_placements(self, name, seed, p):
         rng = np.random.default_rng(300 + seed)
-        views = random_views(rng, p=9)
+        views = random_views(rng, p=p)
         n_tasks = int(rng.integers(1, 12))
         # Two independent but identically seeded draw streams so the
         # random heuristics consume identical randomness on both paths.
@@ -237,16 +265,20 @@ class TestPlaceArrayAgainstLegacyPlace:
         legacy_path = make_scheduler(name).place(legacy_ctx, n_tasks)
         assert array_path == legacy_path
 
-    @pytest.mark.parametrize("name", ["mct", "emct*", "random2w", "passive"])
-    def test_same_placements_restricted(self, name):
+    @pytest.mark.parametrize(
+        "name", ["mct", "mct*", "emct*", "lw*", "ud*", "random2w", "passive"]
+    )
+    @pytest.mark.parametrize("n_tasks", [1, 4])
+    @p_sizes(9)
+    def test_same_placements_restricted(self, name, n_tasks, p):
         rng = np.random.default_rng(77)
-        views = random_views(rng, p=9)
-        allowed = [0, 2, 4, 6, 8]
+        views = random_views(rng, p=p)
+        allowed = list(range(0, p, 2))
         rs = round_state_from(views, seed=13)
         legacy_ctx = round_state_from(views, seed=13).as_context()
-        assert make_scheduler(name).place_array(rs, 4, allowed) == make_scheduler(
-            name
-        ).place(legacy_ctx, 4, allowed)
+        assert make_scheduler(name).place_array(
+            rs, n_tasks, mask_of(p, allowed)
+        ) == make_scheduler(name).place(legacy_ctx, n_tasks, allowed)
 
     def test_no_up_candidates(self):
         views = random_views(np.random.default_rng(11))
@@ -256,25 +288,27 @@ class TestPlaceArrayAgainstLegacyPlace:
         assert make_scheduler("emct").place_array(rs, 3) == [None, None, None]
 
     @pytest.mark.parametrize("name", ["emct", "emct*", "lw", "ud", "random2w"])
-    def test_beliefless_processor_outside_candidates_is_tolerated(self, name):
+    @p_sizes(6)
+    def test_beliefless_processor_outside_candidates_is_tolerated(self, name, p):
         """Belief checks are candidate-scoped, exactly like the scalar
         loop: a belief-less UP processor outside ``allowed`` must not
         raise, and placements must still match the legacy path."""
-        views = random_views(np.random.default_rng(12), p=6)
+        views = random_views(np.random.default_rng(12), p=p)
         views[2].belief = None  # UP but excluded from every call below
         for view in views:
             view.state = ProcState.UP
-        allowed = [0, 1, 3, 4, 5]
+        allowed = [q for q in range(p) if q != 2]
         rs = round_state_from(views, seed=9)
         legacy_ctx = round_state_from(views, seed=9).as_context()
         for n_tasks in (1, 4):
             assert make_scheduler(name).place_array(
-                rs, n_tasks, allowed
+                rs, n_tasks, mask_of(p, allowed)
             ) == make_scheduler(name).place(legacy_ctx, n_tasks, allowed)
 
     @pytest.mark.parametrize("name", ["emct", "lw", "ud", "random2w"])
-    def test_beliefless_candidate_raises_like_legacy(self, name):
-        views = random_views(np.random.default_rng(13), p=4)
+    @p_sizes(4)
+    def test_beliefless_candidate_raises_like_legacy(self, name, p):
+        views = random_views(np.random.default_rng(13), p=p)
         views[1].belief = None
         for view in views:
             view.state = ProcState.UP
@@ -284,9 +318,9 @@ class TestPlaceArrayAgainstLegacyPlace:
             make_scheduler(name).place(legacy_ctx, 2)
         with pytest.raises(ValueError, match="processor 1 has no Markov belief"):
             make_scheduler(name).place_array(rs, 2)
-        # The single-placement fused path must raise identically.
+        # A single placement must raise identically.
         with pytest.raises(ValueError, match="processor 1 has no Markov belief"):
-            make_scheduler(name).place_array(rs, 1, allowed=[1, 2])
+            make_scheduler(name).place_array(rs, 1, allowed=mask_of(p, [1, 2]))
 
 
 class TestRandomArrayPath:
@@ -304,7 +338,7 @@ class TestRandomArrayPath:
         array_sched, legacy_sched = make_scheduler(name), make_scheduler(name)
         for n_tasks in (1, 1, 5):
             assert array_sched.place_array(rs, n_tasks, mask) == legacy_sched.place(
-                legacy_ctx, n_tasks, mask
+                legacy_ctx, n_tasks, np.flatnonzero(mask).tolist()
             )
 
     @pytest.mark.parametrize("name", RANDOM_NAMES + CT_NAMES + ["ud-exact"])
