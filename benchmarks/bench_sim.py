@@ -600,8 +600,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         help=(
             "exit non-zero when the live RLE availability storage per "
             "worker exceeds this on any large-platform cell (measured "
-            "~150 B/worker; dense storage for the same horizon would be "
-            ">40 kB/worker)"
+            "~106 B/worker on the p=2000 smoke cell; dense storage for the "
+            "same horizon would be >40 kB/worker)"
         ),
     )
     parser.add_argument(

@@ -383,7 +383,8 @@ class GreedyScheduler(Scheduler):
 
     def _score_ct_row(self, rs: RoundState, cache: dict, ct_row: list) -> list:
         """Row kernel: scores of the round's UP set (``cache["up_list"]``
-        order) from one list of integer ``CT`` values."""
+        order) from one list of integer ``CT`` values.  The result may be
+        ``ct_row`` itself, so neither list is ever mutated."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement batch scoring"
         )

@@ -53,7 +53,9 @@ class MctScheduler(GreedyScheduler):
         )
 
     def _score_ct_row(self, rs: RoundState, cache: dict, ct_row: list) -> list:
-        return [float(ct) for ct in ct_row]
+        # The integer CTs are the scores: every reader scales them by a
+        # float sign or converts them to float64, exactly (CT < 2**53).
+        return ct_row
 
     def _score_ct_one(self, rs: RoundState, cache: dict, ct: int, i: int) -> float:
         return float(ct)

@@ -50,6 +50,8 @@ chunks are sampled exactly as before and compressed on append).
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left, bisect_right
 from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
@@ -74,6 +76,8 @@ _RLE_BYTES_PER_RUN = 8 + 1 + 8
 #: uint8 trace plus the int64 UP prefix sum the span-stepped queries
 #: used to materialise (see ``dense_bytes``).
 _DENSE_BYTES_PER_SLOT = 1 + 8
+
+_UP = int(ProcState.UP)
 
 
 class AvailabilitySource(Protocol):
@@ -153,18 +157,24 @@ class AvailabilitySource(Protocol):
 class _RleTraceSource:
     """Shared machinery for sources storing a run-length-encoded trace.
 
-    The materialised trace is held as runs: ``_run_starts[i]`` is the
-    first slot of run ``i``, ``_run_states[i]`` its state, and
-    ``_run_up[i]`` the number of UP slots in runs ``0..i-1`` (the per-run
-    UP prefix sum).  ``_length`` slots are materialised in total, so run
-    ``i`` covers ``[_run_starts[i], _run_starts[i+1])`` (the last run
-    ends at ``_length`` and may still be extended by growth).
+    The materialised trace is held as runs in three ``array.array``
+    columns: ``_run_starts[i]`` is the first slot of run ``i``,
+    ``_run_states[i]`` its state, and ``_run_up[i]`` the number of UP
+    slots in runs ``0..i-1`` (the per-run UP prefix sum).  Appends are C
+    appends and reads return plain ints, so a sojourn-at-a-time generator
+    never touches a numpy scalar.  ``_length`` slots are materialised in
+    total, so run ``i`` covers ``[_run_starts[i], _run_starts[i+1])``
+    (the last run ends at ``_length`` and may still be extended by
+    growth).
 
     Subclasses implement :meth:`_grow_to`, extending coverage to at least
     the given length by appending runs via :meth:`_append_run` /
     :meth:`_append_dense` (consuming exactly one underlying draw per
     generated slot, in slot order, so trace content never depends on the
-    growth schedule).
+    growth schedule).  Queries ask only for the coverage they read —
+    ``_length + 1`` when a change point or UP slot lies past the end — so
+    a source that grows one sojourn at a time holds at most one run
+    beyond the last slot a query read.
 
     A cursor (``_cur_start``/``_cur_end``/``_cur_state``) caches the
     bounds of the most recently located run; the simulator's monotone
@@ -174,14 +184,10 @@ class _RleTraceSource:
     same run with the fresh end.
     """
 
-    _INITIAL_RUN_CAPACITY = 64
-
     def _init_rle(self) -> None:
-        cap = self._INITIAL_RUN_CAPACITY
-        self._run_starts = np.empty(cap, dtype=np.int64)
-        self._run_states = np.empty(cap, dtype=np.uint8)
-        self._run_up = np.empty(cap, dtype=np.int64)
-        self._n_runs = 0
+        self._run_starts = array("q")
+        self._run_states = array("B")
+        self._run_up = array("q")
         self._length = 0
         self._hint = 0
         self._cur_start = 0
@@ -198,39 +204,27 @@ class _RleTraceSource:
     # ------------------------------------------------------------------ #
     # Run appends (subclass generators call these).                        #
     # ------------------------------------------------------------------ #
-    def _reserve(self, extra: int) -> None:
-        """Ensure capacity for ``extra`` more runs (geometric doubling)."""
-        n = self._n_runs
-        if n + extra <= len(self._run_starts):
-            return
-        new_cap = max(2 * len(self._run_starts), n + extra)
-        for name in ("_run_starts", "_run_states", "_run_up"):
-            old = getattr(self, name)
-            grown = np.empty(new_cap, dtype=old.dtype)
-            grown[:n] = old[:n]
-            setattr(self, name, grown)
-
     def _append_run(self, state: int, count: int) -> None:
         """Append ``count`` slots of ``state``, merging with the last run."""
-        n = self._n_runs
-        if n and self._run_states[n - 1] == state:
-            self._length += count
-            return
-        self._reserve(1)
-        self._run_starts[n] = self._length
-        self._run_states[n] = state
-        if n:
-            prev_len = self._length - self._run_starts[n - 1]
-            up_gain = prev_len if self._run_states[n - 1] == int(ProcState.UP) else 0
-            self._run_up[n] = self._run_up[n - 1] + up_gain
+        states = self._run_states
+        length = self._length
+        self._length = length + count
+        if not states:
+            up = 0
         else:
-            self._run_up[0] = 0
-        self._n_runs = n + 1
-        self._length += count
+            last = states[-1]
+            if last == state:
+                return
+            up = self._run_up[-1]
+            if last == _UP:
+                up += length - self._run_starts[-1]
+        self._run_up.append(up)
+        self._run_starts.append(length)
+        states.append(state)
 
     def _append_dense(self, states: np.ndarray) -> None:
         """Compress a freshly generated dense chunk into runs (vectorised:
-        one boundary scan + three slice writes per chunk)."""
+        one boundary scan per chunk, then three array extends)."""
         m = len(states)
         if m == 0:
             return
@@ -240,26 +234,24 @@ class _RleTraceSource:
         starts_rel[1:] = bounds
         run_states = states[starts_rel]
         base = self._length
-        n = self._n_runs
         first = 0
-        if n and self._run_states[n - 1] == run_states[0]:
+        if self._run_states and self._run_states[-1] == run_states[0]:
             # The leading segment extends the trailing stored run.
             first = 1
             if len(starts_rel) == 1:
                 self._length = base + m
                 return
-        count = len(starts_rel) - first
-        self._reserve(count)
         ends_rel = np.empty(len(starts_rel), dtype=np.int64)
         ends_rel[:-1] = starts_rel[1:]
         ends_rel[-1] = m
-        segment_up = (run_states == int(ProcState.UP)) * (ends_rel - starts_rel)
+        segment_up = (run_states == _UP) * (ends_rel - starts_rel)
         cumulative = np.concatenate([[0], np.cumsum(segment_up)])
         total_up = self._total_up()
-        self._run_starts[n : n + count] = base + starts_rel[first:]
-        self._run_states[n : n + count] = run_states[first:]
-        self._run_up[n : n + count] = total_up + cumulative[first : first + count]
-        self._n_runs = n + count
+        self._run_starts.extend((base + starts_rel[first:]).tolist())
+        self._run_states.extend(run_states[first:].tolist())
+        self._run_up.extend(
+            (total_up + cumulative[first : len(starts_rel)]).tolist()
+        )
         self._length = base + m
 
     # ------------------------------------------------------------------ #
@@ -270,7 +262,7 @@ class _RleTraceSource:
         cursor updated to it."""
         hint = self._hint
         starts = self._run_starts
-        n = self._n_runs
+        n = len(starts)
         if starts[hint] <= slot:
             # Monotone access: the answer is almost always the hinted run
             # or one of the next two; fall back to binary search only on
@@ -282,15 +274,13 @@ class _RleTraceSource:
             elif hint + 3 == n or slot < starts[hint + 3]:
                 index = hint + 2
             else:
-                index = int(starts[:n].searchsorted(slot, side="right")) - 1
+                index = bisect_right(starts, slot) - 1
         else:
-            index = int(starts[:n].searchsorted(slot, side="right")) - 1
+            index = bisect_right(starts, slot) - 1
         self._hint = index
-        self._cur_start = int(starts[index])
-        self._cur_state = int(self._run_states[index])
-        self._cur_end = (
-            int(starts[index + 1]) if index + 1 < n else self._length
-        )
+        self._cur_start = starts[index]
+        self._cur_state = self._run_states[index]
+        self._cur_end = starts[index + 1] if index + 1 < n else self._length
         return index
 
     def _up_before(self, stop: int) -> int:
@@ -298,19 +288,18 @@ class _RleTraceSource:
         if stop <= 0:
             return 0
         index = self._run_index(stop - 1)
-        count = int(self._run_up[index])
-        if self._cur_state == int(ProcState.UP):
+        count = self._run_up[index]
+        if self._cur_state == _UP:
             count += stop - self._cur_start
         return count
 
     def _total_up(self) -> int:
-        n = self._n_runs
-        if n == 0:
+        starts = self._run_starts
+        if not starts:
             return 0
-        tail = 0
-        if self._run_states[n - 1] == int(ProcState.UP):
-            tail = self._length - int(self._run_starts[n - 1])
-        return int(self._run_up[n - 1]) + tail
+        if self._run_states[-1] == _UP:
+            return self._run_up[-1] + self._length - starts[-1]
+        return self._run_up[-1]
 
     # ------------------------------------------------------------------ #
     # AvailabilitySource contract.                                         #
@@ -332,20 +321,18 @@ class _RleTraceSource:
             self._grow_to(slot + 1)
         if not (self._cur_start <= slot < self._cur_end):
             self._run_index(slot)
-        index = self._hint
-        while True:
-            if index + 1 < self._n_runs:
-                change = int(self._run_starts[index + 1])
-                if limit is not None and change > limit:
-                    return None
-                return change
-            # ``slot`` lies in the last materialised run: grow — in
-            # geometric steps, never straight to a large ``limit`` — until
-            # a new run appears (the run may first extend) or the limit is
-            # spanned.
+        next_index = self._hint + 1
+        starts = self._run_starts
+        # ``slot`` may lie in the last materialised run: grow until a new
+        # run appears (the run may first extend) or the limit is spanned.
+        while next_index == len(starts):
             if limit is not None and self._length > limit:
                 return None
-            self._grow_to(max(self._length + 64, 2 * self._length))
+            self._grow_to(self._length + 1)
+        change = starts[next_index]
+        if limit is not None and change > limit:
+            return None
+        return change
 
     def block(self, start: int, stop: int) -> np.ndarray:
         start = require_nonnegative_int(start, "start")
@@ -358,8 +345,9 @@ class _RleTraceSource:
         position = start
         index = self._run_index(start)
         starts = self._run_starts
+        n = len(starts)
         while position < stop:
-            end = int(starts[index + 1]) if index + 1 < self._n_runs else self._length
+            end = starts[index + 1] if index + 1 < n else self._length
             segment = end if end < stop else stop
             out[position - start : segment - start] = self._run_states[index]
             position = segment
@@ -383,18 +371,16 @@ class _RleTraceSource:
             raise ValueError(f"k must be >= 1, got {k}")
         self._ensure(slot + 1)
         target = self._up_before(slot + 1) + k
-        # Grow geometrically until the target-th UP slot is materialised
-        # (never straight to a large ``limit``: the answer is usually a
-        # few sojourns away).
+        # Grow until the target-th UP slot is materialised (never straight
+        # to a large ``limit``: the answer is usually a few sojourns away).
         while self._total_up() < target:
             if limit is not None and self._length > limit:
                 return None
-            self._grow_to(max(self._length + 64, 2 * self._length))
+            self._grow_to(self._length + 1)
         # The target-th UP slot lies in the (UP) run j with
         # ``_run_up[j] < target`` and ``_run_up[j+1] >= target``.
-        n = self._n_runs
-        j = int(self._run_up[:n].searchsorted(target, side="left")) - 1
-        found = int(self._run_starts[j]) + (target - int(self._run_up[j])) - 1
+        j = bisect_left(self._run_up, target) - 1
+        found = self._run_starts[j] + (target - self._run_up[j]) - 1
         if limit is not None and found > limit:
             return None
         return found
@@ -405,7 +391,7 @@ class _RleTraceSource:
     @property
     def run_count(self) -> int:
         """Number of stored runs (state transitions + 1)."""
-        return self._n_runs
+        return len(self._run_starts)
 
     @property
     def slots_materialized(self) -> int:
@@ -414,7 +400,7 @@ class _RleTraceSource:
 
     def storage_bytes(self) -> int:
         """Live bytes of the RLE representation (runs × 17)."""
-        return self._n_runs * _RLE_BYTES_PER_RUN
+        return len(self._run_starts) * _RLE_BYTES_PER_RUN
 
     def dense_bytes(self) -> int:
         """Bytes the replaced dense representation would hold for the
@@ -663,8 +649,6 @@ class SemiMarkovSource(_RleTraceSource):
         initial: starting state (default UP).
     """
 
-    _GROW = 1024
-
     def __init__(
         self,
         embedded: np.ndarray,
@@ -718,19 +702,19 @@ class SemiMarkovSource(_RleTraceSource):
         rng: np.random.Generator,
         initial: int,
     ) -> None:
-        """Adopt validated inputs and generate the first ``_GROW`` slots."""
+        """Adopt validated inputs and draw the first sojourn (a sampler
+        that cannot produce one fails here, not mid-run)."""
         self._jump_cum = jump_cum
         self._samplers = samplers
         self._rng = rng
         self._state = int(initial)
         self._init_rle()
-        self._grow_to(self._GROW)
+        self._grow_to(1)
 
     def _grow_to(self, length: int) -> None:
-        # Geometric growth (monotone access misses roughly once per
-        # sojourn); each sojourn is appended directly as one run — the
-        # process *is* its run-length encoding.
-        length = max(length, 2 * self._length)
+        # Draw sojourns only until ``length`` is covered; each sojourn is
+        # appended directly as one run — the process *is* its run-length
+        # encoding.
         while self._length < length:
             sojourn = int(self._samplers[self._state](self._rng))
             if sojourn < 1:

@@ -446,8 +446,8 @@ class TestRleStorage:
         source = MarkovSource(chain(), np.random.default_rng(21))
         source.state_at(3000)
         n = source.run_count
-        starts = source._run_starts[:n]
-        states = source._run_states[:n]
+        starts = np.asarray(source._run_starts)[:n]
+        states = np.asarray(source._run_states)[:n]
         assert starts[0] == 0
         assert (np.diff(starts) > 0).all()
         assert (states[1:] != states[:-1]).all()  # maximal runs
@@ -455,7 +455,7 @@ class TestRleStorage:
         dense = source.materialized(int(starts[-1]))
         for i in (1, n // 2, n - 1):
             expected = int(np.count_nonzero(dense[: starts[i]] == 0))
-            assert source._run_up[i] == expected
+            assert np.asarray(source._run_up)[i] == expected
 
     def test_cursor_handles_random_access(self):
         source = MarkovSource(chain(), np.random.default_rng(31))
@@ -591,6 +591,88 @@ class TestRleCursorBoundaries:
         assert dense.state_at(4) == int(ProcState.DOWN)
         # Beyond the pad transition nothing ever changes again.
         assert dense.next_change_after(4, limit=10_000) is None
+
+
+class TestOnDemandGrowth:
+    """Semi-Markov traces grow only as far as a query reads (§9, §12).
+
+    ``_grow_to(length)`` covers at least ``length``, and the queries ask
+    for one slot past the end when their answer lies there, so a source
+    drawing one sojourn at a time never holds more than one run beyond
+    the last slot a run read.
+    """
+
+    @staticmethod
+    def _source(seed=0):
+        embedded = np.array([[0.0, 0.6, 0.4], [0.7, 0.0, 0.3], [1.0, 0.0, 0.0]])
+        samplers = {
+            s: (lambda rng, p=p: int(rng.geometric(p)))
+            for s, p in enumerate((0.05, 0.2, 0.1))
+        }
+        return SemiMarkovSource(embedded, samplers, np.random.default_rng(seed))
+
+    def test_next_change_after_stores_the_answers_run_last(self):
+        source = self._source()
+        slot = 0
+        for _ in range(200):
+            change = source.next_change_after(slot)
+            assert source._run_starts[-1] == change
+            slot = change
+
+    def test_state_at_stores_the_read_slots_run_last(self):
+        source = self._source(1)
+        for slot in range(0, 60_000, 997):
+            source.state_at(slot)
+            assert source._run_starts[-1] <= slot < source.slots_materialized
+
+    def test_large_grid_run_stores_at_most_one_run_past_its_reads(
+        self, monkeypatch
+    ):
+        from bisect import bisect_right
+
+        from repro.core.heuristics.registry import make_scheduler
+        from repro.sim.master import MasterSimulator, SimulatorOptions
+        from repro.workload.scenarios import ScenarioGenerator
+
+        last_read = {}
+
+        def read(source, *slots):
+            key = id(source)
+            last_read[key] = max(
+                last_read.get(key, 0), *(s for s in slots if s is not None)
+            )
+
+        def tracked(name, slots_read):
+            method = getattr(SemiMarkovSource, name)
+
+            def wrapper(self, *args, **kwargs):
+                answer = method(self, *args, **kwargs)
+                read(self, *slots_read(args, answer))
+                return answer
+
+            monkeypatch.setattr(SemiMarkovSource, name, wrapper)
+
+        tracked("state_at", lambda args, answer: (args[0],))
+        tracked("next_change_after", lambda args, answer: (args[0], answer))
+        tracked("nth_up_after", lambda args, answer: (args[0], answer))
+        tracked("up_count_in", lambda args, answer: (args[1] - 1,))
+        tracked("block", lambda args, answer: (args[1] - 1,))
+
+        generator = ScenarioGenerator(12061, p=2000, iterations=2)
+        scenario = generator.large_grid_scenario(40, 10, 30, 0, mean_sojourn=1000)
+        platform = scenario.build_platform(0)
+        MasterSimulator(
+            platform,
+            scenario.app,
+            make_scheduler("mct", platform=platform),
+            options=SimulatorOptions(replan_policy="sticky"),
+            rng=scenario.scheduler_rng(0, "mct"),
+        ).run(max_slots=6_000)
+        for proc in platform:
+            source = proc.availability
+            starts = source._run_starts
+            beyond = len(starts) - bisect_right(starts, last_read[id(source)])
+            assert beyond <= 1, (proc.index, beyond)
 
 
 class TestProcessorFromSemiMarkov:

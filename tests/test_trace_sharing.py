@@ -24,7 +24,7 @@ from repro.experiments.harness import (
 )
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
-from repro.sim.availability import MarkovSource, SemiMarkovSource
+from repro.sim.availability import MarkovSource
 from repro.sim.events import EventLog
 from repro.sim.master import MasterSimulator, SimulatorOptions
 from repro.workload.scenarios import Scenario, ScenarioGenerator
@@ -41,15 +41,16 @@ OPTIONS = {
 
 @pytest.fixture
 def short_chunks(monkeypatch):
-    """Grow traces in small steps so every run extends the shared ones.
+    """Grow Markov traces in small steps so every run extends the shared
+    ones.
 
     With the default 1024-slot first chunk these runs (makespans of a
-    few hundred slots) would never grow a trace.  Trace content does not
-    depend on the growth schedule, so this changes only when draws
-    happen, and fresh and shared runs use the same setting.
+    few hundred slots) would never grow a Markov trace; semi-Markov
+    traces grow one sojourn at a time, inside every run, anyway.  Trace
+    content does not depend on the growth schedule, so this changes only
+    when draws happen, and fresh and shared runs use the same setting.
     """
     monkeypatch.setattr(MarkovSource, "_CHUNK", 32)
-    monkeypatch.setattr(SemiMarkovSource, "_GROW", 32)
 
 
 def _scenario(truth):
@@ -75,12 +76,11 @@ def _unit(scenario, trial, heuristics, options):
 def test_trace_content_independent_of_growth_schedule(
     truth, chunk, trial, monkeypatch
 ):
-    """Traces grown in ``chunk``-slot steps, read in random order, equal
-    the default build: one draw per slot, in slot order."""
+    """Traces read in random order (Markov ones grown in ``chunk``-slot
+    steps) equal the default build: one draw per slot, in slot order."""
     scenario = _scenario(truth)
     reference = scenario.build_platform(trial)
     monkeypatch.setattr(MarkovSource, "_CHUNK", chunk)
-    monkeypatch.setattr(SemiMarkovSource, "_GROW", chunk)
     grown = scenario.build_platform(trial)
     order = np.random.default_rng(trial).permutation(HORIZON)
     for want, got in zip(reference, grown):
