@@ -31,7 +31,9 @@ Two entry points realise that protocol:
   Schedulers that do not opt into batch scoring (the exact-UD ablations,
   the clairvoyant oracle, external subclasses) transparently run the
   legacy path over the lazy compatibility shim
-  (:meth:`RoundState.as_context`).
+  (:meth:`RoundState.as_context`).  A replication round's replicas come
+  from one :meth:`Scheduler.place_distinct` call, equal to a loop of
+  single ``place_array`` calls.
 """
 
 from __future__ import annotations
@@ -282,6 +284,39 @@ class Scheduler(abc.ABC):
             allowed = np.flatnonzero(allowed).tolist()
         return self.place(rs.as_context(), n_tasks, allowed)
 
+    def place_distinct(
+        self, rs: RoundState, n_tasks: int, allowed: np.ndarray
+    ) -> List[Optional[int]]:
+        """Place up to ``n_tasks`` replicas on distinct allowed processors.
+
+        ``allowed`` is a length-p boolean mask (the master's idle mask);
+        it is not modified.  The base implementation is the replication
+        loop itself: one single placement (:meth:`place_array`) per task,
+        each choice that the master will not refuse — not ``None``, not
+        DOWN — taken off the mask, stopping once the mask is empty.  An
+        unknown processor ends the loop; the master raises on it.  The
+        ``i``-th entry is the choice for the ``i``-th task, so the list is
+        shorter than ``n_tasks`` exactly when the mask ran out.
+        """
+        mask = allowed.copy()
+        n_free = int(np.count_nonzero(mask))
+        down = int(ProcState.DOWN)
+        state = rs.state
+        choices: List[Optional[int]] = []
+        for _ in range(n_tasks):
+            if n_free == 0:
+                break
+            choice = self.place_array(rs, 1, mask)[0]
+            choices.append(choice)
+            if choice is None:
+                continue
+            if not 0 <= choice < len(mask):
+                break
+            if state[choice] != down:
+                mask[choice] = False
+                n_free -= 1
+        return choices
+
     # No simulator code calls this; it stays only because the end-to-end
     # benchmark tracer wraps it by name.
     def would_replan(self, rs: RoundState, probe: object) -> bool:
@@ -494,9 +529,9 @@ class GreedyScheduler(Scheduler):
     def _round_setup(self, rs: RoundState) -> dict:
         """Per-round candidate/score cache, keyed on ``rs.version``.
 
-        A scheduling round issues several ``place_array`` calls against an
-        unchanged round state (the main placement batch plus one call per
-        replica), and within a round a score depends only on
+        A scheduling round issues several calls against an unchanged round
+        state (the main ``place_array`` batch, then the replicas'
+        ``place_distinct``), and within a round a score depends only on
         ``(q, n_q + 1, factor)``.  The cache holds the UP candidate list,
         the per-factor CT coefficients and nq-zero score rows, and belief
         gathers.  At the paper's p ≈ 20 everything is assembled as plain
@@ -602,57 +637,6 @@ class GreedyScheduler(Scheduler):
                 )
         return ct_bases
 
-    def _place_one(self, rs: RoundState, cache: dict, allowed) -> list:
-        """Small-p single placement (the replication-call shape).
-
-        One placement is the lazy heap's first pop — the minimum
-        ``(key, index)`` pair — so when the contention factor is uniform
-        across the candidates this selects it in a single pass over the
-        cached ``n_q = 0`` score row, with no candidate lists, heap, or
-        re-scores.  Returns ``NotImplemented`` when the factor genuinely
-        varies (two initial factors straddle a ``ncom`` boundary), sending
-        the caller to the general path.  A NaN key means the candidate
-        lacks a belief: it raises the legacy error on the first such
-        candidate in ascending index order, as the scalar loop does.
-        """
-        up_list = cache["up_list"]
-        mask = None if allowed is None else allowed.tolist()
-        if not self.use_contention_factor or rs.ncom is None:
-            factor = 1
-        else:
-            pinned_zero = cache["pinned_zero"]
-            n_active = 0
-            k = 0
-            if mask is None:
-                k = len(up_list)
-                n_active = k - sum(pinned_zero)
-            else:
-                for i, q in enumerate(up_list):
-                    if mask[q]:
-                        k += 1
-                        if not pinned_zero[i]:
-                            n_active += 1
-            if k == 0:
-                return [None]
-            factor = _uniform_factor(k, n_active, 1, rs.ncom)
-            if factor is None:
-                return NotImplemented  # mixed factors: general path
-        row0 = self._row0(rs, cache, factor)
-        sign = -1.0 if self.maximize else 1.0
-        needs = self._belief_needs
-        best_q = None
-        best_key = 0.0
-        for i, q in enumerate(up_list):
-            if mask is not None and not mask[q]:
-                continue
-            key = sign * row0[i]
-            if key != key and needs is not None:  # NaN: candidate lacks belief
-                rs.require_beliefs((q,), needs)
-            if best_q is None or key < best_key or (key == best_key and q < best_q):
-                best_q = q
-                best_key = key
-        return [best_q]
-
     def _place_argmin(
         self, rs: RoundState, cache: dict, n_tasks: int, allowed
     ) -> list:
@@ -728,9 +712,8 @@ class GreedyScheduler(Scheduler):
         ``sign * value`` in float64 is the same operation element-wise or
         vectorised, so these keys equal the scalar paths' keys bit for
         bit.  Hoisting the list→ndarray conversion and the NaN test here
-        (one per round × factor, instead of one per *placement*) is what
-        keeps a large-p replication round from paying O(up) conversions
-        per replica.
+        makes them one per round × factor, shared by the round's main
+        placement and its replica selection, instead of one per call.
         """
         entry = cache["row0_arr"].get(factor)
         if entry is None:
@@ -754,11 +737,10 @@ class GreedyScheduler(Scheduler):
         ``n_q``/``n_active`` bookkeeping and the lowest-index tie-break
         are the legacy :meth:`place` loop's, with every score read from
         the ``n_q = 0`` row (memoised per round and contention factor,
-        shared with every replication placement) or re-scored from the
+        shared with the round's replica selection) or re-scored from the
         cached CT coefficients.  From ``_VECTOR_MIN_P`` processors, every
         call whose contention factor is constant runs the masked argmin
-        loop (:meth:`_place_argmin`); below it, a single placement runs
-        the fused scan (:meth:`_place_one`) and larger batches the lazy
+        loop (:meth:`_place_argmin`); below it, every call runs the lazy
         heap.  Two exact shortcuts replace the legacy re-validation
         re-scores: without contention a heap entry can never go stale
         (its key is refreshed whenever its ``n_q`` moves, and nothing
@@ -778,12 +760,8 @@ class GreedyScheduler(Scheduler):
         cache = self._round_setup(rs)
         if cache["up_arr"] is not None:
             placed = self._place_argmin(rs, cache, n_tasks, allowed)
-        elif n_tasks == 1:
-            placed = self._place_one(rs, cache, allowed)
-        else:
-            placed = NotImplemented
-        if placed is not NotImplemented:
-            return placed
+            if placed is not NotImplemented:
+                return placed
         up_list = cache["up_list"]
         if allowed is None:
             positions = None  # identity: candidate j is UP position j
@@ -900,3 +878,96 @@ class GreedyScheduler(Scheduler):
             entry_factor[j] = f
             heapq.heapreplace(heap, (rescore(j, f), index, j))
         return placements
+
+    def place_distinct(
+        self, rs: RoundState, n_tasks: int, allowed: np.ndarray
+    ) -> List[Optional[int]]:
+        """Replicas as one selection over the round's ``n_q = 0`` row.
+
+        Equal to the base loop of single placements.  When no candidate
+        holds pinned work (always so on the master's idle mask), a single
+        placement over the candidates sees ``n_active = 0``, so every
+        candidate speculates an active count of 1 and scores at factor
+        ``ceil(1 / ncom) = 1``: the pick is the minimum ``(key, q)`` of
+        the factor-1 row over the mask.  Taking it off the mask leaves the
+        rest pinned-free and the round state is unchanged, so the loop's
+        ``r = min(n_tasks, k)`` picks are the ``r`` smallest pairs in
+        ascending order — one ``partition`` at large p, one sort of the
+        candidates below ``_VECTOR_MIN_P``.  Candidates are UP, so the
+        loop would refuse none of them.  Pinned candidates under the
+        contention factor, and non-batch schedulers, run the base loop.
+        """
+        picks = NotImplemented
+        if self.batch_scoring and n_tasks:
+            cache = self._round_setup(rs)
+            if cache["up_arr"] is not None:
+                picks = self._distinct_large(rs, cache, n_tasks, allowed)
+            else:
+                picks = self._distinct_small(rs, cache, n_tasks, allowed)
+        if picks is NotImplemented:
+            return super().place_distinct(rs, n_tasks, allowed)
+        # The base loop stops once the mask is empty; with allowed
+        # processors left over (none of them UP) it answers None per task.
+        r = len(picks)
+        if r < n_tasks and int(np.count_nonzero(allowed)) > r:
+            picks.extend([None] * (n_tasks - r))
+        return picks
+
+    def _distinct_large(
+        self, rs: RoundState, cache: dict, n_tasks: int, allowed: np.ndarray
+    ) -> list:
+        """The ``r`` smallest ``(key, q)`` pairs of the signed factor-1 row
+        over the mask, ascending: one ``partition`` of the keys with the
+        non-candidates at ``+inf`` (every CT-based score is finite), then a
+        stable sort of the ``r`` picks (``up_arr`` ascends, so position
+        order is q order)."""
+        up_arr = cache["up_arr"]
+        sel = allowed[up_arr]
+        contended = self.use_contention_factor and rs.ncom is not None
+        if contended and not cache["pinned_zero_arr"][sel].all():
+            return NotImplemented  # a pinned candidate: the factor may vary
+        k = int(np.count_nonzero(sel))
+        r = min(n_tasks, k)
+        if r == 0:
+            return []
+        keys, has_nan = self._row0_keys(rs, cache, 1)
+        if has_nan:
+            rs.require_beliefs(up_arr[sel], self._belief_needs)
+        if r < k:
+            # Every key up to the r-th smallest; on ties at that cut, every
+            # key below it and then the lowest-q ties.
+            masked = np.where(sel, keys, np.inf)
+            cut = np.partition(masked, r - 1)[r - 1]
+            chosen = np.flatnonzero(masked <= cut)
+            if chosen.size > r:
+                chosen_keys = masked[chosen]
+                below = chosen[chosen_keys < cut]
+                ties = chosen[chosen_keys == cut][: r - below.size]
+                chosen = np.concatenate((below, ties))
+        else:
+            chosen = np.flatnonzero(sel)
+        chosen = chosen[np.argsort(keys[chosen], kind="stable")]
+        return up_arr[chosen].tolist()
+
+    def _distinct_small(
+        self, rs: RoundState, cache: dict, n_tasks: int, allowed: np.ndarray
+    ) -> list:
+        """Below ``_VECTOR_MIN_P``: one sort of the candidates' ``(key, q)``
+        pairs over the factor-1 row."""
+        up_list = cache["up_list"]
+        mask = allowed.tolist()
+        positions = [i for i, q in enumerate(up_list) if mask[q]]
+        pinned_zero = cache["pinned_zero"]
+        contended = self.use_contention_factor and rs.ncom is not None
+        if contended and not all(pinned_zero[i] for i in positions):
+            return NotImplemented  # a pinned candidate: the factor may vary
+        if not positions:
+            return []
+        row0 = self._row0(rs, cache, 1)
+        sign = -1.0 if self.maximize else 1.0
+        pairs = [(sign * row0[i], up_list[i]) for i in positions]
+        if self._belief_needs is not None and any(key != key for key, _q in pairs):
+            # NaN: a candidate lacks a belief; raise for the first one.
+            rs.require_beliefs([q for _key, q in pairs], self._belief_needs)
+        pairs.sort()
+        return [q for _key, q in pairs[:n_tasks]]

@@ -120,6 +120,12 @@ class PassiveScheduler(Scheduler):
                     self._memory.append(choice)
         return placements
 
+    def place_distinct(
+        self, rs: RoundState, n_tasks: int, allowed: np.ndarray
+    ) -> List[Optional[int]]:
+        """Replica batches go to the inner heuristic, as in :meth:`place_array`."""
+        return self._inner.place_distinct(rs, n_tasks, allowed)
+
     def select(self, ctx, candidates, nq, n_active):  # pragma: no cover
         # place() is fully overridden; select() is never reached.
         raise NotImplementedError("PassiveScheduler overrides place()")

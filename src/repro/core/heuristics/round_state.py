@@ -257,7 +257,7 @@ class RoundState:
         ``allowed=None`` means every UP processor; otherwise ``allowed`` is
         a length-p boolean mask and the UP set is filtered to it, order
         preserved.  The UP index array is computed once per round (cached
-        until :meth:`invalidate`; a round's replication loop asks once per
+        until :meth:`invalidate`; the base replication loop asks once per
         replica) and returned as-is for ``allowed=None`` — callers must
         not mutate it.
         """

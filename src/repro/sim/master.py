@@ -413,17 +413,18 @@ class MasterSimulator:
                 else:
                     reset_instance(inst)  # original returns to the pool
                     tbl.release(inst)
-                self.log.emit(
-                    SimEvent(
-                        slot,
-                        EventKind.INSTANCE_LOST,
-                        worker=worker.index,
-                        iteration=inst.iteration,
-                        task_id=inst.task_id,
-                        replica_id=inst.replica_id,
-                        detail="crash",
+                if self.log.enabled:
+                    self.log.emit(
+                        SimEvent(
+                            slot,
+                            EventKind.INSTANCE_LOST,
+                            worker=worker.index,
+                            iteration=inst.iteration,
+                            task_id=inst.task_id,
+                            replica_id=inst.replica_id,
+                            detail="crash",
+                        )
                     )
-                )
             self._need_replan = True
 
     def _destroy_instance(self, inst: TaskInstance) -> None:
@@ -620,17 +621,18 @@ class MasterSimulator:
             self._tbl.release(inst)  # reads inst.worker: before detach
             self.workers[inst.worker].remove_instance(inst)
             reset_instance(inst)  # back to the pool, progress discarded
-            self.log.emit(
-                SimEvent(
-                    slot,
-                    EventKind.INSTANCE_LOST,
-                    worker=None,
-                    iteration=inst.iteration,
-                    task_id=inst.task_id,
-                    replica_id=inst.replica_id,
-                    detail="proactive-termination",
+            if self.log.enabled:
+                self.log.emit(
+                    SimEvent(
+                        slot,
+                        EventKind.INSTANCE_LOST,
+                        worker=None,
+                        iteration=inst.iteration,
+                        task_id=inst.task_id,
+                        replica_id=inst.replica_id,
+                        detail="proactive-termination",
+                    )
                 )
-            )
 
     def _scheduling_round(self, slot: int, states: np.ndarray) -> None:
         if self._round_is_trivial():
@@ -715,47 +717,44 @@ class MasterSimulator:
             return  # paper's trigger: more UP than remaining tasks
         # Only queue hosts can be non-idle: mask the (few) busy workers out
         # of the UP vector, and keep the *mask* — it is the allowed form
-        # every replica placement below takes, with no per-task index
-        # lists.
+        # the replica placement below takes, with no per-task index lists.
         idle_mask = cal.states_np == int(ProcState.UP)
         for q in self._queue_hosts():
             idle_mask[q] = False
-        n_idle = int(np.count_nonzero(idle_mask))
-        if n_idle == 0:
+        if not idle_mask.any():
             return
         max_instances = 1 + self.options.max_replicas
-        place_array = self.scheduler.place_array
-        # A task's live count is the length of its row list, so no pass
-        # over the live instances is needed at all.  Reading it per
-        # visited candidate is exact: the loop below only ever *adds*
-        # replicas for the task it is visiting, and it never revisits a
-        # task.  Least-replicated tasks first; ties toward the lowest id.
+        # A task's live count is the length of its row list; each eligible
+        # task gains at most one replica below, so eligibility is fixed
+        # before any placement.  Least-replicated tasks first; the sort is
+        # stable over ascending ids, so ties go to the lowest id.
         rows_of = tbl.rows_of
-        candidates = sorted(
-            tbl.uncommitted_tasks(),
-            key=lambda task_id: (len(rows_of[task_id]), task_id),
+        eligible = sorted(
+            (
+                task_id
+                for task_id in tbl.uncommitted_tasks()
+                if len(rows_of[task_id]) < max_instances
+            ),
+            key=lambda task_id: len(rows_of[task_id]),
         )
-        for task_id in candidates:
-            if n_idle == 0:
-                break
-            if len(rows_of[task_id]) >= max_instances:
-                continue
-            # The task's hosts hold it in their queues, so they are off the mask.
-            choice = place_array(rs, 1, idle_mask)[0]
+        # One call places every replica on distinct idle workers; the i-th
+        # choice belongs to the i-th eligible task.
+        choices = self.scheduler.place_distinct(rs, len(eligible), idle_mask)
+        iteration = self.iteration
+        t_data = self.app.t_data
+        for task_id, choice in zip(eligible, choices):
             if choice is None:
                 continue
             replica = TaskInstance(
-                iteration=self.iteration,
+                iteration=iteration,
                 task_id=task_id,
                 replica_id=tbl.free_replica_id(task_id),
-                data_needed=self.app.t_data,
+                data_needed=t_data,
             )
             tbl.add(replica)
             self._place(replica, choice)
             if replica.worker is not None:
                 self.report.replicas_launched += 1
-                idle_mask[choice] = False
-                n_idle -= 1
             else:
                 tbl.destroy(replica)
 
@@ -780,16 +779,17 @@ class MasterSimulator:
                     continue
                 current.computing = True
                 tbl.start_computing(current)
-                self.log.emit(
-                    SimEvent(
-                        slot,
-                        EventKind.COMPUTE_START,
-                        worker=worker.index,
-                        iteration=current.iteration,
-                        task_id=current.task_id,
-                        replica_id=current.replica_id,
+                if self.log.enabled:
+                    self.log.emit(
+                        SimEvent(
+                            slot,
+                            EventKind.COMPUTE_START,
+                            worker=worker.index,
+                            iteration=current.iteration,
+                            task_id=current.task_id,
+                            replica_id=current.replica_id,
+                        )
                     )
-                )
             current.compute_done += 1
             touched.add(q)  # delay shrank (or pin began)
             self.report.compute_slots_spent += 1
@@ -801,16 +801,17 @@ class MasterSimulator:
     def _commit(self, slot: int, inst: TaskInstance) -> None:
         self.report.tasks_committed += 1
         self._need_replan = True
-        self.log.emit(
-            SimEvent(
-                slot,
-                EventKind.TASK_COMMIT,
-                worker=inst.worker,
-                iteration=inst.iteration,
-                task_id=inst.task_id,
-                replica_id=inst.replica_id,
+        if self.log.enabled:
+            self.log.emit(
+                SimEvent(
+                    slot,
+                    EventKind.TASK_COMMIT,
+                    worker=inst.worker,
+                    iteration=inst.iteration,
+                    task_id=inst.task_id,
+                    replica_id=inst.replica_id,
+                )
             )
-        )
         # Remove the committed instance and cancel all siblings, in
         # creation (uid) order: the table's per-task row list appends in
         # creation order.  The task is committed once its rows are gone.
@@ -826,16 +827,17 @@ class MasterSimulator:
                 self.report.replicas_cancelled += 1
             else:
                 self.report.originals_superseded += 1
-            self.log.emit(
-                SimEvent(
-                    slot,
-                    EventKind.REPLICA_CANCELLED,
-                    worker=sibling.worker,
-                    iteration=sibling.iteration,
-                    task_id=sibling.task_id,
-                    replica_id=sibling.replica_id,
+            if self.log.enabled:
+                self.log.emit(
+                    SimEvent(
+                        slot,
+                        EventKind.REPLICA_CANCELLED,
+                        worker=sibling.worker,
+                        iteration=sibling.iteration,
+                        task_id=sibling.task_id,
+                        replica_id=sibling.replica_id,
+                    )
                 )
-            )
             self._destroy_instance(sibling)
         tbl.commit_task(inst.task_id)
 
@@ -906,36 +908,41 @@ class MasterSimulator:
                 grants[worker.index] = ("prog", None)
                 if worker.prog_received == 0:
                     self._prog_holders.add(worker.index)
-                    self.log.emit(
-                        SimEvent(
-                            slot,
-                            EventKind.PROGRAM_TRANSFER_START,
-                            worker=worker.index,
+                    if self.log.enabled:
+                        self.log.emit(
+                            SimEvent(
+                                slot,
+                                EventKind.PROGRAM_TRANSFER_START,
+                                worker=worker.index,
+                            )
                         )
-                    )
                 worker.prog_received += 1
                 if worker.has_program:
                     self._need_replan = True
-                    self.log.emit(
-                        SimEvent(
-                            slot, EventKind.PROGRAM_TRANSFER_DONE, worker=worker.index
+                    if self.log.enabled:
+                        self.log.emit(
+                            SimEvent(
+                                slot,
+                                EventKind.PROGRAM_TRANSFER_DONE,
+                                worker=worker.index,
+                            )
                         )
-                    )
             else:
                 inst = targets[grant.worker]
                 grants[worker.index] = ("data", inst)
                 if not inst.data_started:
                     self._tbl.pin(inst)  # first data slot pins
-                    self.log.emit(
-                        SimEvent(
-                            slot,
-                            EventKind.DATA_TRANSFER_START,
-                            worker=worker.index,
-                            iteration=inst.iteration,
-                            task_id=inst.task_id,
-                            replica_id=inst.replica_id,
+                    if self.log.enabled:
+                        self.log.emit(
+                            SimEvent(
+                                slot,
+                                EventKind.DATA_TRANSFER_START,
+                                worker=worker.index,
+                                iteration=inst.iteration,
+                                task_id=inst.task_id,
+                                replica_id=inst.replica_id,
+                            )
                         )
-                    )
                 inst.data_received += 1
                 if inst.data_complete:
                     # No re-plan: a finished data transfer changes no
@@ -945,16 +952,17 @@ class MasterSimulator:
                     # targets, so the span logic must treat the next slot
                     # as a boundary.
                     self._pipeline_changed = True
-                    self.log.emit(
-                        SimEvent(
-                            slot,
-                            EventKind.DATA_TRANSFER_DONE,
-                            worker=worker.index,
-                            iteration=inst.iteration,
-                            task_id=inst.task_id,
-                            replica_id=inst.replica_id,
+                    if self.log.enabled:
+                        self.log.emit(
+                            SimEvent(
+                                slot,
+                                EventKind.DATA_TRANSFER_DONE,
+                                worker=worker.index,
+                                iteration=inst.iteration,
+                                task_id=inst.task_id,
+                                replica_id=inst.replica_id,
+                            )
                         )
-                    )
         self._grants = grants
         self._grant_counts = (nprog, len(grants) - nprog, len(requests))
 
@@ -991,12 +999,14 @@ class MasterSimulator:
         if self._tbl.n_uncommitted == 0:
             self.report.iteration_end_slots.append(slot)
             self.report.completed_iterations += 1
-            self.log.emit(
-                SimEvent(slot, EventKind.ITERATION_DONE, iteration=self.iteration)
-            )
+            if self.log.enabled:
+                self.log.emit(
+                    SimEvent(slot, EventKind.ITERATION_DONE, iteration=self.iteration)
+                )
             if self.report.completed_iterations >= self.app.iterations:
                 self.report.makespan = slot + 1
-                self.log.emit(SimEvent(slot, EventKind.RUN_DONE))
+                if self.log.enabled:
+                    self.log.emit(SimEvent(slot, EventKind.RUN_DONE))
                 return True
             self._start_iteration(self.iteration + 1)
         return False

@@ -18,11 +18,13 @@ from repro.core.heuristics.base import (
     _VECTOR_MIN_P,
     ProcessorView,
     RoundState,
+    Scheduler,
     SchedulingContext,
 )
 from repro.core.heuristics.lw import LwScheduler
 from repro.core.heuristics.mct import EmctScheduler, MctScheduler
-from repro.core.heuristics.registry import make_scheduler
+from repro.core.heuristics.passive import PassiveScheduler
+from repro.core.heuristics.registry import HEURISTIC_FACTORIES, make_scheduler
 from repro.core.heuristics.ud import UdScheduler
 from repro.core.markov import MarkovAvailabilityModel, paper_random_model
 from repro.types import ProcState
@@ -437,3 +439,144 @@ class TestSchedulingContextRngDefault:
         from repro.rng import default_scheduler_rng
 
         assert self._context().rng.random() == default_scheduler_rng().random()
+
+
+def replica_loop(sched, rs, n_tasks, allowed):
+    """The replication loop ``place_distinct`` replaces: one single
+    placement per task, each choice that is not refused (``None`` or
+    DOWN) taken off the mask, until the mask is empty."""
+    mask = allowed.copy()
+    n_free = int(np.count_nonzero(mask))
+    choices = []
+    for _ in range(n_tasks):
+        if n_free == 0:
+            break
+        choice = sched.place_array(rs, 1, mask)[0]
+        choices.append(choice)
+        if choice is not None and rs.state[choice] != int(ProcState.DOWN):
+            mask[choice] = False
+            n_free -= 1
+    return choices
+
+
+def place_distinct_call(sched, rs, n_tasks, allowed):
+    return sched.place_distinct(rs, n_tasks, allowed)
+
+
+class _PlaceArrayOnly(Scheduler):
+    """An external scheduler that overrides only ``place_array`` (the
+    shape of the equivalence suite's shim probe): its replicas run the
+    base ``place_distinct`` loop through the wrapped heuristic."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.name = f"place-array-only({inner.name})"
+
+    def place_array(self, rs, n_tasks, allowed=None):
+        return self._inner.place_array(rs, n_tasks, allowed)
+
+    def select(self, ctx, candidates, nq, n_active):  # pragma: no cover
+        raise NotImplementedError("overrides place_array")
+
+
+def _distinct_factory(name):
+    if name == "place-array-only":
+        return lambda: _PlaceArrayOnly(make_scheduler("emct*"))
+    if name == "passive(mct)":
+        return lambda: PassiveScheduler(MctScheduler())
+    return lambda: make_scheduler(name)
+
+
+DISTINCT_NAMES = sorted(HEURISTIC_FACTORIES) + ["passive(mct)", "place-array-only"]
+
+
+class TestPlaceDistinct:
+    """place_distinct == the loop of single placements it replaces: same
+    choices, same RNG state afterwards."""
+
+    @staticmethod
+    def _platform(p, seed, tied):
+        rng = np.random.default_rng(900 + seed)
+        views = random_views(rng, p=p)
+        # Mostly idle UP processors, as at the end of an iteration.
+        for view in views:
+            if rng.random() < 0.5:
+                view.state = ProcState.UP
+            if rng.random() < 0.5:
+                view.pinned_count, view.pinned_pipeline = 0, ()
+        if tied:
+            # Every idle processor shares one score: the picks are decided
+            # by the ascending-index tie-break alone.
+            model = views[0].belief
+            for view in views:
+                view.delay, view.speed_w, view.belief = 7, 3, model
+                view.prog_remaining, view.has_program = 0, True
+        return views
+
+    @staticmethod
+    def _masks(views):
+        """(label, allowed, n_tasks) cases over one platform."""
+        p = len(views)
+        up = [v.index for v in views if v.state == ProcState.UP]
+        idle = [q for q in up if views[q].pinned_count == 0]
+        pinned = [q for q in up if views[q].pinned_count > 0]
+        not_up = [v.index for v in views if v.state != ProcState.UP]
+        k = len(idle)
+        return [
+            ("idle", mask_of(p, idle), min(k, 6)),
+            ("idle-all", mask_of(p, idle), k),
+            ("zero", mask_of(p, idle), 0),
+            ("more-tasks-than-idle", mask_of(p, idle[:4]), 9),
+            ("not-up-left-over", mask_of(p, idle[:4] + not_up[:2]), 9),
+            ("pinned-candidate", mask_of(p, idle[:5] + pinned[:2]), 5),
+        ]
+
+    def _check(self, name, views, ncom):
+        factory = _distinct_factory(name)
+        for label, allowed, n_tasks in self._masks(views):
+            where = f"{name} {label} p={len(views)} ncom={ncom}"
+            if len(views) > 1000 and label == "idle-all":
+                continue  # a full sweep of single placements is O(k·p)
+            rs = round_state_from(views, seed=21, ncom=ncom)
+            loop_rs = round_state_from(views, seed=21, ncom=ncom)
+            before = allowed.copy()
+            placed = factory().place_distinct(rs, n_tasks, allowed)
+            expected = replica_loop(factory(), loop_rs, n_tasks, allowed)
+            assert placed == expected, where
+            assert (allowed == before).all(), where  # the mask is not consumed
+            assert (
+                rs.rng.bit_generator.state == loop_rs.rng.bit_generator.state
+            ), where
+
+    @pytest.mark.parametrize("name", DISTINCT_NAMES)
+    @pytest.mark.parametrize("ncom", [1, 5, None])
+    @pytest.mark.parametrize("p", [20, _VECTOR_MIN_P + 2, 2000])
+    def test_equals_single_placement_loop(self, name, ncom, p):
+        self._check(name, self._platform(p, 0, tied=False), ncom)
+
+    @pytest.mark.parametrize("name", DISTINCT_NAMES)
+    @pytest.mark.parametrize("ncom", [1, 5])
+    @pytest.mark.parametrize("p", [20, _VECTOR_MIN_P + 2])
+    def test_tied_keys(self, name, ncom, p):
+        self._check(name, self._platform(p, 1, tied=True), ncom)
+
+    @pytest.mark.parametrize("name", DISTINCT_NAMES)
+    @pytest.mark.parametrize("p", [20, _VECTOR_MIN_P + 2])
+    def test_beliefless_candidate_raises_like_the_loop(self, name, p):
+        views = self._platform(p, 2, tied=False)
+        idle = [
+            v.index for v in views
+            if v.state == ProcState.UP and v.pinned_count == 0
+        ]
+        views[idle[2]].belief = None
+        allowed = mask_of(p, idle)
+        outcomes = []
+        for run in (place_distinct_call, replica_loop):
+            rs = round_state_from(views, seed=5, ncom=5)
+            try:
+                outcomes.append(run(_distinct_factory(name)(), rs, 3, allowed))
+            except ValueError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
+        if name in ("emct", "emct*", "lw", "lw*", "ud", "ud*", "place-array-only"):
+            assert f"processor {idle[2]} has no Markov belief" in outcomes[0]

@@ -70,18 +70,7 @@ def _unit(scenario, trial, heuristics, options):
     )
 
 
-@pytest.mark.parametrize("trial", range(3))
-@pytest.mark.parametrize("chunk", [1, 3, 32, 257, 4096])
-@pytest.mark.parametrize("truth", ["markov", "semi-markov"])
-def test_trace_content_independent_of_growth_schedule(
-    truth, chunk, trial, monkeypatch
-):
-    """Traces read in random order (Markov ones grown in ``chunk``-slot
-    steps) equal the default build: one draw per slot, in slot order."""
-    scenario = _scenario(truth)
-    reference = scenario.build_platform(trial)
-    monkeypatch.setattr(MarkovSource, "_CHUNK", chunk)
-    grown = scenario.build_platform(trial)
+def _assert_read_in_random_order_equals(reference, grown, trial):
     order = np.random.default_rng(trial).permutation(HORIZON)
     for want, got in zip(reference, grown):
         states = np.empty(HORIZON, dtype=np.uint8)
@@ -90,6 +79,29 @@ def test_trace_content_independent_of_growth_schedule(
         np.testing.assert_array_equal(
             states, want.availability.block(0, HORIZON)
         )
+
+
+@pytest.mark.parametrize("trial", range(3))
+@pytest.mark.parametrize("chunk", [1, 3, 32, 257, 4096])
+def test_trace_content_independent_of_growth_schedule(chunk, trial, monkeypatch):
+    """Markov traces read in random order, grown in ``chunk``-slot steps,
+    equal the default build: one draw per slot, in slot order."""
+    scenario = _scenario("markov")
+    reference = scenario.build_platform(trial)
+    monkeypatch.setattr(MarkovSource, "_CHUNK", chunk)
+    _assert_read_in_random_order_equals(
+        reference, scenario.build_platform(trial), trial
+    )
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_semi_markov_trace_content_independent_of_read_order(trial):
+    """Semi-Markov traces grow one sojourn at a time whatever the chunk
+    size: read in random order, they equal a second build of the trial."""
+    scenario = _scenario("semi-markov")
+    _assert_read_in_random_order_equals(
+        scenario.build_platform(trial), scenario.build_platform(trial), trial
+    )
 
 
 @pytest.mark.parametrize("truth", ["markov", "semi-markov"])
