@@ -77,6 +77,25 @@ def _uniform_factor(k: int, n_active: int, n_tasks: int, ncom: int) -> Optional[
     return factor if factor == max(1, -(-upper // ncom)) else None
 
 
+class _RoundCache(dict):
+    """A greedy round's cache (:meth:`GreedyScheduler._round_setup`).
+
+    At large p only the arrays are stored up front; a read of the list
+    form ``up_list`` or ``pinned_zero`` converts its array once and keeps
+    the list for the rest of the round.
+    """
+
+    def __missing__(self, key):
+        if key == "up_list":
+            value = self["up_arr"].tolist()
+        elif key == "pinned_zero":
+            value = self["pinned_zero_arr"].tolist()
+        else:
+            raise KeyError(key)
+        self[key] = value
+        return value
+
+
 __all__ = [
     "ProcessorView",
     "SchedulingContext",
@@ -541,34 +560,29 @@ class GreedyScheduler(Scheduler):
         arrays instead — exact integer/copy operations, so the resulting
         lists are element-for-element identical — and the UP index array
         is kept (``up_arr``) for the large-p argmin loop
-        (:meth:`_place_argmin`).  Nothing survives a refresh: the next
-        ``rs.version`` rebuilds the cache from the columns.
+        (:meth:`_place_argmin`).  There the list forms ``up_list`` /
+        ``pinned_zero`` are built on first read (:class:`_RoundCache`),
+        since only the contended heap loop reads them.  Nothing survives
+        a refresh: the next ``rs.version`` rebuilds the cache from the
+        columns.
         """
         if self._round_version != rs.version:
             up_state = int(ProcState.UP)
+            cache = self._round_cache = _RoundCache(
+                row0={}, row0_arr={}, ct={}, gathers=None, belief={}
+            )
             if len(rs) >= _VECTOR_MIN_P:
                 up_arr = np.nonzero(rs.state == up_state)[0]
-                up_list = up_arr.tolist()
-                pinned_zero_arr = rs.pinned_count[up_arr] == 0
-                pinned_zero = pinned_zero_arr.tolist()
+                cache["up_arr"] = up_arr
+                cache["pinned_zero_arr"] = rs.pinned_count[up_arr] == 0
             else:
-                up_arr = None
-                pinned_zero_arr = None
                 state_list = rs.state.tolist()
                 up_list = [q for q, s in enumerate(state_list) if s == up_state]
                 pinned_list = rs.pinned_count.tolist()
-                pinned_zero = [pinned_list[q] == 0 for q in up_list]
-            self._round_cache = {
-                "up_list": up_list,
-                "up_arr": up_arr,
-                "pinned_zero": pinned_zero,
-                "pinned_zero_arr": pinned_zero_arr,
-                "row0": {},
-                "row0_arr": {},
-                "ct": {},
-                "gathers": None,
-                "belief": {},
-            }
+                cache["up_list"] = up_list
+                cache["up_arr"] = None
+                cache["pinned_zero"] = [pinned_list[q] == 0 for q in up_list]
+                cache["pinned_zero_arr"] = None
             self._round_version = rs.version
         return self._round_cache
 
@@ -645,7 +659,7 @@ class GreedyScheduler(Scheduler):
         The keys are the memoised signed ``n_q = 0`` row; positions outside
         ``allowed`` read ``+inf`` (every CT-based score is finite), and each
         placed position is re-scored in place.  ``argmin`` returns the
-        first occurrence of the minimum and ``up_list`` ascends, so each
+        first occurrence of the minimum and ``up_arr`` ascends, so each
         pick is the lazy heap's lexicographic minimum ``(key, q)``.  A row
         holding a NaN (a processor without a belief) has its candidates
         checked, raising the legacy error for the first belief-less one in
@@ -654,10 +668,9 @@ class GreedyScheduler(Scheduler):
         ``NotImplemented`` when the contention factor can vary within the
         call, sending the caller to the contended heap loop.
         """
-        up_list = cache["up_list"]
         up_arr = cache["up_arr"]
         sel = None if allowed is None else allowed[up_arr]
-        k = len(up_list) if sel is None else int(np.count_nonzero(sel))
+        k = up_arr.size if sel is None else int(np.count_nonzero(sel))
         if k == 0:
             return [None] * n_tasks
         if not self.use_contention_factor or rs.ncom is None:
@@ -679,13 +692,13 @@ class GreedyScheduler(Scheduler):
         base, step = self._ct_bases(rs, cache, factor)
         sign = -1.0 if self.maximize else 1.0
         score_ct = self._score_ct_one
-        placements: List[Optional[int]] = []
+        picked: List[int] = []
         nq: Dict[int, int] = {}
         while True:
             i = int(working.argmin())
-            placements.append(up_list[i])
-            if len(placements) == n_tasks:
-                return placements
+            picked.append(i)
+            if len(picked) == n_tasks:
+                return up_arr[picked].tolist()
             count = nq.get(i, 0) + 1
             nq[i] = count
             working[i] = sign * score_ct(rs, cache, base[i] + count * step[i], i)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Iterable, List, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 __all__ = [
     "DEFAULT_SCHEDULER_SEED",
@@ -76,6 +77,114 @@ def _key_to_ints(key: Iterable) -> list[int]:
     return out
 
 
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx), fixed
+# since numpy 1.17; tests/test_rng.py checks _seed_state against
+# SeedSequence itself, so a change upstream fails there first.
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _entropy_words(value) -> list[int]:
+    """``value`` as the little-endian uint32 words ``SeedSequence`` reads.
+
+    An int gives its base-2**32 digits (``0`` gives one word); a sequence
+    gives the concatenated words of its items.
+    """
+    if isinstance(value, (int, np.integer)):
+        n = int(value)
+        words = [n & _MASK32]
+        n >>= 32
+        while n:
+            words.append(n & _MASK32)
+            n >>= 32
+        return words
+    return [w for item in value for w in _entropy_words(item)]
+
+
+# The two helpers below serve Python ints and uint64 columns alike: every
+# operand is below 2**32, so products fit in 64 bits, and a wrapped uint64
+# difference is still right modulo 2**32.
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """``SeedSequence``'s hashmix: (mixed value, next hash constant).
+
+    ``generate_state`` hashes its output words the same way, with
+    ``mult = _MULT_B``.
+    """
+    value = value ^ const
+    const = (const * mult) & _MASK32
+    value = (value * const) & _MASK32
+    return value ^ (value >> 16), const
+
+
+def _mix(x, y):
+    """``SeedSequence``'s pool mix of ``x`` with ``y``."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _seed_state(head: list[int], tail: np.ndarray) -> np.ndarray:
+    """Per-row ``SeedSequence(...).generate_state(4, np.uint64)``.
+
+    Row ``i``'s assembled entropy is ``head + list(tail[i])``: ``head``
+    holds the shared uint32 words (the root entropy padded to at least
+    the pool size, then the shared spawn-key words) and ``tail`` the
+    ``(n, k)`` per-row words, as ``uint64``.  The shared words are mixed
+    once as Python ints; only the tail runs as column operations.
+
+    Returns:
+        An ``(n, 4)`` C-contiguous ``uint64`` array.
+    """
+    const = _INIT_A
+    pool = []
+    for word in head[:_POOL_SIZE]:
+        mixed, const = _hashmix(word, const)
+        pool.append(mixed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                mixed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], mixed)
+    words = [*head[_POOL_SIZE:], *tail.T]
+    for word in words:
+        for dst in range(_POOL_SIZE):
+            mixed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], mixed)
+    # generate_state: eight uint32 words cycling over the pool, paired
+    # little-endian into four uint64 words.
+    state = np.empty((tail.shape[0], 4), dtype=np.uint64)
+    const = _INIT_B
+    for k in range(8):
+        value, const = _hashmix(pool[k % _POOL_SIZE], const, _MULT_B)
+        if k % 2 == 0:
+            state[:, k // 2] = value
+        else:
+            state[:, k // 2] |= value << 32
+    return state
+
+
+class _PresetState(ISeedSequence):
+    """An ``ISeedSequence`` whose ``PCG64`` seed words were computed ahead.
+
+    ``PCG64(_PresetState(row))`` asks for ``generate_state(4, uint64)``
+    once and seeds itself in C, exactly as from the ``SeedSequence``
+    that :func:`_seed_state` computed ``row`` for.
+    """
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a preset state holds exactly four uint64 words")
+        return self.state
+
+
 class RngFactory:
     """Derives independent, reproducible generators from one root seed.
 
@@ -114,17 +223,31 @@ class RngFactory:
         """The generators for keys ``(*prefix, 0)`` … ``(*prefix, count - 1)``.
 
         Stream-for-stream equal to ``[self.generator(*prefix, q) for q in
-        range(count)]``, but the prefix is hashed once rather than once
-        per key — the per-processor availability streams of a platform
-        share everything but the processor index.
+        range(count)]`` (DESIGN.md §2), at a fraction of its cost: a
+        platform's per-processor availability streams share everything
+        but the last key part, so numpy's ``SeedSequence`` entropy mixing
+        runs once over the shared words and then as column operations
+        over all ``count`` processor indices (:func:`_seed_state`).  Each
+        row of four ``uint64`` state words seeds one ``PCG64`` in C
+        through :class:`_PresetState`; no ``SeedSequence`` object is
+        built per key.
+
+        Raises:
+            ValueError: if ``count > 2**32``: a larger index would need
+                two spawn-key words.
         """
-        head = tuple(_key_to_ints(prefix))
-        entropy = self._root.entropy
-        return [
-            np.random.default_rng(
-                np.random.SeedSequence(entropy=entropy, spawn_key=head + (q,))
+        if count > _MASK32 + 1:
+            raise ValueError(
+                f"count must be at most 2**32 (one spawn-key word), got {count}"
             )
-            for q in range(count)
+        head = _entropy_words(self._root.entropy)
+        head += [0] * (_POOL_SIZE - len(head))
+        for part in _key_to_ints(prefix):
+            head += _entropy_words(part)
+        q = np.arange(count, dtype=np.uint64)
+        state = _seed_state(head, q[:, None])
+        return [
+            np.random.Generator(np.random.PCG64(_PresetState(row))) for row in state
         ]
 
 

@@ -147,6 +147,15 @@ class TestOfflineMct:
         inst = make_instance(["rr"], t_prog=1, t_data=0, speeds=1, m=1)
         assert offline_mct(inst).makespan is None
 
+    def test_feasible_on_wide_random_instance(self):
+        rng = np.random.default_rng(0)
+        rows = ["".join(rng.choice(list("uuur"), size=60)) for _ in range(8)]
+        inst = OfflineInstance.from_codes(
+            rows, t_prog=3, t_data=1,
+            speeds=[int(rng.integers(1, 4)) for _ in range(8)], ncom=None, m=12,
+        )
+        assert offline_mct(inst).makespan is not None
+
     @pytest.mark.parametrize("seed", range(8))
     def test_proposition2_mct_optimal_without_contention(self, seed):
         # Random small instances with ncom = infinity: MCT's makespan must

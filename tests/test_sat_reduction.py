@@ -113,6 +113,9 @@ class TestCertificates:
         sat = PAPER_FIGURE1_FORMULA
         assignment = brute_force_sat(sat)
         schedule = schedule_from_assignment(sat, assignment)
+        makespan = verify_schedule(reduction_instance(sat), schedule)
+        assert makespan is not None
+        assert makespan <= reduction_instance(sat).horizon
         recovered = assignment_from_schedule(sat, schedule)
         assert sat.satisfied_by(recovered)
 

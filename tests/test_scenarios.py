@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.core.heuristics.base import _VECTOR_MIN_P
 from repro.core.markov import MarkovAvailabilityModel
 from repro.experiments.harness import run_instance
 from repro.rng import RngFactory
@@ -245,3 +246,54 @@ class TestBatchedConstructionIsBitIdentical:
         )
         with pytest.raises(ValueError, match="unknown ground-truth family"):
             scenario.build_platform(0)
+
+
+def _change_runs(source, horizon):
+    """``(first slot, state)`` of every run starting before ``horizon``,
+    walked through ``next_change_after``."""
+    runs, slot = [], 0
+    while slot is not None:
+        runs.append((slot, source.state_at(slot)))
+        slot = source.next_change_after(slot, limit=horizon - 1)
+    return runs
+
+
+class TestPlatformStreamContract:
+    """``build_platform`` draws processor ``q``'s availability from the
+    stream ``RngFactory.generator("avail", *key, trial, q)`` (DESIGN.md
+    §2), however ``RngFactory.generators`` derives the family."""
+
+    def test_semi_markov_large_platform(self):
+        p = _VECTOR_MIN_P + 72
+        scenario = ScenarioGenerator(777, p=p).large_grid_scenario(
+            30, 10, 2, 0, mean_sojourn=500
+        )
+        factory = RngFactory(scenario.root_seed)
+        for trial in (0, 3):
+            built = scenario.build_platform(trial)
+            per_key = Processor.from_semi_markov_batch(
+                range(p),
+                scenario.speeds,
+                scenario.models,
+                [factory.generator("avail", *scenario.key, trial, q) for q in range(p)],
+            )
+            for proc, reference in zip(built, per_key):
+                assert _change_runs(proc.availability, 12_000) == _change_runs(
+                    reference.availability, 12_000
+                )
+
+    def test_markov_paper_platform(self):
+        scenario = ScenarioGenerator(31).scenario(20, 10, 4, 1)
+        factory = RngFactory(scenario.root_seed)
+        for trial in (0, 2):
+            built = scenario.build_platform(trial)
+            for q, proc in enumerate(built):
+                reference = Processor.from_markov(
+                    q,
+                    scenario.speeds[q],
+                    scenario.models[q],
+                    factory.generator("avail", *scenario.key, trial, q),
+                )
+                assert _change_runs(proc.availability, 3000) == _change_runs(
+                    reference.availability, 3000
+                )
