@@ -336,6 +336,19 @@ class Scheduler(abc.ABC):
                 n_free -= 1
         return choices
 
+    @staticmethod
+    def _distinct_tail(
+        picks: List[Optional[int]], n_tasks: int, allowed: np.ndarray
+    ) -> List[Optional[int]]:
+        """Finish a batched :meth:`place_distinct` answer as the base loop
+        does: after the ``r`` picks it stops once the mask is empty; with
+        allowed processors left over (none of them UP) it answers
+        ``None`` per remaining task."""
+        r = len(picks)
+        if r < n_tasks and int(np.count_nonzero(allowed)) > r:
+            picks.extend([None] * (n_tasks - r))
+        return picks
+
     # No simulator code calls this; it stays only because the end-to-end
     # benchmark tracer wraps it by name.
     def would_replan(self, rs: RoundState, probe: object) -> bool:
@@ -919,12 +932,7 @@ class GreedyScheduler(Scheduler):
                 picks = self._distinct_small(rs, cache, n_tasks, allowed)
         if picks is NotImplemented:
             return super().place_distinct(rs, n_tasks, allowed)
-        # The base loop stops once the mask is empty; with allowed
-        # processors left over (none of them UP) it answers None per task.
-        r = len(picks)
-        if r < n_tasks and int(np.count_nonzero(allowed)) > r:
-            picks.extend([None] * (n_tasks - r))
-        return picks
+        return self._distinct_tail(picks, n_tasks, allowed)
 
     def _distinct_large(
         self, rs: RoundState, cache: dict, n_tasks: int, allowed: np.ndarray

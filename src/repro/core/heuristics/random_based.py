@@ -101,6 +101,19 @@ class RandomScheduler(Scheduler):
         rng = rs.rng
         return [cand_list[int(rng.integers(len(cand_list)))] for _ in range(n_tasks)]
 
+    def place_distinct(
+        self, rs: RoundState, n_tasks: int, allowed: np.ndarray
+    ) -> List[Optional[int]]:
+        """Replicas in one call, with the base loop's draws: one uniform
+        ``integers`` per replica over the remaining candidates, ascending."""
+        cand = rs.up_candidates(allowed).tolist()
+        rng = rs.rng
+        picks: List[Optional[int]] = [
+            cand.pop(int(rng.integers(len(cand))))
+            for _ in range(min(n_tasks, len(cand)))
+        ]
+        return self._distinct_tail(picks, n_tasks, allowed)
+
 
 class WeightedRandomScheduler(Scheduler):
     """``RandomX``/``RandomXw``: reliability-weighted random choice.
@@ -229,6 +242,44 @@ class WeightedRandomScheduler(Scheduler):
         last = len(cand_list) - 1
         picks = cumulative.searchsorted(rng.random(n_tasks), side="right").tolist()
         return [cand_list[min(pick, last)] for pick in picks]  # fp-rounding guard
+
+    def place_distinct(
+        self, rs: RoundState, n_tasks: int, allowed: np.ndarray
+    ) -> List[Optional[int]]:
+        """Replicas in one call, with the base loop's draws.
+
+        Each replica is one single placement over the remaining
+        candidates, ascending: their weights are re-summed and the
+        cumulative distribution rebuilt by the same numpy operations on
+        the same values, so every draw — one ``random`` per replica, or
+        one ``integers`` once the remaining weights vanish — lands where
+        the loop's would.  A candidate without a belief raises on the
+        first replica, as the loop's first placement does.
+        """
+        if self._variant is None:
+            return super().place_distinct(rs, n_tasks, allowed)
+        cand = rs.up_candidates(allowed)
+        r = min(n_tasks, int(cand.size))
+        if r == 0:
+            return self._distinct_tail([], n_tasks, allowed)
+        all_weights, has_nan = self.weight_vector(rs)
+        weights = all_weights[cand]
+        if has_nan and np.isnan(weights).any():
+            rs.require_beliefs(cand, _MISSING_BELIEF)  # raises with the index
+        cand_list = cand.tolist()
+        rng = rs.rng
+        picks: List[Optional[int]] = []
+        for _ in range(r):
+            total = weights.sum()
+            if total <= 0.0:
+                pick = int(rng.integers(len(cand_list)))
+            else:
+                cumulative = (weights / total).cumsum()
+                pick = int(cumulative.searchsorted(rng.random(), side="right"))
+                pick = min(pick, len(cand_list) - 1)  # fp-rounding guard
+            picks.append(cand_list.pop(pick))
+            weights = np.concatenate((weights[:pick], weights[pick + 1 :]))
+        return self._distinct_tail(picks, n_tasks, allowed)
 
 
 def make_random_variant(variant: int, weighted_by_speed: bool) -> Scheduler:

@@ -55,11 +55,12 @@ and placement; the table owns the event-rate aggregates, and commit
 state derives from its row lists; the calendar owns the availability
 sources and each processor's state and next transition (the span search
 reads ``PlatformCalendar.sources`` and ``next_change``).  The master
-keeps one busy-worker mirror, ``_prog_holders``, one grant dict per
-boundary (``_grants``) and one set of workers touched since the last
-executed round (``_touched``), which the next round's refresh
-recomputes in full; it derives its boundary counters (``op_counts``)
-from ``steps_executed`` and the calendar's pop count.
+keeps two busy-worker mirrors, ``_hosts`` (non-empty queues) and
+``_prog_holders`` (program progress), one grant dict per boundary
+(``_grants``) and one set of workers touched since the last executed
+round (``_touched``), which the next round's refresh recomputes in
+full; it derives its boundary counters (``op_counts``) from
+``steps_executed`` and the calendar's pop count.
 
 **The reference** (DESIGN.md §3).  None of this machinery may change a
 result: :class:`~repro.sim.reference.ReferenceSimulator`, a plain
@@ -100,6 +101,8 @@ __all__ = [
     "MasterSimulator",
     "simulate",
 ]
+
+_DOWN = int(ProcState.DOWN)
 
 
 class MasterSimulator:
@@ -172,6 +175,11 @@ class MasterSimulator:
         #: Per-worker reuse cache for frozen TransferRequest objects,
         #: keyed by (kind, started, is_replica) — see _gather_requests.
         self._request_cache: List[dict] = [{} for _ in self.workers]
+        #: Workers whose queue is non-empty: ``_place_all`` adds, and every
+        #: site that can empty a queue (the round purge, ``_crash``,
+        #: ``_unqueue``) discards.  The busy-worker loops read it instead
+        #: of scanning the table (audited against that scan).
+        self._hosts: set = set()
         self._start_iteration(0)
 
         self._need_replan = True
@@ -326,21 +334,6 @@ class MasterSimulator:
             "rows_reused": 0,
         }
 
-    def _queue_hosts(self) -> set:
-        """Workers currently holding at least one queued instance.
-
-        Derived from the instance table's live instances — O(live
-        instances), independent of p — for the busy-worker loops.
-        Invariant (audited): a worker appears here iff its queue is
-        non-empty, since every live instance with ``worker is not None``
-        sits in exactly that worker's queue and every detach
-        (``reset_instance``/``crash``/``remove_instance``) clears the
-        instance's ``worker`` field in the same step.
-        """
-        hosts = {inst.worker for inst in self._tbl.objects if inst is not None}
-        hosts.discard(None)
-        return hosts
-
     # ------------------------------------------------------------------ #
     # Crash / state handling.                                              #
     # ------------------------------------------------------------------ #
@@ -404,6 +397,7 @@ class MasterSimulator:
             lost = worker.crash()
             tbl.on_crash(q)
             self._prog_holders.discard(q)
+            self._hosts.discard(q)
             for inst in lost:
                 self.report.comm_slots_wasted += inst.data_received
                 self.report.compute_slots_wasted += inst.compute_done
@@ -432,11 +426,20 @@ class MasterSimulator:
         # the computing-row rollback.
         self._tbl.destroy(inst)
         if inst.worker is not None:
-            # Destroying a pinned instance moves the worker's delay and
-            # pinned count; marking unconditionally is cheap and idempotent.
-            self._touched.add(inst.worker)
-            self.workers[inst.worker].remove_instance(inst)
+            self._unqueue(inst)
         reset_instance(inst)
+
+    def _unqueue(self, inst: TaskInstance) -> None:
+        """Detach ``inst`` from its worker's queue; the worker leaves the
+        queue hosts once its queue is empty."""
+        q = inst.worker
+        # Removing a pinned instance moves the worker's delay and pinned
+        # count; marking unconditionally is cheap and idempotent.
+        self._touched.add(q)
+        worker = self.workers[q]
+        worker.remove_instance(inst)
+        if not worker.queue:
+            self._hosts.discard(q)
 
     def _churn_replan(self, slot: int, churned, states) -> None:
         """Apply the relaxed replan policy to an UP-set change.
@@ -499,26 +502,20 @@ class MasterSimulator:
         touched = self._touched
         if touched:
             workers = self.workers
-            changed = list(touched)
-            touched.clear()
-            delays: List[int] = []
-            pinned_counts: List[int] = []
-            prog_remainings: List[int] = []
-            for q in changed:
+            delay_col = rs.delay
+            pinned_col = rs.pinned_count
+            prog_col = rs.prog_remaining
+            has_prog_col = rs.has_program
+            # Element-wise writes: a round touches ~5 workers at p = 20,
+            # where they beat building index arrays for fancy scatters.
+            for q in touched:
                 worker = workers[q]
-                delay, pinned_count = worker.delay_and_pinned()
-                delays.append(delay)
-                pinned_counts.append(pinned_count)
-                prog_remainings.append(worker.prog_remaining)
-            self.op_round_refreshed += len(changed)
-            # One vectorised scatter per column beats per-element numpy
-            # assignments by an order of magnitude at p ≈ 20.
-            index = np.array(changed, dtype=np.intp)
-            rs.delay[index] = delays
-            rs.pinned_count[index] = pinned_counts
-            prog = np.array(prog_remainings, dtype=np.int64)
-            rs.prog_remaining[index] = prog
-            rs.has_program[index] = prog == 0
+                delay_col[q], pinned_col[q] = worker.delay_and_pinned()
+                prog = worker.prog_remaining
+                prog_col[q] = prog
+                has_prog_col[q] = prog == 0
+            self.op_round_refreshed += len(touched)
+            touched.clear()
         rs.remaining_tasks = remaining
         rs.invalidate()
         if self.options.audit:
@@ -562,13 +559,13 @@ class MasterSimulator:
             return True
         # The UP count is maintained incrementally and an idle UP worker
         # exists iff the UP set is larger than the UP slice of the
-        # queue-host set — O(live), never O(p).
+        # kept queue-host set — O(busy), never O(p).
         up_count = self._cal.up_count
         if up_count <= tbl.n_uncommitted:
             return True  # replication trigger cannot fire
         up_state = int(ProcState.UP)
         slist = self._states_list
-        busy_up = sum(1 for q in self._queue_hosts() if slist[q] == up_state)
+        busy_up = sum(1 for q in self._hosts if slist[q] == up_state)
         if up_count <= busy_up:
             return True  # no idle UP worker to replicate onto
         return self._replication_saturated()
@@ -617,9 +614,8 @@ class MasterSimulator:
         for inst in self._proactive_candidates():
             self.report.comm_slots_wasted += inst.data_received
             self.report.compute_slots_wasted += inst.compute_done
-            self._touched.add(inst.worker)  # pinned work discarded
             self._tbl.release(inst)  # reads inst.worker: before detach
-            self.workers[inst.worker].remove_instance(inst)
+            self._unqueue(inst)  # pinned work discarded
             reset_instance(inst)  # back to the pool, progress discarded
             if self.log.enabled:
                 self.log.emit(
@@ -678,32 +674,54 @@ class MasterSimulator:
             if inst.worker is not None:
                 touched_hosts.add(inst.worker)
                 inst.worker = None
+        workers = self.workers
+        hosts = self._hosts
         for host in touched_hosts:
-            worker = self.workers[host]
-            worker.queue = [other for other in worker.queue if other.pinned]
+            worker = workers[host]
+            # Keep the pinned instances: data started or computing.
+            queue = [
+                other
+                for other in worker.queue
+                if other.data_received or other.computing
+            ]
+            worker.queue = queue
+            if not queue:
+                hosts.discard(host)
 
-        for inst, choice in zip(originals, placements):
-            self._place(inst, choice)
+        self._place_all(originals, placements)
 
         if self.options.replication and self.options.max_replicas > 0:
             self._replication_round(rs)
 
-    def _place(self, inst: TaskInstance, choice: Optional[int]) -> None:
-        if choice is None:
-            return
-        if not 0 <= choice < len(self.workers):
-            raise ValueError(
-                f"scheduler {self.scheduler.name!r} placed a task on unknown "
-                f"processor {choice}"
-            )
-        if self._states_list[choice] == int(ProcState.DOWN):
-            # Refuse placements on DOWN processors (passive schedulers may
-            # remember stale choices); leave the instance unplaced.
-            return
-        worker = self.workers[choice]
-        inst.worker = choice
-        inst.compute_needed = worker.speed_w
-        worker.queue.append(inst)
+    def _place_all(
+        self, insts: List[TaskInstance], choices: List[Optional[int]]
+    ) -> None:
+        """Queue each instance on its choice: the one placement path of
+        the round's originals and the replication round's replicas.
+
+        ``None`` leaves an instance unplaced; so does a DOWN processor
+        (passive schedulers may remember stale choices).  An unknown
+        processor raises.
+        """
+        workers = self.workers
+        p = len(workers)
+        slist = self._states_list
+        hosts = self._hosts
+        for inst, choice in zip(insts, choices):
+            if choice is None:
+                continue
+            if not 0 <= choice < p:
+                raise ValueError(
+                    f"scheduler {self.scheduler.name!r} placed a task on "
+                    f"unknown processor {choice}"
+                )
+            if slist[choice] == _DOWN:
+                continue
+            worker = workers[choice]
+            inst.worker = choice
+            inst.compute_needed = worker.speed_w
+            worker.queue.append(inst)
+            hosts.add(choice)
 
     def _replication_round(self, rs: RoundState) -> None:
         # Cheap count-based exits before any list is built: mid-iteration
@@ -719,7 +737,7 @@ class MasterSimulator:
         # of the UP vector, and keep the *mask* — it is the allowed form
         # the replica placement below takes, with no per-task index lists.
         idle_mask = cal.states_np == int(ProcState.UP)
-        for q in self._queue_hosts():
+        for q in self._hosts:
             idle_mask[q] = False
         if not idle_mask.any():
             return
@@ -742,6 +760,8 @@ class MasterSimulator:
         choices = self.scheduler.place_distinct(rs, len(eligible), idle_mask)
         iteration = self.iteration
         t_data = self.app.t_data
+        replicas: List[TaskInstance] = []
+        targets: List[int] = []
         for task_id, choice in zip(eligible, choices):
             if choice is None:
                 continue
@@ -752,11 +772,14 @@ class MasterSimulator:
                 data_needed=t_data,
             )
             tbl.add(replica)
-            self._place(replica, choice)
+            replicas.append(replica)
+            targets.append(choice)
+        self._place_all(replicas, targets)
+        for replica in replicas:
             if replica.worker is not None:
                 self.report.replicas_launched += 1
             else:
-                tbl.destroy(replica)
+                tbl.destroy(replica)  # refused: never queued
 
     # ------------------------------------------------------------------ #
     # Compute step.                                                        #
@@ -767,8 +790,8 @@ class MasterSimulator:
         touched = self._touched
         slist = self._states_list
         # Only UP workers with a queue can compute, in ascending order; the
-        # queue-host set (O(live)) holds exactly the queue holders.
-        candidates = [q for q in sorted(self._queue_hosts()) if slist[q] == up]
+        # kept queue-host set holds exactly the queue holders.
+        candidates = [q for q in sorted(self._hosts) if slist[q] == up]
         for q in candidates:
             worker = self.workers[q]
             row = tbl.computing_row[q]
@@ -862,7 +885,7 @@ class MasterSimulator:
         slist = self._states_list
         all_workers = self.workers
         workers = [
-            all_workers[q] for q in sorted(self._queue_hosts()) if slist[q] == up
+            all_workers[q] for q in sorted(self._hosts) if slist[q] == up
         ]
         caches = self._request_cache
         for worker in workers:
@@ -1080,8 +1103,8 @@ class MasterSimulator:
         quiet slots at all.
 
         O(busy), never O(p): only the *busy* workers — queue hosts plus
-        program holders (O(live), from the table's live instances and the
-        ``_prog_holders`` mirror) — are visited.  The availability bound
+        program holders (the kept ``_hosts`` and ``_prog_holders``
+        mirrors) — are visited.  The availability bound
         splits by regime:
 
         * **observe_all** (an event log or a timeline recorder attached):
@@ -1148,8 +1171,7 @@ class MasterSimulator:
         objects = tbl.objects
         sources = cal.sources
         workers = self.workers
-        busy = self._queue_hosts()
-        busy.update(self._prog_holders)
+        busy = self._hosts | self._prog_holders  # a new set: both are kept
         self.op_span_scan_workers += len(busy)
         for q in sorted(busy):
             worker = workers[q]
@@ -1233,7 +1255,7 @@ class MasterSimulator:
         # covers every computing worker.
         computing = [
             (q, tbl.objects[computing_row[q]])
-            for q in sorted(self._queue_hosts())
+            for q in sorted(self._hosts)
             if slist[q] == up and computing_row[q] >= 0
         ]
         for q, inst in computing:
@@ -1434,8 +1456,13 @@ class MasterSimulator:
                     f"{current.row}"
                 )
         # The busy-worker mirrors behind the O(busy) span search must
-        # match the queues exactly.
-        hosts = self._queue_hosts()
+        # match the queues exactly, and the kept queue-host set must equal
+        # its derivation from the table's live instances.
+        hosts = {inst.worker for inst in tbl.objects if inst is not None}
+        hosts.discard(None)
+        assert self._hosts == hosts, (
+            f"kept queue hosts {sorted(self._hosts)} != derived {sorted(hosts)}"
+        )
         for q, worker in enumerate(self.workers):
             assert (q in hosts) == bool(worker.queue), (
                 f"worker {q}: queue-host derivation drifted"

@@ -209,37 +209,41 @@ class WorkerRuntime:
         has data in flight or buffered, no *other* instance may start
         receiving; if that in-flight instance is incomplete it is the
         target.  Instances with ``data_needed == 0`` never need a channel.
+        One pass over the queue: the first non-computing instance with
+        data (the :attr:`data_stage_instance`) decides; otherwise the
+        first non-computing one that needs data.
         """
-        staged = self.data_stage_instance
-        if staged is not None:
-            return staged if not staged.data_complete else None
-        computing = self.computing_instance
+        first = None
         for inst in self.queue:
-            if inst is computing or inst.computing:
+            if inst.computing:
                 continue
-            if inst.data_needed == 0:
-                continue  # nothing to transfer
-            return inst
-        return None
+            if inst.data_received > 0:
+                return inst if inst.data_received < inst.data_needed else None
+            if first is None and inst.data_needed != 0:
+                first = inst
+        return first
 
     def next_compute_target(self) -> Optional[TaskInstance]:
         """The instance that should start computing, or ``None``.
 
         Requires the program to be resident and no instance already
         computing; picks the first queued instance with complete data.
+        One pass over the queue.
         """
-        if not self.has_program:
+        if self.prog_received < self.t_prog:
             return None
-        if self.computing_instance is not None:
-            return None
+        target = None
         for inst in self.queue:
-            if not inst.computing and inst.data_complete:
-                return inst
-        return None
+            if inst.computing:
+                if inst.compute_done < inst.compute_needed:
+                    return None  # one is still computing
+            elif target is None and inst.data_received >= inst.data_needed:
+                target = inst
+        return target
 
     def wants_program(self) -> bool:
         """True when a program transfer (or resume) is useful this slot."""
-        return not self.has_program and bool(self.queue)
+        return self.prog_received < self.t_prog and bool(self.queue)
 
     # ------------------------------------------------------------------ #
     # Delay(q) — Section 6.3.1.                                            #

@@ -42,9 +42,9 @@ class TestLemma1:
 
     def test_is_probability(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            model = paper_random_model(rng)
-            assert 0.0 <= p_plus(model) <= 1.0
+        values = [p_plus(paper_random_model(rng)) for _ in range(50)]
+        assert all(0.0 <= value <= 1.0 for value in values)
+        assert 0 < sum(values) < len(values)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_monte_carlo(self, seed):
@@ -87,6 +87,12 @@ class TestTheorem2:
 
     def test_exceeds_w_when_reclaimed_possible(self):
         assert expected_completion_slots(chain(), 10) > 10
+
+    def test_at_least_w_for_paper_chains(self):
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            model = paper_random_model(rng)
+            assert expected_completion_slots(model, 50) >= 50
 
     @pytest.mark.parametrize("w", [2, 5, 12])
     def test_matches_monte_carlo(self, w):

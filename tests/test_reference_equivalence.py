@@ -710,3 +710,64 @@ class TestCompatibilityShim:
         # heuristic_name differs by construction; compare the physics.
         probed_dict = dict(probed.__dict__, heuristic_name=bare.heuristic_name)
         assert probed_dict == bare.__dict__
+
+
+# ---------------------------------------------------------------------- #
+# Refused placements: None and DOWN choices, originals and replicas.      #
+# ---------------------------------------------------------------------- #
+class _RefusedChoices(Scheduler):
+    """Cycles through a DOWN processor (refused: the instance stays
+    unplaced), ``None`` and the first candidate, one step per placed
+    instance, so both simulators' refusal paths run for originals and
+    replicas alike.  Overrides the scalar ``place``, which the master
+    reaches through the compatibility shim."""
+
+    name = "refused-choices"
+
+    def __init__(self):
+        self.calls = 0
+
+    def place(self, ctx, n_tasks, allowed=None):
+        candidates = self._candidates(ctx, allowed)
+        down = [v.index for v in ctx.processors if v.state == ProcState.DOWN]
+        choices = []
+        for _ in range(n_tasks):
+            self.calls += 1
+            if self.calls % 3 == 1 and down:
+                choices.append(down[self.calls % len(down)])
+            elif self.calls % 3 == 2 or not candidates:
+                choices.append(None)
+            else:
+                choices.append(candidates[0].index)
+        return choices
+
+    def select(self, ctx, candidates, nq, n_active):  # pragma: no cover
+        raise NotImplementedError("overrides place")
+
+
+class TestRefusedPlacements:
+    @pytest.mark.parametrize("objective", ["run", "run_slots"])
+    @pytest.mark.parametrize("cell", [(5, 5, 1), (10, 10, 2), (20, 10, 5)])
+    def test_refusals_equal_reference(self, cell, objective):
+        scenario = ScenarioGenerator(888).scenario(*cell, 0)
+        outcomes = []
+        for kind in ("fast", "reference"):
+            log = EventLog(enabled=True)
+            sim = SIMULATORS[kind](
+                scenario.build_platform(0),
+                scenario.app,
+                _RefusedChoices(),
+                options=SimulatorOptions(audit=True, max_replicas=2),
+                rng=scenario.scheduler_rng(0, "refused-choices"),
+                log=log,
+            )
+            if objective == "run":
+                report = sim.run(max_slots=20_000)
+            else:
+                report = sim.run_slots(3_000)
+            outcomes.append((report, log.events, sim.network.usage))
+        fast, ref = outcomes
+        assert fast[0] == ref[0]
+        assert fast[1] == ref[1]
+        assert fast[2] == ref[2]
+        assert fast[0].replicas_launched > 0

@@ -1,6 +1,8 @@
 """Tests for the worker pipeline state machine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.worker import TaskInstance, WorkerRuntime, reset_instance
 
@@ -185,6 +187,73 @@ class TestNextComputeTarget:
         ready = make_instance(task_id=1, data_needed=0)
         worker.queue.extend([computing, ready])
         assert worker.next_compute_target() is None
+
+
+# The property-chained definitions the single-pass queries replaced: the
+# oracle for TestSinglePassQueries.
+def oracle_next_data_target(worker):
+    staged = worker.data_stage_instance
+    if staged is not None:
+        return staged if not staged.data_complete else None
+    computing = worker.computing_instance
+    for inst in worker.queue:
+        if inst is computing or inst.computing:
+            continue
+        if inst.data_needed == 0:
+            continue
+        return inst
+    return None
+
+
+def oracle_next_compute_target(worker):
+    if not worker.has_program:
+        return None
+    if worker.computing_instance is not None:
+        return None
+    for inst in worker.queue:
+        if not inst.computing and inst.data_complete:
+            return inst
+    return None
+
+
+def oracle_wants_program(worker):
+    return not worker.has_program and bool(worker.queue)
+
+
+@st.composite
+def queued_instance(draw, task_id):
+    """An instance in any pipeline stage: unstarted, partial or complete
+    data (``data_needed`` may be 0), computing or finished computing."""
+    data_needed = draw(st.integers(0, 3))
+    inst = make_instance(task_id=task_id, data_needed=data_needed)
+    inst.data_received = draw(st.integers(0, data_needed))
+    inst.compute_needed = draw(st.integers(0, 4))
+    inst.computing = draw(st.booleans())
+    inst.compute_done = draw(st.integers(0, inst.compute_needed))
+    return inst
+
+
+@st.composite
+def worker_with_queue(draw):
+    """A worker with no, a partial or a complete program and a queue of
+    up to five instances in any order (prefetch bound not enforced)."""
+    t_prog = draw(st.integers(0, 3))
+    worker = make_worker(t_prog=t_prog)
+    worker.prog_received = draw(st.integers(0, t_prog))
+    size = draw(st.integers(0, 5))
+    worker.queue = [draw(queued_instance(task_id)) for task_id in range(size)]
+    return worker
+
+
+class TestSinglePassQueries:
+    """The one-pass queue queries == the old property-chained ones."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(worker=worker_with_queue())
+    def test_equal_to_property_chains(self, worker):
+        assert worker.next_data_target() is oracle_next_data_target(worker)
+        assert worker.next_compute_target() is oracle_next_compute_target(worker)
+        assert worker.wants_program() == oracle_wants_program(worker)
 
 
 class TestDelayEstimate:
