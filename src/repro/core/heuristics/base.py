@@ -77,6 +77,11 @@ def _uniform_factor(k: int, n_active: int, n_tasks: int, ncom: int) -> Optional[
     return factor if factor == max(1, -(-upper // ncom)) else None
 
 
+def _as_list(row) -> list:
+    """A score or CT row as a list (large-p rows are numpy arrays)."""
+    return row.tolist() if isinstance(row, np.ndarray) else row
+
+
 class _RoundCache(dict):
     """A greedy round's cache (:meth:`GreedyScheduler._round_setup`).
 
@@ -448,10 +453,12 @@ class GreedyScheduler(Scheduler):
     ) -> float:
         """Score of placing the next task on ``view``."""
 
-    def _score_ct_row(self, rs: RoundState, cache: dict, ct_row: list) -> list:
+    def _score_ct_row(self, rs: RoundState, cache: dict, ct_row):
         """Row kernel: scores of the round's UP set (``cache["up_list"]``
-        order) from one list of integer ``CT`` values.  The result may be
-        ``ct_row`` itself, so neither list is ever mutated."""
+        order) from integer ``CT`` values — a list below
+        ``_VECTOR_MIN_P``, an int64 array from it up, where the result
+        may be an array too.  The result may be ``ct_row`` itself, so
+        neither row is ever mutated."""
         raise NotImplementedError(
             f"{type(self).__name__} does not implement batch scoring"
         )
@@ -570,10 +577,10 @@ class GreedyScheduler(Scheduler):
         Python lists (the fixed per-ufunc numpy overhead dwarfs
         per-element Python arithmetic there); from ``_VECTOR_MIN_P``
         processors up, the assembly runs as numpy gathers over the column
-        arrays instead — exact integer/copy operations, so the resulting
-        lists are element-for-element identical — and the UP index array
-        is kept (``up_arr``) for the large-p argmin loop
-        (:meth:`_place_argmin`).  There the list forms ``up_list`` /
+        arrays instead — exact integer/copy operations, so every element
+        is identical — and the CT coefficients and score rows stay arrays,
+        with the UP index array (``up_arr``) kept for the large-p argmin
+        loop (:meth:`_place_argmin`).  There the list forms ``up_list`` /
         ``pinned_zero`` are built on first read (:class:`_RoundCache`),
         since only the contended heap loop reads them.  Nothing survives
         a refresh: the next ``rs.version`` rebuilds the cache from the
@@ -582,7 +589,7 @@ class GreedyScheduler(Scheduler):
         if self._round_version != rs.version:
             up_state = int(ProcState.UP)
             cache = self._round_cache = _RoundCache(
-                row0={}, row0_arr={}, ct={}, gathers=None, belief={}
+                row0={}, row0_arr={}, ct={}, gathers=None, belief={}, belief_arr={}
             )
             if len(rs) >= _VECTOR_MIN_P:
                 up_arr = np.nonzero(rs.state == up_state)[0]
@@ -611,14 +618,25 @@ class GreedyScheduler(Scheduler):
         """
         gathered = cache["belief"].get(name)
         if gathered is None:
-            up_arr = cache["up_arr"]
-            if up_arr is not None:
-                gathered = rs.belief_column(name)[up_arr].tolist()
+            if cache["up_arr"] is not None:
+                gathered = self._gather_belief_array(rs, cache, name).tolist()
             else:
                 up_list = cache["up_list"]
                 column = rs.belief_column_list(name)
                 gathered = [column[q] for q in up_list]
             cache["belief"][name] = gathered
+        return gathered
+
+    def _gather_belief_array(
+        self, rs: RoundState, cache: dict, name: str
+    ) -> np.ndarray:
+        """Large p only: the belief column over the UP set as a float64
+        array (one gather per round), for row kernels scored with numpy."""
+        gathered = cache["belief_arr"].get(name)
+        if gathered is None:
+            gathered = cache["belief_arr"][name] = rs.belief_column(name)[
+                cache["up_arr"]
+            ]
         return gathered
 
     def _ct_bases(self, rs: RoundState, cache: dict, factor: int) -> tuple:
@@ -630,7 +648,8 @@ class GreedyScheduler(Scheduler):
         exactly associative and bit-identical to the scalar
         :func:`completion_time_estimate` at every ``(q, nq, factor)``,
         whether assembled element-wise or as int64 numpy expressions
-        (the large-p branch).
+        (the large-p branch, which keeps them as int64 arrays: a
+        ``tolist`` and back per row would cost more than the row).
         """
         ct_bases = cache["ct"].get(factor)
         if ct_bases is None:
@@ -654,8 +673,8 @@ class GreedyScheduler(Scheduler):
             eff = factor * rs.t_data
             if isinstance(delay, np.ndarray):
                 ct_bases = cache["ct"][factor] = (
-                    (delay + (eff + speed)).tolist(),
-                    np.maximum(eff, speed).tolist(),
+                    delay + (eff + speed),
+                    np.maximum(eff, speed),
                 )
             else:
                 ct_bases = cache["ct"][factor] = (
@@ -714,15 +733,17 @@ class GreedyScheduler(Scheduler):
                 return up_arr[picked].tolist()
             count = nq.get(i, 0) + 1
             nq[i] = count
-            working[i] = sign * score_ct(rs, cache, base[i] + count * step[i], i)
+            ct = int(base[i]) + count * int(step[i])
+            working[i] = sign * score_ct(rs, cache, ct, i)
 
-    def _row0(self, rs: RoundState, cache: dict, factor: int) -> list:
+    def _row0(self, rs: RoundState, cache: dict, factor: int):
         """Every UP processor's score at ``n_q = 0``, memoised per round.
 
         This is the row every placement call starts from (and the only
         full-width scoring work a round pays): the CT at ``nq = 0`` is the
         ``base`` coefficient itself, scored by one :meth:`_score_ct_row`
-        call.
+        call.  A list below ``_VECTOR_MIN_P``; from it up, the kernel
+        receives the int64 ``base`` array and may return an array.
         """
         row = cache["row0"].get(factor)
         if row is None:
@@ -737,7 +758,7 @@ class GreedyScheduler(Scheduler):
 
         ``sign * value`` in float64 is the same operation element-wise or
         vectorised, so these keys equal the scalar paths' keys bit for
-        bit.  Hoisting the list→ndarray conversion and the NaN test here
+        bit.  Hoisting the float64 conversion and the NaN test here
         makes them one per round × factor, shared by the round's main
         placement and its replica selection, instead of one per call.
         """
@@ -823,8 +844,8 @@ class GreedyScheduler(Scheduler):
                 keys_factor = factor_base
             else:
                 keys_factor = None
-                row_base = self._row0(rs, cache, factor_base)
-                row_spec = self._row0(rs, cache, factor_spec)
+                row_base = _as_list(self._row0(rs, cache, factor_base))
+                row_spec = _as_list(self._row0(rs, cache, factor_spec))
                 keys = []
                 for j in range(k):
                     i = j if positions is None else positions[j]
@@ -834,8 +855,10 @@ class GreedyScheduler(Scheduler):
                     else:
                         keys.append(sign * row_base[i])
         if keys_factor is not None:
-            # One factor for every initial key: read the memoised row.
-            row0 = self._row0(rs, cache, keys_factor)
+            # One factor for every initial key: read the memoised row
+            # (the heap loop reads lists; at large p it runs only for
+            # mixed contention factors).
+            row0 = _as_list(self._row0(rs, cache, keys_factor))
             if positions is None:
                 keys = [sign * value for value in row0]
             else:
@@ -881,7 +904,7 @@ class GreedyScheduler(Scheduler):
                 bases = self._ct_bases(rs, cache, f)
             base, step = bases
             i = j if positions is None else positions[j]
-            return sign * score_ct(rs, cache, base[i] + nq[j] * step[i], i)
+            return sign * score_ct(rs, cache, int(base[i]) + nq[j] * int(step[i]), i)
 
         for _ in range(n_tasks):
             while True:

@@ -21,6 +21,7 @@ import math
 from ..expectation import p_plus
 from .base import (
     GreedyScheduler,
+    _as_list,
     ProcessorView,
     RoundState,
     SchedulingContext,
@@ -69,9 +70,11 @@ class LwScheduler(GreedyScheduler):
         )
         return self._p_plus(view) ** ct
 
-    def _score_ct_row(self, rs: RoundState, cache: dict, ct_row: list) -> list:
+    def _score_ct_row(self, rs: RoundState, cache: dict, ct_row) -> list:
+        # libm's pow per element: numpy's power is not promised to round
+        # like it, so a large-p row is scored over its list form.
         p_plus_up = self._gather_belief(rs, cache, "p_plus")
-        return [math.pow(base, ct) for base, ct in zip(p_plus_up, ct_row)]
+        return [math.pow(base, ct) for base, ct in zip(p_plus_up, _as_list(ct_row))]
 
     def _score_ct_one(self, rs: RoundState, cache: dict, ct: int, i: int) -> float:
         p_plus_up = self._gather_belief(rs, cache, "p_plus")

@@ -15,6 +15,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..expectation import expected_next_up
 from .base import (
     GreedyScheduler,
@@ -52,7 +54,7 @@ class MctScheduler(GreedyScheduler):
             view, nq_plus_one, ctx.t_data, contention_factor=contention_factor
         )
 
-    def _score_ct_row(self, rs: RoundState, cache: dict, ct_row: list) -> list:
+    def _score_ct_row(self, rs: RoundState, cache: dict, ct_row):
         # The integer CTs are the scores: every reader scales them by a
         # float sign or converts them to float64, exactly (CT < 2**53).
         return ct_row
@@ -110,7 +112,14 @@ class EmctScheduler(GreedyScheduler):
         )
         return self._expected_slots(view, ct)
 
-    def _score_ct_row(self, rs: RoundState, cache: dict, ct_row: list) -> list:
+    def _score_ct_row(self, rs: RoundState, cache: dict, ct_row):
+        if isinstance(ct_row, np.ndarray):
+            # The scalar expression's IEEE operations, element-wise: the
+            # int64 → float64 conversion is exact (CT < 2**53), and
+            # ``maximum`` picks ``ct - 1.0`` exactly when ``max`` does
+            # (it is never NaN).
+            e_up = self._gather_belief_array(rs, cache, "e_up")
+            return 1.0 + np.maximum(ct_row - 1.0, 0.0) * e_up
         e_up = self._gather_belief(rs, cache, "e_up")
         return [
             1.0 + max(ct - 1.0, 0.0) * e for ct, e in zip(ct_row, e_up)

@@ -29,6 +29,7 @@ from ..expectation import (
 )
 from .base import (
     GreedyScheduler,
+    _as_list,
     ProcessorView,
     RoundState,
     SchedulingContext,
@@ -88,7 +89,10 @@ class UdScheduler(GreedyScheduler):
             return p_no_down_exact(view.belief, max(1, round(k)))
         return p_no_down_approx(view.belief, max(1.0, k))
 
-    def _score_ct_row(self, rs: RoundState, cache: dict, ct_row: list) -> list:
+    def _score_ct_row(self, rs: RoundState, cache: dict, ct_row) -> list:
+        # ``math.pow`` per element, as in LW: a large-p row is scored
+        # over its list form.
+        ct_row = _as_list(ct_row)
         e_up = self._gather_belief(rs, cache, "e_up")
         base = self._gather_belief(rs, cache, "ud_base")
         avg_down = self._gather_belief(rs, cache, "ud_avg_down")

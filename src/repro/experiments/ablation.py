@@ -1,10 +1,11 @@
 """Programmatic ablation studies for the design choices in DESIGN.md §5.
 
 Each ablation runs paired simulations (identical availability samples) and
-reports mean makespans side by side.  The benchmark harness
-(``benchmarks/bench_ablation.py``) wraps these with timing and assertions;
-this module is the reusable implementation plus text rendering, also
-exposed through the CLI (``repro-experiments ablation``).
+reports mean makespans side by side.  This module is the reusable
+implementation plus text rendering, exposed through the CLI
+(``repro-experiments ablation``); the claims the ablations back (two
+replicas help, event-driven re-planning is free, the UD approximation and
+the contention factor pay off) are asserted in ``tests/test_studies.py``.
 
 Arms execute as picklable :class:`SimulationUnit` work units on an
 execution backend (``--backend``/``--jobs``; DESIGN.md §4), and means are

@@ -3,6 +3,7 @@
 from .availability import (
     AvailabilitySource,
     MarkovSource,
+    RunLengthMarkovSource,
     SemiMarkovSource,
     TraceSource,
     WeibullSource,
@@ -23,6 +24,7 @@ __all__ = [
     "MarkovSource",
     "TraceSource",
     "SemiMarkovSource",
+    "RunLengthMarkovSource",
     "WeibullSource",
     "AvailabilitySource",
     "EventLog",

@@ -65,6 +65,7 @@ __all__ = [
     "MarkovSource",
     "TraceSource",
     "SemiMarkovSource",
+    "RunLengthMarkovSource",
     "WeibullSource",
 ]
 
@@ -568,19 +569,14 @@ class TraceSource:
         return len(self._trace) * _DENSE_BYTES_PER_SLOT
 
 
-def _checked_jump_rows(
-    embedded: np.ndarray,
-    sojourn_samplers: Sequence[dict],
-    initials: Sequence[int],
-) -> list:
-    """Validate ``p`` semi-Markov sources' inputs in one pass.
+def _checked_jump_rows(embedded: np.ndarray, initials: Sequence[int]) -> list:
+    """Validate ``p`` semi-Markov sources' jump matrices in one pass.
 
     ``embedded`` is a ``(p, 3, 3)`` stack of jump matrices, with one
-    sampler set and one starting state per source.  Checks zero
-    diagonals, entries in ``[0, 1]`` and rows summing to 1 for the whole
-    stack at once, then that every source has a sampler per state and
-    starts in UP, RECLAIMED or DOWN.  Errors on a multi-source batch
-    name the first offending source's position.
+    starting state per source.  Checks zero diagonals, entries in
+    ``[0, 1]`` and rows summing to 1 for the whole stack at once, then
+    that every source starts in UP, RECLAIMED or DOWN.  Errors on a
+    multi-source batch name the first offending source's position.
 
     Returns:
         Per source, per state, the two cumulative jump thresholds as
@@ -591,44 +587,42 @@ def _checked_jump_rows(
     """
     if embedded.ndim != 3 or embedded.shape[1:] != (3, 3):
         raise ValueError("embedded matrix must be 3x3")
-    if not len(sojourn_samplers) == len(initials) == len(embedded):
+    if len(initials) != len(embedded):
         raise ValueError(
-            f"got {len(embedded)} embedded matrices, {len(sojourn_samplers)} "
-            f"sampler sets and {len(initials)} initial states"
+            f"got {len(embedded)} embedded matrices and "
+            f"{len(initials)} initial states"
         )
-
-    def where(position: int) -> str:
-        return f" (processor {position})" if len(embedded) > 1 else ""
-
     diagonal = np.arange(3)
     nonzero_diagonal = (np.abs(embedded[:, diagonal, diagonal]) > 1e-12).any(axis=1)
     if nonzero_diagonal.any():
         raise ValueError(
             "embedded matrix diagonal must be zero"
-            + where(int(np.argmax(nonzero_diagonal)))
+            + _where(embedded, int(np.argmax(nonzero_diagonal)))
         )
     out_of_range = ((embedded < -1e-12) | (embedded > 1 + 1e-12)).any(axis=(1, 2))
     if out_of_range.any():
         raise ValueError(
             "embedded jump probabilities must lie in [0, 1]"
-            + where(int(np.argmax(out_of_range)))
+            + _where(embedded, int(np.argmax(out_of_range)))
         )
     unbalanced = ~np.isclose(embedded.sum(axis=2), 1.0, atol=1e-9).all(axis=1)
     if unbalanced.any():
         raise ValueError(
-            "embedded matrix rows must sum to 1" + where(int(np.argmax(unbalanced)))
+            "embedded matrix rows must sum to 1"
+            + _where(embedded, int(np.argmax(unbalanced)))
         )
-    for position, (samplers, initial) in enumerate(zip(sojourn_samplers, initials)):
-        for s in (0, 1, 2):
-            if s not in samplers:
-                raise ValueError(
-                    f"missing sojourn sampler for state {s}" + where(position)
-                )
+    for position, initial in enumerate(initials):
         if initial not in (0, 1, 2):
             raise ValueError(
-                f"initial state must be 0, 1 or 2, got {initial!r}" + where(position)
+                f"initial state must be 0, 1 or 2, got {initial!r}"
+                + _where(embedded, position)
             )
     return np.cumsum(embedded, axis=2)[:, :, :2].tolist()
+
+
+def _where(batch: Sequence, position: int) -> str:
+    """The error suffix naming a source's position in a multi-source batch."""
+    return f" (processor {position})" if len(batch) > 1 else ""
 
 
 class SemiMarkovSource(_RleTraceSource):
@@ -638,7 +632,10 @@ class SemiMarkovSource(_RleTraceSource):
     matrix over UP/RECLAIMED/DOWN, but the time spent in each visit is drawn
     from a caller-supplied sojourn sampler per state — e.g. lognormal UP
     intervals, heavy-tailed DOWN repairs.  With geometric sojourns this
-    reduces exactly to the Markov chain (asserted in tests).
+    reduces exactly to the Markov chain (asserted in tests); that case has
+    its own closure-free type, :class:`RunLengthMarkovSource`.
+
+    Each visit draws its sojourn, then one ``rng.random()`` for the jump.
 
     Args:
         embedded: a 3×3 matrix of *jump* probabilities; diagonal must be 0
@@ -658,54 +655,68 @@ class SemiMarkovSource(_RleTraceSource):
         initial: int = int(ProcState.UP),
     ):
         embedded = np.asarray(embedded, dtype=float)
-        [jump_cum] = _checked_jump_rows(
-            embedded[None], [sojourn_samplers], [initial]
-        )
-        self._start(jump_cum, sojourn_samplers, rng, initial)
+        [jump_cum] = _checked_jump_rows(embedded[None], [initial])
+        [sojourns] = self._checked_sojourns([sojourn_samplers])
+        self._start(jump_cum, sojourns, rng, initial)
 
     @classmethod
     def batch(
         cls,
         embedded: np.ndarray,
-        sojourn_samplers: Sequence[dict[int, Callable[[np.random.Generator], int]]],
+        sojourns: Sequence,
         rngs: Sequence[np.random.Generator],
         *,
         initials: Sequence[int],
     ) -> list["SemiMarkovSource"]:
         """``p`` sources from a ``(p, 3, 3)`` stack of jump matrices.
 
-        The whole stack is validated and turned into cumulative jump rows
-        in one vectorised pass, so a 10k-worker platform does not pay ten
-        thousand per-matrix checks (DESIGN.md §12).  Source ``q`` draws
-        from ``rngs[q]`` only, exactly as the constructor would, so the
-        result is bit-identical to ``p`` constructor calls.
+        ``sojourns`` holds one per-state sojourn law per source, in the
+        form the constructor's second argument takes.  The whole stack is
+        validated and turned into cumulative jump rows in one vectorised
+        pass, so a 10k-worker platform does not pay ten thousand
+        per-matrix checks (DESIGN.md §12).  Source ``q`` draws from
+        ``rngs[q]`` only, exactly as the constructor would, so the result
+        is bit-identical to ``p`` constructor calls.
         """
         embedded = np.asarray(embedded, dtype=float)
-        jump_rows = _checked_jump_rows(embedded, sojourn_samplers, initials)
-        if len(rngs) != len(embedded):
+        jump_rows = _checked_jump_rows(embedded, initials)
+        if not len(sojourns) == len(rngs) == len(embedded):
             raise ValueError(
-                f"got {len(embedded)} embedded matrices but {len(rngs)} generators"
+                f"got {len(embedded)} embedded matrices, {len(sojourns)} "
+                f"sojourn laws and {len(rngs)} generators"
             )
         sources = []
-        for jump_cum, samplers, rng, initial in zip(
-            jump_rows, sojourn_samplers, rngs, initials
+        for jump_cum, law, rng, initial in zip(
+            jump_rows, cls._checked_sojourns(sojourns), rngs, initials
         ):
             source = cls.__new__(cls)
-            source._start(jump_cum, samplers, rng, initial)
+            source._start(jump_cum, law, rng, initial)
             sources.append(source)
         return sources
+
+    @staticmethod
+    def _checked_sojourns(sojourn_samplers: Sequence[dict]) -> Sequence[dict]:
+        """Check that every source has a sampler per state."""
+        for position, samplers in enumerate(sojourn_samplers):
+            for s in (0, 1, 2):
+                if s not in samplers:
+                    raise ValueError(
+                        f"missing sojourn sampler for state {s}"
+                        + _where(sojourn_samplers, position)
+                    )
+        return sojourn_samplers
 
     def _start(
         self,
         jump_cum: list,
-        samplers: dict[int, Callable[[np.random.Generator], int]],
+        sojourns,
         rng: np.random.Generator,
         initial: int,
     ) -> None:
         """Adopt validated inputs and draw the first sojourn (a sampler
         that cannot produce one fails here, not mid-run)."""
         self._jump_cum = jump_cum
-        self._samplers = samplers
+        self._sojourns = sojourns
         self._rng = rng
         self._state = int(initial)
         self._init_rle()
@@ -716,7 +727,7 @@ class SemiMarkovSource(_RleTraceSource):
         # appended directly as one run — the process *is* its run-length
         # encoding.
         while self._length < length:
-            sojourn = int(self._samplers[self._state](self._rng))
+            sojourn = int(self._sojourns[self._state](self._rng))
             if sojourn < 1:
                 raise ValueError(
                     f"sojourn sampler for state {self._state} returned {sojourn}; "
@@ -725,6 +736,61 @@ class SemiMarkovSource(_RleTraceSource):
             self._append_run(self._state, sojourn)
             cum0, cum1 = self._jump_cum[self._state]
             u = self._rng.random()
+            self._state = 0 if u < cum0 else (1 if u < cum1 else 2)
+
+
+class RunLengthMarkovSource(SemiMarkovSource):
+    """The run-length form of a Markov chain (DESIGN.md §9, §12).
+
+    A chain's sojourn in state ``s`` is ``Geometric(leave[s])`` with
+    ``leave[s] = 1 - P[s, s]``; on leaving it jumps by the embedded
+    matrix.  This is :class:`SemiMarkovSource` with geometric samplers,
+    drawing the same two values in the same order per visit —
+    ``rng.geometric(leave[s])``, then one ``rng.random()`` jump — so the
+    trace is bit-identical to it.  The sojourn law is the plain float row
+    ``leave`` instead of per-state sampler closures: a 10k-worker build
+    creates no per-worker sampler objects, and a sojourn costs no extra
+    Python frame.
+
+    Args:
+        embedded: the chain's 3×3 jump matrix (zero diagonal).
+        leave: per-state leave probabilities, each in ``(0, 1]``.
+        rng: generator for both jumps and sojourns.
+        initial: starting state (default UP).
+    """
+
+    def __init__(
+        self,
+        embedded: np.ndarray,
+        leave: Sequence[float],
+        rng: np.random.Generator,
+        *,
+        initial: int = int(ProcState.UP),
+    ):
+        super().__init__(embedded, leave, rng, initial=initial)
+
+    @staticmethod
+    def _checked_sojourns(leave: Sequence) -> list:
+        """Leave rows as plain float lists, each probability in ``(0, 1]``."""
+        rows = np.asarray(leave, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise ValueError("leave probabilities must be one row of 3 per source")
+        bad = ~((rows > 0.0) & (rows <= 1.0)).all(axis=1)
+        if bad.any():
+            raise ValueError(
+                "leave probabilities must lie in (0, 1]"
+                + _where(rows, int(np.argmax(bad)))
+            )
+        return rows.tolist()
+
+    def _grow_to(self, length: int) -> None:
+        rng = self._rng
+        leave = self._sojourns
+        while self._length < length:
+            state = self._state
+            self._append_run(state, int(rng.geometric(leave[state])))
+            cum0, cum1 = self._jump_cum[state]
+            u = rng.random()
             self._state = 0 if u < cum0 else (1 if u < cum1 else 2)
 
 

@@ -29,20 +29,11 @@ from ..types import ProcState
 from .availability import (
     AvailabilitySource,
     MarkovSource,
-    SemiMarkovSource,
+    RunLengthMarkovSource,
     TraceSource,
 )
 
 __all__ = ["Processor", "Platform", "PlatformCalendar"]
-
-
-def _geometric_sojourn(leave: float):
-    """A sojourn sampler drawing ``Geometric(leave)`` run lengths."""
-
-    def sample(rng: np.random.Generator) -> int:
-        return int(rng.geometric(leave))
-
-    return sample
 
 
 @dataclass
@@ -107,7 +98,7 @@ class Processor:
         A Markov chain's sojourn in state ``i`` is geometric with
         parameter :math:`1 - P_{ii}`, and on leaving it jumps to ``j``
         with probability :math:`P_{ij} / (1 - P_{ii})`.  Sampling those
-        two directly (:class:`~repro.sim.availability.SemiMarkovSource`)
+        two directly (:class:`~repro.sim.availability.RunLengthMarkovSource`)
         yields the *same process* as the slot-by-slot walk of
         :meth:`from_markov` — but generated in O(runs) instead of
         O(slots), which is what the large-p benchmarks need (DESIGN.md
@@ -141,7 +132,7 @@ class Processor:
         are derived for all ``p`` at once, and the sources are validated
         as one stack (:meth:`~repro.sim.availability.SemiMarkovSource.
         batch`): the per-processor work left is the sources' own first
-        draws.  Processor ``q`` draws from ``rngs[q]`` only, in the order
+        draws, with no per-processor sampler objects.  Processor ``q`` draws from ``rngs[q]`` only, in the order
         a lone :meth:`from_semi_markov` call would, so the platform is
         bit-identical to ``p`` such calls.
         """
@@ -163,14 +154,10 @@ class Processor:
             )
         embedded = matrices / leave[:, :, None]
         embedded[:, diagonal, diagonal] = 0.0
-        samplers = [
-            {s: _geometric_sojourn(p_leave) for s, p_leave in enumerate(row)}
-            for row in leave.tolist()
-        ]
         up = int(ProcState.UP)
-        sources = SemiMarkovSource.batch(
+        sources = RunLengthMarkovSource.batch(
             embedded,
-            samplers,
+            leave,
             rngs,
             initials=[up if initial is None else initial for initial in initials],
         )

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.markov import MarkovAvailabilityModel
 from repro.sim.availability import (
     MarkovSource,
+    RunLengthMarkovSource,
     SemiMarkovSource,
     TraceSource,
     WeibullSource,
@@ -215,6 +218,83 @@ class TestSemiMarkovSource:
             )
             assert np.array_equal(source.block(0, 5000), single.block(0, 5000))
             assert source.run_count == single.run_count
+
+
+def _change_runs(source, horizon):
+    """``(first slot, state)`` of every run starting before ``horizon``,
+    walked through ``next_change_after``."""
+    runs, slot = [], 0
+    while slot is not None:
+        runs.append((slot, source.state_at(slot)))
+        slot = source.next_change_after(slot, limit=horizon - 1)
+    return runs
+
+
+#: A leave probability from each of ``Generator.geometric``'s branches
+#: (search from 1/3 up, inversion below), plus near-absorbing self-loops.
+LEAVE = st.one_of(
+    st.floats(1 / 3, 1.0),
+    st.floats(1e-3, 1 / 3, exclude_max=True),
+    st.just(1.0 - 0.999),
+)
+
+
+class TestRunLengthMarkovSource:
+    """The closure-free run-length Markov source draws what the generic
+    :class:`SemiMarkovSource` does with geometric samplers: the same
+    ``rng.geometric(leave[s])`` then ``rng.random()`` per visit."""
+
+    HORIZON = 4000
+
+    @given(
+        leave=st.lists(LEAVE, min_size=3, max_size=3),
+        jumps=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+        initial=st.sampled_from([0, 1, 2]),
+        seed=st.integers(0, 2**32 - 1),
+        order_seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_generic_source_with_geometric_samplers(
+        self, leave, jumps, initial, seed, order_seed
+    ):
+        embedded = np.zeros((3, 3))
+        for s, a in enumerate(jumps):
+            first, second = [t for t in (0, 1, 2) if t != s]
+            embedded[s, first], embedded[s, second] = a, 1.0 - a
+        samplers = {
+            s: (lambda rng, p=p: int(rng.geometric(p))) for s, p in enumerate(leave)
+        }
+        generic = SemiMarkovSource(
+            embedded, samplers, np.random.default_rng(seed), initial=initial
+        )
+        source = RunLengthMarkovSource(
+            embedded, leave, np.random.default_rng(seed), initial=initial
+        )
+        assert isinstance(source, SemiMarkovSource)
+        # Read the new source in a shuffled order first: growth is one
+        # sojourn at a time, so what is drawn never depends on it.
+        reads = np.random.default_rng(order_seed).permutation(self.HORIZON)[:50]
+        for slot in reads.tolist():
+            source.state_at(slot)
+            source.next_change_after(slot, limit=self.HORIZON - 1)
+        assert _change_runs(source, self.HORIZON) == _change_runs(
+            generic, self.HORIZON
+        )
+        assert source.run_count == generic.run_count
+        assert source._rng.bit_generator.state == generic._rng.bit_generator.state
+
+    def test_rejects_leave_outside_unit_interval(self):
+        embedded = np.array([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        rngs = [np.random.default_rng(q) for q in range(2)]
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            RunLengthMarkovSource(embedded, [0.5, 0.0, 0.5], rngs[0])
+        with pytest.raises(ValueError, match=r"\(0, 1\] \(processor 1\)"):
+            RunLengthMarkovSource.batch(
+                np.stack([embedded, embedded]),
+                [[0.5, 0.5, 0.5], [0.5, 1.5, 0.5]],
+                rngs,
+                initials=[0, 0],
+            )
 
 
 class TestWeibullSource:

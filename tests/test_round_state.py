@@ -207,13 +207,19 @@ class TestBatchScalarBitIdentity:
         cache = sched._round_setup(rs)
         assert cache["up_list"] == list(range(len(views)))
         needs_belief = sched._belief_needs is not None
+        large = p >= _VECTOR_MIN_P
         for nq_plus_one in (1, 2, 5):
             for factor in (1, 2, 3):
                 base, step = sched._ct_bases(rs, cache, factor)
-                ct_row = [b + (nq_plus_one - 1) * s for b, s in zip(base, step)]
+                # The form each side of the split hands the row kernel.
+                assert isinstance(base, np.ndarray) == large
+                if large:
+                    ct_row = base + (nq_plus_one - 1) * step
+                else:
+                    ct_row = [b + (nq_plus_one - 1) * s for b, s in zip(base, step)]
                 row = sched._score_ct_row(rs, cache, ct_row)
                 for i, q in enumerate(cache["up_list"]):
-                    one = sched._score_ct_one(rs, cache, ct_row[i], i)
+                    one = sched._score_ct_one(rs, cache, int(ct_row[i]), i)
                     where = f"{sched.name}: q={q} nq+1={nq_plus_one} f={factor}"
                     if q == beliefless and needs_belief:
                         assert math.isnan(row[i]) and math.isnan(one), where
@@ -227,8 +233,51 @@ class TestBatchScalarBitIdentity:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_three_way_identity_numpy_assembly(self, factory, seed):
         """The same from ``_VECTOR_MIN_P`` processors up, where the
-        per-round cache gathers CT bases and beliefs with numpy."""
+        per-round cache gathers CT bases and beliefs with numpy and the
+        rows stay int64 / float64 arrays."""
         self.test_three_way_identity(factory, seed, p=_VECTOR_MIN_P + 2)
+
+    @pytest.mark.parametrize("factory", HEURISTICS, ids=lambda f: f().name)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_three_way_identity_numpy_assembly_p2000(self, factory, seed):
+        self.test_three_way_identity(factory, seed, p=2000)
+
+    @pytest.mark.parametrize("factory", HEURISTICS, ids=lambda f: f().name)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("p", [_VECTOR_MIN_P + 2, 2000])
+    def test_row_keys_equal_scalar_rescores(self, factory, seed, p):
+        """The large-p argmin keys (``_row0_keys``, built from the array
+        row) equal the signed scalar re-scores byte for byte, the
+        belief-less candidate's NaN included — so a row kernel scored with
+        numpy picks exactly what the per-element kernel would."""
+        sched = factory()
+        views = random_views(np.random.default_rng(200 + seed), p=p)
+        for view in views:
+            view.state = ProcState.UP
+        beliefless = 3
+        views[beliefless].belief = None
+        rs = round_state_from(views)
+        ctx = rs.as_context()
+        cache = sched._round_setup(rs)
+        sign = -1.0 if sched.maximize else 1.0
+        needs_belief = sched._belief_needs is not None
+        for factor in (1, 2, 3):
+            keys, has_nan = sched._row0_keys(rs, cache, factor)
+            base, _step = sched._ct_bases(rs, cache, factor)
+            ones = [
+                sched._score_ct_one(rs, cache, ct, i)
+                for i, ct in enumerate(base.tolist())
+            ]
+            assert keys.tobytes() == (sign * np.asarray(ones)).tobytes()
+            assert has_nan == needs_belief
+            assert math.isnan(keys[beliefless]) == needs_belief
+        if needs_belief:
+            with pytest.raises(ValueError, match="no Markov belief"):
+                sched.score(ctx, views[beliefless], 1, 1)
+            with pytest.raises(
+                ValueError, match=f"processor {beliefless} has no Markov belief"
+            ):
+                sched.place_array(rs, 2)
 
 
 #: A platform size on each side of the list/numpy split: below

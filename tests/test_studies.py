@@ -58,6 +58,8 @@ class TestAblation:
         slot_rounds = result.arms["every-slot"][1]
         sticky_rounds = result.arms["sticky"][1]
         assert sticky_rounds < event_rounds < slot_rounds
+        # Event-driven re-planning saves rounds without costing makespan.
+        assert result.arms["event-driven"][0] <= result.arms["every-slot"][0] * 1.10
         text = render_ablation(result)
         assert "replanning" in text
 
@@ -83,6 +85,26 @@ class TestAblation:
         }
         for mean, _rounds in result.arms.values():
             assert mean > 0
+
+    def test_two_replicas_not_worse_than_none(self):
+        # The paper settled on two extra replicas: on small-m workloads
+        # they must not cost makespan against no replication.
+        arms = run_ablation(
+            "replication", scenarios=2, trials=2, seed=31, n=5, ncom=5, wmin=5
+        ).arms
+        assert arms["2 extra replicas"][0] <= arms["0 extra replicas"][0] * 1.05
+
+    def test_ud_approximation_costs_little_against_exact(self):
+        # The paper's rank-1 P_UD approximation as a scheduler, against
+        # the matrix-power form (Section 6.3.3's setting, n = 10).
+        arms = run_ablation(
+            "ud-exact", scenarios=2, trials=1, seed=33, n=10, ncom=5, wmin=8
+        ).arms
+        assert arms["ud"][0] <= arms["ud-exact"][0] * 1.15
+
+    def test_contention_factor_helps_on_heavy_communication(self):
+        arms = run_ablation("contention", trials=1).arms
+        assert arms["mct*"][0] <= arms["mct"][0]
 
     def test_proactive_ablation_quick(self):
         result = run_ablation(
